@@ -68,11 +68,20 @@ def _overrides_from_args(cmd: str, args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             over[key] = val
-    if getattr(args, "n_list", None):
-        over["n_list"] = [int(t) for t in str(args.n_list).split(",") if t]
-    if getattr(args, "p_list", None):
-        over["p_list"] = [int(t) for t in str(args.p_list).split(",") if t]
+    for key in ("n_list", "p_list"):
+        text = getattr(args, key, None)
+        if text:
+            over[key] = _int_list(key, text)
     return over
+
+
+def _int_list(key: str, text: str) -> list[int]:
+    """Comma-separated integers, or ConfigError."""
+    try:
+        return [int(t) for t in str(text).split(",") if t]
+    except ValueError:
+        flag = "--" + key.replace("_", "-")
+        raise ConfigError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
 def main(argv=None) -> int:

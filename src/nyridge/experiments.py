@@ -21,16 +21,21 @@ from .lowrank import approx_error
 from .stats import (
     RankSweeper,
     _rng_for,
-    bias_variance,
-    dof,
     fit_rate,
     lowrank_bias_variance,
     optimal_lambda,
+    problem_spectrum,
     theorem_rank_bound,
     verify_lemma_tail,
     verify_theorem,
 )
-from .synthetic import SpectrumSpec, grid_problem, sigma2_for_snr
+from .synthetic import (
+    SpectrumSpec,
+    check_sigma2,
+    grid_problem,
+    sigma2_for_snr,
+    signal_on_grid,
+)
 
 EXPERIMENTS = (
     "fig1",
@@ -169,13 +174,18 @@ def _base_meta(cfg: dict) -> list[tuple[str, str]]:
     ]
 
 
+def _sigma2(cfg: dict, z) -> float:
+    """The configured sigma^2, or the one that gives signal z the configured snr."""
+    sigma2 = cfg.get("sigma2")
+    if sigma2 is None:
+        sigma2 = sigma2_for_snr(z, cfg["snr"])
+    return check_sigma2(sigma2)
+
+
 def _synthetic_problem(cfg: dict):
     spectrum = SpectrumSpec.polynomial(cfg["beta"], cfg["delta"])
     prob = grid_problem(cfg["n"], spectrum, sigma2=0.0)
-    sigma2 = cfg.get("sigma2")
-    if sigma2 is None:
-        sigma2 = sigma2_for_snr(prob.z, cfg["snr"])
-    prob.sigma2 = float(sigma2)
+    prob.sigma2 = _sigma2(cfg, prob.z)
     return prob
 
 
@@ -200,10 +210,10 @@ def run_fig1(cfg: dict):
     lam = cfg.get("lam")
     if lam is None:
         lam = optimal_lambda(prob).lambda_star
-    b, v = bias_variance(A, prob.z, prob.sigma2, lam)
-    err_full = b + v
+    spec = problem_spectrum(prob)
+    err_full = spec.error(prob.sigma2, lam)
     tr_full = prob.K.trace()
-    op_full = float(np.linalg.eigvalsh(A)[-1])
+    op_full = float(np.max(spec.eigs))
     trials = int(cfg["trials"])
 
     sweeper = RankSweeper(prob, trials=trials, seed=cfg["seed"])
@@ -240,29 +250,26 @@ def run_fig1(cfg: dict):
 def run_rate_check(cfg: dict):
     """Optimal lambda, optimal error, and degrees of freedom across n.
 
-    The error curve uses the floating-point spectrum of the assembled kernel
-    matrix (what a practitioner's solver sees), which is exactly what makes
-    the very smooth beta = 8 family saturate at machine precision. The noise
-    level is calibrated once at the middle n and held fixed. Exponent fits
-    drop the ``drop_smallest`` smallest sizes; fits are refused when the
-    sweep saturates or sigma^2 = 0.
+    The error curve uses the spectrum of the assembled floating-point first
+    row of the circulant kernel matrix, taken by one FFT: the spectrum a
+    circulant solver sees, whose machine-precision floor is exactly what
+    makes the very smooth beta = 8 family saturate. No n x n matrix is
+    built. The noise level is calibrated once at the middle n and held
+    fixed. Exponent fits drop the ``drop_smallest`` smallest sizes; fits are
+    refused when the sweep saturates or sigma^2 = 0.
     """
     n_list = sorted(int(n) for n in cfg["n_list"])
     if len(n_list) < 5:
         raise ConfigError("rates needs at least 5 sizes in n_list")
     spectrum = SpectrumSpec.polynomial(cfg["beta"], cfg["delta"])
-    sigma2 = cfg.get("sigma2")
-    if sigma2 is None:
-        mid = grid_problem(n_list[len(n_list) // 2], spectrum, 0.0)
-        sigma2 = sigma2_for_snr(mid.z, cfg["snr"])
-    sigma2 = float(sigma2)
+    sigma2 = _sigma2(cfg, signal_on_grid(spectrum.nu, n_list[len(n_list) // 2]))
 
     rows = []
     any_saturated = False
     for n in n_list:
         prob = grid_problem(n, spectrum, sigma2)
         choice = optimal_lambda(prob)
-        d_max, d_trace, d_ave = dof(prob.K.entries, choice.lambda_star)
+        d_max, d_trace, d_ave = problem_spectrum(prob).dof(choice.lambda_star)
         any_saturated |= choice.saturated
         rows.append(
             (
@@ -306,13 +313,15 @@ def run_rate_check(cfg: dict):
 def run_rank_ratio(cfg: dict):
     """Sufficient rank over degrees of freedom across a lambda grid."""
     prob = _synthetic_problem(cfg)
-    tr_n = prob.K.trace() / prob.n
-    lams = tr_n * np.geomspace(cfg["lambda_lo"], cfg["lambda_hi"], int(cfg["lambda_points"]))
+    lams = prob.mean_diag * np.geomspace(
+        cfg["lambda_lo"], cfg["lambda_hi"], int(cfg["lambda_points"])
+    )
+    spec = problem_spectrum(prob)
     sweeper = RankSweeper(prob, trials=int(cfg["trials"]), seed=cfg["seed"])
     tol = float(cfg["tol"])
     rows = []
     for lam in lams:
-        d_max, d_trace, d_ave = dof(prob.K.entries, float(lam))
+        d_max, d_trace, d_ave = spec.dof(float(lam))
         p_rand = sweeper.sufficient_rank(float(lam), "random", tol)
         p_piv = sweeper.sufficient_rank(float(lam), "pivoted", tol)
         rows.append(
@@ -349,7 +358,7 @@ def run_verify_theorem(cfg: dict):
         lam = optimal_lambda(prob).lambda_star
     lam = float(lam)
     slack = float(cfg["slack"])
-    d_max, _, _ = dof(prob.K.entries, lam)
+    d_max, _, _ = problem_spectrum(prob).dof(lam)
     p = cfg.get("p")
     bound_p = None
     if p is None:

@@ -16,18 +16,25 @@ d_max >= d_trace >= d_ave:
     d_max   = n max_i [K (K + n lambda I)^(-1)]_ii
     d_trace = tr K (K + n lambda I)^(-1)
     d_ave   = tr K^2 (K + n lambda I)^(-2)
+
+All of them are functions of the spectrum of K and of the coefficients of z
+on its eigenbasis. :class:`Spectrum` is the single home of these closed
+forms; it is built by a dense eigendecomposition (general K, random
+designs), by one FFT of the first row (circulant K on a uniform grid), or by
+a thin SVD of a factor Phi (low-rank smoothers L = Phi Phi^T). Every other
+function here is a thin wrapper over it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, VacuousBoundError
 from .lowrank import nested_factor, nystrom, sample_columns
-from .synthetic import FixedDesignProblem
+from .synthetic import FixedDesignProblem, check_sigma2
 
 
 def _rng_for(seed, *key) -> np.random.Generator:
@@ -41,10 +48,103 @@ def _rng_for(seed, *key) -> np.random.Generator:
     )
 
 
-def _eig_psd(K) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition with negatives clipped to zero (PSD inputs)."""
-    s, u = np.linalg.eigh(np.asarray(K, dtype=float))
-    return np.clip(s, 0.0, None), u
+def _check_lambda(lam: float) -> None:
+    if not lam > 0:
+        raise ConfigError("lambda must be > 0")
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigenvalues of a PSD smoother matrix and the signal's energy on them.
+
+    ``eigs`` are clipped to >= 0. ``coef2[i]`` is the squared coefficient of
+    z on the i-th unit eigenvector (None until a signal is projected) and
+    ``resid2`` the energy of z outside the eigenbasis: 0 for a full K,
+    ||z_perp||^2 for a low-rank factor. ``basis`` holds the orthonormal
+    eigenvectors as columns, whose squared rows weight the leverage; it is
+    None for a circulant K, whose basis is the Fourier one and whose leverage
+    is constant, so that d_max = d_trace.
+    """
+
+    eigs: np.ndarray
+    n: int
+    coef2: np.ndarray | None = None
+    resid2: float = 0.0
+    basis: np.ndarray | None = None
+
+    @classmethod
+    def dense(cls, K, z=None) -> "Spectrum":
+        """Symmetric eigendecomposition of a general PSD K."""
+        s, u = np.linalg.eigh(np.asarray(K, dtype=float))
+        spec = cls(np.clip(s, 0.0, None), s.size, basis=u)
+        return spec if z is None else spec.project(z)
+
+    @classmethod
+    def circulant(cls, row0, z=None) -> "Spectrum":
+        """FFT of the (mirrored, hence symmetric) first row of a circulant K."""
+        eigs = np.fft.fft(np.asarray(row0, dtype=float)).real
+        spec = cls(np.clip(eigs, 0.0, None), eigs.size)
+        return spec if z is None else spec.project(z)
+
+    @classmethod
+    def lowrank(cls, phi, z=None) -> "Spectrum":
+        """Thin SVD of Phi: the nonzero spectrum of L = Phi Phi^T in O(n p^2)."""
+        phi = np.asarray(phi, dtype=float)
+        u, s, _ = np.linalg.svd(phi, full_matrices=False)
+        spec = cls(s * s, phi.shape[0], basis=u)
+        return spec if z is None else spec.project(z)
+
+    def project(self, z) -> "Spectrum":
+        """The same spectrum with ``coef2`` and ``resid2`` of the signal z."""
+        z = np.asarray(z, dtype=float)
+        if self.basis is None:
+            f = np.fft.fft(z)
+            return replace(self, coef2=(f.real**2 + f.imag**2) / self.n, resid2=0.0)
+        uz = self.basis.T @ z
+        resid2 = 0.0
+        if self.basis.shape[1] < self.n:
+            resid2 = max(float(z @ z - uz @ uz), 0.0)
+        return replace(self, coef2=uz * uz, resid2=resid2)
+
+    def bias(self, lam: float) -> float:
+        _check_lambda(lam)
+        nl = self.n * lam
+        fitted = float(np.sum(self.coef2 / (self.eigs + nl) ** 2))
+        return self.n * lam * lam * fitted + self.resid2 / self.n
+
+    def variance(self, sigma2: float, lam: float) -> float:
+        _check_lambda(lam)
+        ratio = self.eigs / (self.eigs + self.n * lam)
+        return sigma2 / self.n * float(np.sum(ratio * ratio))
+
+    def bias_variance(self, sigma2: float, lam: float) -> tuple[float, float]:
+        return self.bias(lam), self.variance(sigma2, lam)
+
+    def error(self, sigma2: float, lam: float) -> float:
+        """Expected in-sample error bias + variance."""
+        return self.bias(lam) + self.variance(sigma2, lam)
+
+    def dof(self, lam: float) -> tuple[float, float, float]:
+        """(d_max, d_trace, d_ave); d_max = d_trace when the leverage is constant."""
+        _check_lambda(lam)
+        r = self.eigs / (self.eigs + self.n * lam)
+        d_trace = float(np.sum(r))
+        if self.basis is None:
+            d_max = d_trace
+        else:
+            d_max = float(self.n * np.max(np.einsum("ji,i,ji->j", self.basis, r, self.basis)))
+        return d_max, d_trace, float(np.sum(r * r))
+
+
+def problem_spectrum(problem: FixedDesignProblem) -> Spectrum:
+    """Spectrum of the problem's K with the coefficients of its current z.
+
+    Grid problems use the FFT of their first row and never assemble K;
+    other designs use a dense eigendecomposition.
+    """
+    if problem.row0 is not None:
+        return Spectrum.circulant(problem.row0, problem.z)
+    return Spectrum.dense(problem.K, problem.z)
 
 
 @dataclass
@@ -60,14 +160,8 @@ class DofReport:
 
 def dof(K, lam: float) -> tuple[float, float, float]:
     """(d_max, d_trace, d_ave) from one symmetric eigendecomposition."""
-    if lam <= 0:
-        raise ConfigError("lambda must be > 0")
-    A = np.asarray(K, dtype=float)
-    n = A.shape[0]
-    s, u = _eig_psd(A)
-    r = s / (s + n * lam)
-    leverage = np.einsum("ji,i,ji->j", u, r, u)
-    return float(n * np.max(leverage)), float(np.sum(r)), float(np.sum(r * r))
+    _check_lambda(lam)
+    return Spectrum.dense(K).dof(lam)
 
 
 def dof_from_eigs(eigs, lam: float, constant_leverage: bool = True):
@@ -77,34 +171,16 @@ def dof_from_eigs(eigs, lam: float, constant_leverage: bool = True):
     so d_max = d_trace exactly; pass constant_leverage=False to get NaN for
     d_max when that is not known.
     """
-    s = np.asarray(eigs, dtype=float)
-    n = s.shape[0]
-    r = np.clip(s, 0.0, None) / (np.clip(s, 0.0, None) + n * lam)
-    d_trace = float(np.sum(r))
-    d_ave = float(np.sum(r * r))
-    d_max = d_trace if constant_leverage else float("nan")
-    return d_max, d_trace, d_ave
+    s = np.clip(np.asarray(eigs, dtype=float), 0.0, None)
+    d_max, d_trace, d_ave = Spectrum(s, s.size).dof(lam)
+    return (d_max if constant_leverage else float("nan")), d_trace, d_ave
 
 
 def bias_variance(K, z, sigma2: float, lam: float) -> tuple[float, float]:
     """Closed-form expected in-sample error terms for the exact smoother."""
-    if lam <= 0:
-        raise ConfigError("lambda must be > 0")
-    if sigma2 < 0:
-        raise ConfigError("sigma2 must be >= 0")
-    A = np.asarray(K, dtype=float)
-    z = np.asarray(z, dtype=float)
-    n = A.shape[0]
-    s, u = _eig_psd(A)
-    return _bias_variance_spectral(s, (u.T @ z) ** 2, sigma2, lam, n)
-
-
-def _bias_variance_spectral(eigs, coef2, sigma2, lam, n) -> tuple[float, float]:
-    nl = n * lam
-    bias = n * lam * lam * float(np.sum(coef2 / (eigs + nl) ** 2))
-    ratio = eigs / (eigs + nl)
-    var = sigma2 / n * float(np.sum(ratio * ratio))
-    return bias, var
+    _check_lambda(lam)
+    sigma2 = check_sigma2(sigma2)
+    return Spectrum.dense(K, z).bias_variance(sigma2, lam)
 
 
 def bias_variance_from_eigs(eigs, coef2, sigma2: float, lam: float) -> tuple[float, float]:
@@ -113,8 +189,9 @@ def bias_variance_from_eigs(eigs, coef2, sigma2: float, lam: float) -> tuple[flo
     ``coef2[i]`` is the squared coefficient of z on the i-th (unit-norm)
     eigenvector; for grid designs that is |fft(z)|^2 / n in frequency order.
     """
-    eigs = np.clip(np.asarray(eigs, dtype=float), 0.0, None)
-    return _bias_variance_spectral(eigs, np.asarray(coef2, dtype=float), sigma2, lam, eigs.size)
+    s = np.clip(np.asarray(eigs, dtype=float), 0.0, None)
+    spec = Spectrum(s, s.size, coef2=np.asarray(coef2, dtype=float))
+    return spec.bias_variance(sigma2, lam)
 
 
 def lowrank_bias_variance(phi, z, sigma2: float, lam: float) -> tuple[float, float]:
@@ -124,32 +201,16 @@ def lowrank_bias_variance(phi, z, sigma2: float, lam: float) -> tuple[float, flo
     orthogonal to the column space carry eigenvalue zero, so their bias
     contribution is ||z_perp||^2 / n.
     """
-    phi = np.asarray(phi, dtype=float)
-    z = np.asarray(z, dtype=float)
-    n = phi.shape[0]
-    nl = n * lam
-    u, s, _ = np.linalg.svd(phi, full_matrices=False)
-    ev = s * s
-    uz = u.T @ z
-    resid2 = max(float(z @ z - uz @ uz), 0.0)
-    bias = n * lam * lam * float(np.sum(uz * uz / (ev + nl) ** 2)) + resid2 / n
-    ratio = ev / (ev + nl)
-    var = sigma2 / n * float(np.sum(ratio * ratio))
-    return bias, var
-
-
-def expected_error(K, z, sigma2: float, lam: float) -> float:
-    b, v = bias_variance(K, z, sigma2, lam)
-    return b + v
+    return Spectrum.lowrank(phi, z).bias_variance(sigma2, lam)
 
 
 def dof_report(K, z, sigma2: float, lam: float) -> DofReport:
     """All degrees-of-freedom quantities plus bias and variance."""
-    A = np.asarray(K, dtype=float)
-    n = A.shape[0]
-    d_max, d_trace, d_ave = dof(A, lam)
-    b, v = bias_variance(A, z, sigma2, lam)
-    return DofReport(d_max, d_trace, d_ave, b, v, lam, n)
+    _check_lambda(lam)
+    spec = Spectrum.dense(K, z)
+    d_max, d_trace, d_ave = spec.dof(lam)
+    b, v = spec.bias_variance(check_sigma2(sigma2), lam)
+    return DofReport(d_max, d_trace, d_ave, b, v, lam, spec.n)
 
 
 def theorem_rank_bound(d_max: float, delta: float, n: int, r2: float, lam: float) -> int:
@@ -160,8 +221,7 @@ def theorem_rank_bound(d_max: float, delta: float, n: int, r2: float, lam: float
     """
     if not (0.0 < delta < 1.0):
         raise ConfigError("delta must be in (0, 1)")
-    if lam <= 0:
-        raise ConfigError("lambda must be > 0")
+    _check_lambda(lam)
     arg = n * r2 / (delta * lam)
     if arg <= 1.0:
         raise VacuousBoundError(
@@ -203,19 +263,21 @@ def verify_theorem(
     """
     if not (0.0 < delta < 1.0):
         raise ConfigError("delta must be in (0, 1)")
-    A = problem.K.entries
     n = problem.n
     if not (1 <= p <= n):
         raise ConfigError(f"need 1 <= p <= n, got p={p}")
-    b, v = bias_variance(A, problem.z, problem.sigma2, lam)
-    err_full = b + v
+    if trials < 1:
+        raise ConfigError(f"need trials >= 1, got {trials}")
+    spec = problem_spectrum(problem)
+    err_full = spec.error(problem.sigma2, lam)
+    A = problem.K.entries
     ratios = np.empty(trials)
     for t in range(trials):
         sel = sample_columns(n, p, _rng_for(seed, t))
         factor = nystrom(A, sel)
         bl, vl = lowrank_bias_variance(factor.phi, problem.z, problem.sigma2, lam)
         ratios[t] = (bl + vl) / err_full
-    d_max, _, _ = dof(A, lam)
+    d_max, _, _ = spec.dof(lam)
     thresh = (1.0 - delta / 2.0) ** -2
     return TheoremCheck(
         ratio_mean=float(np.mean(ratios)),
@@ -242,6 +304,8 @@ def verify_lemma_tail(psi, p: int, t_grid, trials: int, seed) -> list[tuple[floa
     n, r = psi.shape
     if not (1 <= p <= n):
         raise ConfigError(f"need 1 <= p <= n, got p={p}")
+    if trials < 1:
+        raise ConfigError(f"need trials >= 1, got {trials}")
     A = psi.T @ psi / n
     lam_max = float(np.linalg.eigvalsh(A)[-1])
     r2 = float(np.max(np.sum(psi * psi, axis=1)))
@@ -294,36 +358,23 @@ class RankSweeper:
             return [self._pivoted]
         raise ConfigError(f"unknown method {method!r}")
 
-    def _spectrum(self, method: str, t: int, p: int):
+    def _spectrum(self, method: str, t: int, p: int) -> Spectrum:
         key = (method, t, p)
         got = self._spectra.get(key)
         if got is None:
-            phi = self.factors(method)[t][:, :p]
-            z = self.problem.z
-            u, s, _ = np.linalg.svd(phi, full_matrices=False)
-            uz = u.T @ z
-            resid2 = max(float(z @ z - uz @ uz), 0.0)
-            got = (s * s, uz * uz, resid2)
+            got = Spectrum.lowrank(self.factors(method)[t][:, :p], self.problem.z)
             self._spectra[key] = got
         return got
 
     def error(self, method: str, p: int, lam: float) -> float:
         """Mean closed-form expected error of the rank-p approximation."""
-        n = self.problem.n
-        nl = n * lam
         sigma2 = self.problem.sigma2
-        total = 0.0
         count = len(self.factors(method))
-        for t in range(count):
-            ev, uz2, resid2 = self._spectrum(method, t, p)
-            bias = n * lam * lam * float(np.sum(uz2 / (ev + nl) ** 2)) + resid2 / n
-            ratio = ev / (ev + nl)
-            var = sigma2 / n * float(np.sum(ratio * ratio))
-            total += bias + var
+        total = sum(self._spectrum(method, t, p).error(sigma2, lam) for t in range(count))
         return total / count
 
     def full_error(self, lam: float) -> float:
-        return expected_error(self.problem.K.entries, self.problem.z, self.problem.sigma2, lam)
+        return problem_spectrum(self.problem).error(self.problem.sigma2, lam)
 
     def sufficient_rank(self, lam: float, method: str, tol: float = 0.01) -> int:
         """Smallest p with mean error <= (1 + tol) * full error; doubling + bisection."""
@@ -409,32 +460,26 @@ def default_lambda_grid(trace_over_n: float, num: int = 40) -> np.ndarray:
 def optimal_lambda(problem: FixedDesignProblem, grid=None) -> LambdaChoice:
     """Grid minimizer of the closed-form error, with one local refinement.
 
-    The spectrum comes from a floating-point eigendecomposition of K (what
-    any solver actually sees), so for very fast eigenvalue decays the
-    minimizer can hit the machine-precision floor; that regime is flagged
-    through ``saturated`` (argmin at the smallest grid point or
-    lambda* < 1e-15).
+    The spectrum is the problem's (:func:`problem_spectrum`): for grid
+    designs the FFT of the assembled floating-point first row of K, which is
+    the spectrum a circulant solver sees; random designs still use a dense
+    eigendecomposition. For very fast eigenvalue decays the computed
+    eigenvalues keep a machine-precision floor, so the minimizer can hit it;
+    that regime is flagged through ``saturated`` (argmin at the smallest grid
+    point or lambda* < 1e-15).
     """
-    A = problem.K.entries
-    z = problem.z
-    n = problem.n
     if grid is None:
-        grid = default_lambda_grid(problem.K.trace() / n)
+        grid = default_lambda_grid(problem.mean_diag)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) <= 0):
         raise ConfigError("lambda grid must be nonempty and increasing")
-    s, u = _eig_psd(A)
-    coef2 = (u.T @ z) ** 2
-    errs = np.array(
-        [sum(_bias_variance_spectral(s, coef2, problem.sigma2, lam, n)) for lam in grid]
-    )
+    spec = problem_spectrum(problem)
+    errs = np.array([spec.error(problem.sigma2, lam) for lam in grid])
     i = int(np.argmin(errs))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
     sub = np.geomspace(lo, hi, 12)
-    sub_errs = np.array(
-        [sum(_bias_variance_spectral(s, coef2, problem.sigma2, lam, n)) for lam in sub]
-    )
+    sub_errs = np.array([spec.error(problem.sigma2, lam) for lam in sub])
     j = int(np.argmin(sub_errs))
     lam_star, err_star = float(sub[j]), float(sub_errs[j])
     if errs[i] < err_star:

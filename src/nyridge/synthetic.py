@@ -16,10 +16,11 @@ and the polylogarithm otherwise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from math import pi
+from dataclasses import dataclass, field
+from math import isfinite, pi
 
 import numpy as np
+from scipy.linalg import circulant
 from scipy.special import zeta as hurwitz_zeta
 
 from .errors import ConfigError
@@ -75,18 +76,49 @@ class SpectrumSpec:
 
 @dataclass
 class FixedDesignProblem:
-    """Design points, kernel matrix, noiseless target, and noise level."""
+    """Design points, kernel matrix, noiseless target, and noise level.
+
+    Grid problems keep the mirrored first row ``row0`` of their circulant
+    kernel matrix and assemble the n x n ``K`` only on first access, so that
+    spectral computations (FFT of ``row0``) never allocate it.
+    """
 
     points: np.ndarray
-    K: KernelMatrix
     z: np.ndarray
     sigma2: float
     spectrum: SpectrumSpec | None = None
     exact_eigs: np.ndarray | None = None  # frequency order r = 0..n-1 (grid designs)
+    row0: np.ndarray | None = None  # first row of K (grid designs)
+    kernel_matrix: KernelMatrix | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if (self.row0 is None) == (self.kernel_matrix is None):
+            raise ConfigError("FixedDesignProblem needs exactly one of row0 and kernel_matrix")
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def K(self) -> KernelMatrix:
+        if self.kernel_matrix is None:
+            self.kernel_matrix = KernelMatrix(circulant(self.row0))
+        return self.kernel_matrix
+
+    @property
+    def mean_diag(self) -> float:
+        """tr(K) / n, read off the first row for grid designs."""
+        if self.row0 is not None:
+            return float(self.row0[0])
+        return self.K.trace() / self.n
+
+
+def check_sigma2(sigma2) -> float:
+    """The noise variance as a float; ConfigError unless finite and >= 0."""
+    value = float(sigma2)
+    if not (isfinite(value) and value >= 0.0):
+        raise ConfigError(f"sigma2 must be finite and >= 0 (got {sigma2!r})")
+    return value
 
 
 def kernel_spec_for(mu: DecayLaw) -> KernelSpec:
@@ -175,37 +207,34 @@ def signal_values(nu: DecayLaw, x) -> np.ndarray:
     return out
 
 
-def _circulant_gram(spec: KernelSpec, n: int) -> KernelMatrix:
-    """Grid Gram matrix built from its first row, exactly circulant.
+def _circulant_row(spec: KernelSpec, n: int) -> np.ndarray:
+    """First row of the grid Gram matrix, which is circulant.
 
-    The row is mirrored around n/2 before tiling so that K is also exactly
+    The row is mirrored around n/2 so that the circulant K is also exactly
     symmetric (k((n-r)/n) equals k(r/n) only up to an ulp otherwise).
     """
     pts = np.arange(n, dtype=float) / n
     row0 = cross_gram(np.zeros(1), pts, spec).reshape(-1)
     r = np.arange(n)
-    row0 = row0[np.minimum(r, n - r)]
-    shift = (r[None, :] - r[:, None]) % n
-    return KernelMatrix(row0[shift])
+    return row0[np.minimum(r, n - r)]
 
 
 def grid_problem(n: int, spectrum: SpectrumSpec, sigma2: float) -> FixedDesignProblem:
-    """Uniform-grid problem: x_i = (i-1)/n, circulant K, exact eigenvalues."""
+    """Uniform-grid problem: x_i = (i-1)/n, circulant K, exact eigenvalues.
+
+    K itself is assembled from its first row on first access to ``.K``.
+    """
     if n < 2:
         raise ConfigError("n must be >= 2")
-    if sigma2 < 0:
-        raise ConfigError("sigma2 must be >= 0")
+    sigma2 = check_sigma2(sigma2)
     spec = kernel_spec_for(spectrum.mu)
-    K = _circulant_gram(spec, n)
-    z = signal_on_grid(spectrum.nu, n)
-    eigs = eig_circulant(spectrum.mu, n)
     return FixedDesignProblem(
         points=np.arange(n, dtype=float) / n,
-        K=K,
-        z=z,
-        sigma2=float(sigma2),
+        z=signal_on_grid(spectrum.nu, n),
+        sigma2=sigma2,
         spectrum=spectrum,
-        exact_eigs=eigs,
+        exact_eigs=eig_circulant(spectrum.mu, n),
+        row0=_circulant_row(spec, n),
     )
 
 
@@ -220,18 +249,16 @@ def random_design_problem(
     spec = kernel_spec_for(spectrum.mu)
     return FixedDesignProblem(
         points=pts,
-        K=gram(pts, spec),
         z=signal_values(spectrum.nu, pts),
-        sigma2=float(sigma2),
+        sigma2=check_sigma2(sigma2),
         spectrum=spectrum,
-        exact_eigs=None,
+        kernel_matrix=gram(pts, spec),
     )
 
 
 def draw_noise(n: int, sigma2: float, trials: int, seed) -> np.ndarray:
     """trials x n matrix of i.i.d. centered Gaussian noise, seeded."""
-    if sigma2 < 0:
-        raise ConfigError("sigma2 must be >= 0")
+    sigma2 = check_sigma2(sigma2)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if sigma2 == 0.0:
         return np.zeros((trials, n))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,19 @@ class TestRates:
     def test_too_few_sizes_rejected(self):
         with pytest.raises(ConfigError):
             run_rate_check(resolve_config("rates", None, {"n_list": [16, 32, 64]}))
+
+    def test_default_sizes_allocate_no_gram_matrix(self):
+        # one 4096 x 4096 float64 matrix alone would be 134 MB
+        cfg = resolve_config("rates")
+        assert max(cfg["n_list"]) == 4096
+        tracemalloc.start()
+        try:
+            meta, _, rows = run_rate_check(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 7 and "lambda_exponent" in dict(meta)
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestRankRatio:
@@ -348,6 +362,40 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert cli.main(["fig1", "--n", "16"]) == 3
+
+    def assert_config_error(self, args, tmp_path):
+        res = self.run_cli(*args, "--out", "x.csv", cwd=tmp_path)
+        assert res.returncode == 2, (args, res.stderr)
+        assert "config error" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_nonfinite_sigma2_rejected(self, tmp_path):
+        for args in (
+            ["fig1", "--n", "32", "--trials", "2", "--sigma2", "nan"],
+            ["fig1", "--n", "32", "--trials", "2", "--snr", "nan"],
+            ["rates", "--n-list", "16,24,32,48,64", "--sigma2", "nan"],
+            ["rates", "--n-list", "16,24,32,48,64", "--sigma2", "inf"],
+        ):
+            self.assert_config_error(args, tmp_path)
+
+    def test_bad_size_list_rejected(self, tmp_path):
+        self.assert_config_error(["rates", "--n-list", "a,b"], tmp_path)
+        self.assert_config_error(["verify-lemma", "--p-list", "10,x"], tmp_path)
+
+    def test_zero_trials_rejected(self, tmp_path):
+        self.assert_config_error(["verify-theorem", "--n", "32", "--trials", "0"], tmp_path)
+        self.assert_config_error(["verify-lemma", "--n", "32", "--trials", "0"], tmp_path)
+
+    def test_nonpositive_or_nan_lambda_rejected(self, tmp_path):
+        for args in (
+            ["fig1", "--n", "32", "--trials", "2", "--lam", "-1"],
+            ["fig1", "--n", "32", "--trials", "2", "--lam", "0"],
+            ["fig1", "--n", "32", "--trials", "2", "--lam", "nan"],
+            ["verify-theorem", "--n", "32", "--trials", "2", "--lam", "-1", "--p", "10"],
+            ["verify-theorem", "--n", "32", "--trials", "2", "--lam", "nan"],
+        ):
+            self.assert_config_error(args, tmp_path)
 
     def test_unknown_flag_fails_fast(self, tmp_path):
         res = self.run_cli("fig1", "--bogus", "1", cwd=tmp_path)

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import circulant
 
 from nyridge.errors import ConfigError, VacuousBoundError
+from nyridge.experiments import resolve_config, run_rate_check
 from nyridge.lowrank import nystrom, sample_columns
 from nyridge.stats import (
     RankSweeper,
+    Spectrum,
     bias_variance,
     bias_variance_from_eigs,
     default_lambda_grid,
@@ -16,6 +21,7 @@ from nyridge.stats import (
     fit_rate,
     lowrank_bias_variance,
     optimal_lambda,
+    problem_spectrum,
     sufficient_rank,
     theorem_rank_bound,
     verify_lemma_tail,
@@ -334,3 +340,160 @@ class TestFitRate:
             fit_rate([(10, 1.0), (20, 2.0), (40, 3.0)])
         with pytest.raises(ConfigError):
             fit_rate([(10, 1.0), (20, -2.0), (40, 3.0), (80, 4.0)])
+
+
+def rel_gap(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+# (beta, delta, n): every supported smoothness up to 4, signal decays on both
+# sides of 2 beta, even and odd sizes up to 256
+GRID_CASES = [
+    (beta, delta, n)
+    for beta, delta in [(1, 1.5), (1, 3.0), (2, 2.0), (2, 6.0), (4, 3.0), (4, 8.0)]
+    for n in (31, 64, 97, 256)
+]
+
+
+class TestCirculantSpectrum:
+    """The FFT path against the dense eigendecomposition of the same K."""
+
+    @pytest.mark.parametrize("beta,delta,n", GRID_CASES)
+    def test_matches_dense_reference(self, beta, delta, n):
+        prob = grid_problem(n, SpectrumSpec.polynomial(beta, delta), 0.3)
+        fast = Spectrum.circulant(prob.row0, prob.z)
+        dense = Spectrum.dense(prob.K, prob.z)
+        lams = prob.mean_diag * np.logspace(-6, 0, 7)
+        for lam in np.append(lams, optimal_lambda(prob).lambda_star):
+            for got, want in zip(fast.bias_variance(0.3, lam), dense.bias_variance(0.3, lam)):
+                assert rel_gap(got, want) <= 1e-8
+            (fmax, ftrace, fave), (_, dtrace, dave) = fast.dof(lam), dense.dof(lam)
+            assert rel_gap(ftrace, dtrace) <= 1e-8
+            assert rel_gap(fave, dave) <= 1e-8
+            assert fmax == ftrace
+
+    @pytest.mark.parametrize("beta,delta,n", GRID_CASES)
+    def test_eigenvalues_match_exact(self, beta, delta, n):
+        prob = grid_problem(n, SpectrumSpec.polynomial(beta, delta), 0.0)
+        got = Spectrum.circulant(prob.row0).eigs
+        exact = prob.exact_eigs
+        big = exact > 1e-10 * exact.max()
+        assert np.max(np.abs(got[big] - exact[big]) / exact[big]) <= 1e-6
+
+    def test_problem_spectrum_follows_reassigned_signal(self):
+        prob = grid_problem(40, SpectrumSpec.polynomial(1, 3.0), 0.2)
+        before = problem_spectrum(prob).bias(1e-3)
+        prob.z = 2.0 * prob.z
+        assert problem_spectrum(prob).bias(1e-3) == pytest.approx(4.0 * before, rel=1e-12)
+        assert prob.kernel_matrix is None  # the FFT path never assembled K
+
+    @pytest.mark.parametrize("beta,delta", [(1, 2.0), (4, 8.0)])
+    def test_rate_check_rows_match_dense_path(self, beta, delta, monkeypatch):
+        sizes = [16, 24, 33, 48, 64, 97, 128]
+        cfg = resolve_config("rates", None, {"n_list": sizes, "beta": beta, "delta": delta})
+        _, _, fast_rows = run_rate_check(cfg)
+        # route the grid problems' spectrum through a dense eigh of the same K
+        def dense_circulant(cls, row0, z=None):
+            return cls.dense(circulant(row0), z)
+
+        monkeypatch.setattr(Spectrum, "circulant", classmethod(dense_circulant))
+        _, _, dense_rows = run_rate_check(cfg)
+        for fast, dense in zip(fast_rows, dense_rows, strict=True):
+            assert fast[0] == dense[0] and fast[5] == dense[5]
+            for got, want in zip(fast[1:4], dense[1:4]):  # lambda*, err*, d_ave
+                assert rel_gap(got, want) <= 1e-12
+            # the dense d_max is a maximum over eigenvector leverages, which
+            # carry roundoff of a few 1e-11; the circulant one is d_trace
+            assert rel_gap(fast[4], dense[4]) <= 1e-10
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _check_dof_chain(spec, lam):
+    d_max, d_trace, d_ave = spec.dof(lam)
+    slack = 1e-10 * spec.n
+    assert d_max >= d_trace - slack
+    assert d_trace >= d_ave - slack
+    assert d_ave >= 0
+
+
+class TestSpectrumProperties:
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(2, 24),
+        seed=st.integers(0, 2**32 - 1),
+        log_lam=st.floats(-8, 1),
+        sigma2=st.floats(0, 10),
+    )
+    def test_dense_chain_and_signs(self, n, seed, log_lam, sigma2):
+        K = random_psd(n, seed, cond_floor=1e-8)
+        z = np.random.default_rng(seed).normal(size=n)
+        spec = Spectrum.dense(K, z)
+        _check_dof_chain(spec, 10.0**log_lam)
+        b, v = spec.bias_variance(sigma2, 10.0**log_lam)
+        assert b >= 0 and v >= 0
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(2, 24),
+        p=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        log_lam=st.floats(-6, 1),
+        sigma2=st.floats(0, 10),
+    )
+    def test_lowrank_matches_dense_of_product(self, n, p, seed, log_lam, sigma2):
+        rng = np.random.default_rng(seed)
+        phi = rng.normal(size=(n, min(p, n)))
+        z = rng.normal(size=n)
+        lam = 10.0**log_lam
+        low = Spectrum.lowrank(phi, z)
+        dense = Spectrum.dense(phi @ phi.T, z)
+        _check_dof_chain(low, lam)
+        b, v = low.bias_variance(sigma2, lam)
+        assert b >= 0 and v >= 0
+        for got, want in zip(low.bias_variance(sigma2, lam), dense.bias_variance(sigma2, lam)):
+            assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
+        for got, want in zip(low.dof(lam), dense.dof(lam)):
+            assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+    @PROPERTY_SETTINGS
+    @given(
+        beta=st.sampled_from([1, 2, 4]),
+        delta=st.floats(1.1, 8.0),
+        n=st.integers(2, 128),
+        log_lam=st.floats(-12, 0),
+        sigma2=st.floats(0, 10),
+    )
+    def test_grid_chain_and_signs(self, beta, delta, n, log_lam, sigma2):
+        prob = grid_problem(n, SpectrumSpec.polynomial(beta, delta), sigma2)
+        spec = problem_spectrum(prob)
+        lam = prob.mean_diag * 10.0**log_lam
+        _check_dof_chain(spec, lam)
+        b, v = spec.bias_variance(sigma2, lam)
+        assert b >= 0 and v >= 0
+
+
+class TestTrialsValidation:
+    def test_verify_theorem_rejects_zero_trials(self):
+        prob = grid_problem(20, SpectrumSpec.polynomial(1, 3.0), 0.5)
+        with pytest.raises(ConfigError):
+            verify_theorem(prob, lam=1e-2, delta=0.25, p=5, trials=0, seed=0)
+
+    def test_verify_lemma_rejects_zero_trials(self):
+        psi = np.random.default_rng(0).normal(size=(20, 3))
+        with pytest.raises(ConfigError):
+            verify_lemma_tail(psi, p=5, t_grid=[0.1], trials=0, seed=0)
+
+
+class TestLambdaValidation:
+    @pytest.mark.parametrize("lam", [0.0, -1e-3, float("nan")])
+    def test_spectrum_rejects_nonpositive_lambda(self, lam):
+        spec = problem_spectrum(grid_problem(20, SpectrumSpec.polynomial(1, 3.0), 0.5))
+        for call in (spec.bias, spec.dof, lambda l: spec.variance(0.5, l)):
+            with pytest.raises(ConfigError):
+                call(lam)
+
+    def test_rank_bound_rejects_nan_lambda(self):
+        with pytest.raises(ConfigError):
+            theorem_rank_bound(1.0, 0.5, 10, 1.0, float("nan"))

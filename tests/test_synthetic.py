@@ -8,6 +8,7 @@ from nyridge.errors import ConfigError
 from nyridge.kernels import KernelSpec, gram
 from nyridge.synthetic import (
     DecayLaw,
+    FixedDesignProblem,
     SpectrumSpec,
     draw_noise,
     eig_circulant,
@@ -116,6 +117,29 @@ class TestGridProblem:
     def test_unsupported_beta_rejected(self):
         with pytest.raises(ConfigError):
             grid_problem(16, SpectrumSpec.polynomial(5, 2.0), 0.0)
+
+    def test_nonfinite_or_negative_sigma2_rejected(self):
+        for sigma2 in (float("nan"), float("inf"), -1e-3):
+            with pytest.raises(ConfigError):
+                grid_problem(16, SpectrumSpec.polynomial(1, 2.0), sigma2)
+
+    def test_gram_matrix_built_lazily_from_first_row(self):
+        prob = grid_problem(30, SpectrumSpec.polynomial(2, 3.0), 0.0)
+        assert prob.kernel_matrix is None
+        assert prob.mean_diag == prob.row0[0]
+        K = prob.K.entries
+        assert np.array_equal(K[0], prob.row0)
+        assert np.array_equal(K, K.T)
+        assert np.array_equal(np.roll(K[3], -3), prob.row0)
+
+    def test_problem_needs_exactly_one_kernel_source(self):
+        prob = grid_problem(8, SpectrumSpec.polynomial(1, 2.0), 0.0)
+        with pytest.raises(ConfigError):
+            FixedDesignProblem(prob.points, prob.z, 0.0)
+        with pytest.raises(ConfigError):
+            FixedDesignProblem(
+                prob.points, prob.z, 0.0, row0=prob.row0, kernel_matrix=prob.K
+            )
 
     def test_exponential_spectrum_problem(self):
         spec = SpectrumSpec(EXPO(1.0), EXPO(2.0))
