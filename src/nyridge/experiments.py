@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -189,6 +190,14 @@ def _synthetic_problem(cfg: dict):
     return prob
 
 
+def _lambda_points(cfg: dict) -> int:
+    """The configured number of lambda grid points, or ConfigError below 1."""
+    points = int(cfg["lambda_points"])
+    if points < 1:
+        raise ConfigError(f"lambda_points must be >= 1, got {points}")
+    return points
+
+
 def _default_p_grid(n: int) -> list[int]:
     """Dense at low rank (where the crossings live), geometric above."""
     dense = range(1, min(64, n) + 1)
@@ -312,10 +321,9 @@ def run_rate_check(cfg: dict):
 
 def run_rank_ratio(cfg: dict):
     """Sufficient rank over degrees of freedom across a lambda grid."""
+    points = _lambda_points(cfg)
     prob = _synthetic_problem(cfg)
-    lams = prob.mean_diag * np.geomspace(
-        cfg["lambda_lo"], cfg["lambda_hi"], int(cfg["lambda_points"])
-    )
+    lams = prob.mean_diag * np.geomspace(cfg["lambda_lo"], cfg["lambda_hi"], points)
     spec = problem_spectrum(prob)
     sweeper = RankSweeper(prob, trials=int(cfg["trials"]), seed=cfg["seed"])
     tol = float(cfg["tol"])
@@ -471,7 +479,11 @@ def run_cv(cfg: dict):
     if bandwidth is None:
         bandwidth = median_distance_bandwidth(data.features, seed=int(cfg["seed"]))
     spec = KernelSpec.gaussian(float(bandwidth))
-    grid = np.geomspace(float(cfg["lambda_min"]), float(cfg["lambda_max"]), int(cfg["lambda_points"]))
+    points = _lambda_points(cfg)
+    lo, hi = float(cfg["lambda_min"]), float(cfg["lambda_max"])
+    if not 0.0 < lo <= hi < math.inf:
+        raise ConfigError(f"cv needs 0 < lambda_min <= lambda_max < inf, got {lo!r}, {hi!r}")
+    grid = np.geomspace(lo, hi, points)
     result = cross_validate_lambda(
         data,
         spec,

@@ -2,9 +2,14 @@
 
 Given a subset I of columns, the approximation is
 L = K(V, I) K(I, I)^+ K(V, I)^T, represented by a factor Phi with
-Phi Phi^T = L. Phi is built through the symmetric pseudo-root
-Phi = K(V, I) K(I, I)^(+1/2), so the whitener needed for explicit feature
-maps comes out as a byproduct.
+Phi Phi^T = L. Every factor carries a p x p whitener W with
+Phi = K(V, I) W, which maps kernel evaluations (k(x_i, x))_{i in I} onto
+Phi's basis and so extends the factor to unseen points. ``nystrom`` uses
+the symmetric pseudo-root W = K(I, I)^(+1/2); ``pivoted_ichol`` uses
+W = L_I^(-T), where L_I = Phi[I] is the lower-triangular Cholesky factor of
+K(I, I) in pivot order. Both give the same L, but their Phi differ by an
+orthogonal rotation, so a factor's coefficients only make sense with its
+own whitener.
 
 Factorizations are sequential internally (pivot order is a data
 dependence); factors are immutable after construction and safe to share
@@ -17,8 +22,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, ParseError
 from .kernels import KernelMatrix, KernelSpec, cross_gram
 
 # Relative eigenvalue cutoff for pseudo-inverting K(I, I); kernel submatrices
@@ -56,10 +62,13 @@ class ColumnSelection:
 class LowRankFactor:
     """Factor Phi (n x p) with Phi Phi^T = L, plus the selection that built it.
 
-    ``whitener`` is the symmetric pseudo inverse square root of K(I, I); it
-    maps raw kernel evaluations (k(x_i, x))_{i in I} to the explicit
-    p-dimensional feature vector. ``trace_residual_trail`` (pivoted path
-    only) holds tr(K - L_k) after each of the k = 1..p pivot steps.
+    ``whitener`` (p x p) maps raw kernel evaluations (k(x_i, x))_{i in I}
+    onto Phi's basis: ``feature_matrix(spec, X[I], whitener, X) == phi`` on
+    the points X that built the factor. It is the symmetric pseudo inverse
+    square root of K(I, I) for ``nystrom`` and L_I^(-T), the inverse
+    transpose of the pivoted Cholesky factor of K(I, I), for
+    ``pivoted_ichol``. ``trace_residual_trail`` (pivoted path only) holds
+    tr(K - L_k) after each of the k = 1..p pivot steps.
     """
 
     phi: np.ndarray
@@ -132,6 +141,14 @@ def pivoted_ichol(
     exactly and at most ``max_rank`` full kernel columns are ever evaluated;
     K itself is never materialized (O(p^2 n) time, O(p n) memory).
 
+    The factor is built row-major, p x n: row k is column k of Phi, so each
+    update is a contiguous row operation. The reserve of ``max_rank`` rows is
+    ``np.empty``, whose untouched rows never become resident, and the
+    returned Phi is the transpose of a copy that holds exactly the p rows
+    used. With L = Phi[P] (lower triangular, positive diagonal) the
+    whitener is L^(-T), so the feature map reproduces Phi on the training
+    points: K(V, P) L^(-T) = Phi.
+
     Stops after ``max_rank`` pivots or once the trace residual drops to
     ``trace_tol`` (at least one of the two must be given).
     """
@@ -144,20 +161,19 @@ def pivoted_ichol(
         raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
     breakdown = -BREAKDOWN_RTOL * float(np.max(d))
 
-    phi = np.zeros((n, pmax))
-    trail = np.zeros(pmax)
+    rows = np.empty((pmax, n))
+    trail = np.empty(pmax)
     pivots: list[int] = []
-    fetched: list[np.ndarray] = []
     for k in range(pmax):
         j = int(np.argmax(d))
         pivot = d[j]
         if pivot <= 0.0:
             break
-        col = np.asarray(column_oracle(j), dtype=float)
-        fetched.append(col)
-        resid = col - phi[:, :k] @ phi[j, :k]
-        phi[:, k] = resid / np.sqrt(pivot)
-        d -= phi[:, k] ** 2
+        row = rows[k]
+        row[:] = column_oracle(j)
+        row -= rows[:k, j] @ rows[:k]
+        row /= np.sqrt(pivot)
+        d -= row * row
         d[j] = 0.0
         low = float(np.min(d))
         if low < breakdown:
@@ -169,23 +185,20 @@ def pivoted_ichol(
         pivots.append(j)
         trail[k] = float(np.sum(d))
         if trace_tol is not None and trail[k] <= trace_tol:
-            k += 1
             break
-    else:
-        k = pmax
 
-    phi = phi[:, :k]
-    trail = trail[:k]
     if not pivots:
         raise NumericalError("pivoted Cholesky made no progress (zero diagonal)")
-    # K(P, P) from the fetched columns; whitener for the feature map.
-    w = np.column_stack(fetched)[pivots, :]
-    w = 0.5 * (w + w.T)
+    k = len(pivots)
+    rows = rows[:k].copy()
+    whitener = scipy.linalg.solve_triangular(
+        rows[:, pivots], np.eye(k), lower=False, check_finite=False
+    )
     return LowRankFactor(
-        phi=phi,
+        phi=rows.T,
         selection=ColumnSelection(np.array(pivots), "greedy-pivoted", n),
-        whitener=_pseudo_root_inv(w),
-        trace_residual_trail=trail,
+        whitener=whitener,
+        trace_residual_trail=trail[:k].copy(),
     )
 
 
@@ -224,8 +237,9 @@ def feature_map(spec: KernelSpec, landmarks, whitener: np.ndarray, x) -> np.ndar
 def feature_matrix(spec: KernelSpec, landmarks, whitener: np.ndarray, points) -> np.ndarray:
     """Feature vectors for many points, one row per point.
 
-    Row x equals K(I, I)^(-1/2) (k(x_i, x))_{i in I}; inner products of rows
-    reproduce the low-rank Gram matrix L and extend it to unseen points.
+    Row x equals W^T (k(x_i, x))_{i in I} for the factor's whitener W; on
+    the training points the rows are the rows of Phi, and inner products of
+    rows reproduce the low-rank Gram matrix L and extend it to unseen points.
     """
     kvals = cross_gram(points, landmarks, spec)
     return kvals @ whitener
@@ -279,34 +293,54 @@ def save_factor(path, factor: LowRankFactor) -> None:
 
 
 def load_factor(path) -> LowRankFactor:
-    """Inverse of :func:`save_factor`; bit-exact round trip."""
+    """Inverse of :func:`save_factor`; bit-exact round trip.
+
+    A missing or wrong version header, missing ``n``/``p``/``indices``
+    metadata, unparsable numbers, ragged rows, or matrix shapes that do not
+    match ``n`` and ``p`` raise ParseError.
+    """
+    header = f"# nyridge-factor v{FACTOR_FORMAT_VERSION}"
     meta: dict[str, str] = {}
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line for line in map(str.strip, fh) if line]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read factor file {path}: {exc}") from exc
+    if not lines or lines[0] != header:
+        raise ParseError(f"{path}: not a factor file, first line must be {header!r}")
+    try:
+        for line in lines[1:]:
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, val = body.split("=", 1)
+                key, sep, val = line[1:].partition("=")
+                if sep:
                     meta[key.strip()] = val
                 continue
             rows.append([float(tok) for tok in line.split(",")])
-    n, p = int(meta["n"]), int(meta["p"])
-    indices = np.array([int(t) for t in meta["indices"].split(";")])
+        missing = [key for key in ("n", "p", "indices") if key not in meta]
+        if missing:
+            raise ParseError(f"{path}: missing metadata {missing}")
+        n, p = int(meta["n"]), int(meta["p"])
+        indices = np.array([int(t) for t in meta["indices"].split(";")])
+        trail = None
+        if "trail" in meta:
+            trail = np.array([float(t) for t in meta["trail"].split(";")])
+    except ValueError as exc:
+        raise ParseError(f"{path}: malformed factor file: {exc}") from None
     if len(rows) != n + p:
-        raise ConfigError(f"expected {n + p} matrix rows, found {len(rows)}")
-    whitener = np.array(rows[:p])
-    phi = np.array(rows[p:])
-    trail = None
-    if "trail" in meta:
-        trail = np.array([float(t) for t in meta["trail"].split(";")])
+        raise ParseError(f"{path}: expected {n + p} matrix rows, found {len(rows)}")
+    if any(len(row) != p for row in rows):
+        raise ParseError(f"{path}: every whitener and phi row needs {p} values")
+    if indices.size != p or (trail is not None and trail.size != p):
+        raise ParseError(f"{path}: indices and trail need {p} entries")
+    try:
+        selection = ColumnSelection(indices, meta.get("method", "uniform-random"), n)
+    except ConfigError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return LowRankFactor(
-        phi=phi,
-        selection=ColumnSelection(indices, meta.get("method", "uniform-random"), n),
-        whitener=whitener,
+        phi=np.array(rows[p:]),
+        selection=selection,
+        whitener=np.array(rows[:p]),
         trace_residual_trail=trail,
     )
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .kernels import KernelSpec, cross_gram
 from .lowrank import LowRankFactor, feature_matrix
 
@@ -75,12 +75,15 @@ def krr_lowrank(factor: LowRankFactor, y, lam: float):
     """Reduced ridge solve (Phi^T Phi + n lambda I) w = Phi^T y, zhat = Phi w.
 
     By the push-through identity zhat equals L (L + n lambda I)^(-1) y for
-    L = Phi Phi^T; cost O(p^2 n + p^3).
+    L = Phi Phi^T; cost O(p^2 n + p^3). Non-finite features or targets
+    raise DataError.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ConfigError(f"lambda must be > 0, got {lam!r}")
     phi = factor.phi
     y = np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
+        raise DataError("low-rank ridge needs finite features and targets")
     n, p = phi.shape
     G = phi.T @ phi + n * lam * np.eye(p)
     w = _solve_psd(G, phi.T @ y)

@@ -3,17 +3,21 @@ import pytest
 
 from nyridge.datasets import (
     Dataset,
+    _fold_slices,
     cross_validate_lambda,
     load_dataset,
     write_dataset_csv,
 )
 from nyridge.errors import (
     ConfigError,
+    DataError,
     MissingValueError,
     NonNumericError,
     ParseError,
 )
-from nyridge.kernels import KernelSpec
+from nyridge.kernels import KernelSpec, cross_gram
+from nyridge.lowrank import pivoted_ichol
+from nyridge.regression import krr_lowrank, predict
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -89,6 +93,16 @@ class TestLoadDataset:
         assert np.array_equal(data.features, X)
         assert np.array_equal(data.targets, y)
 
+    def test_non_finite_cells_rejected(self, tmp_path):
+        # inf has a NaN std, which once made the column look zero-variance
+        for tok in ("inf", "-inf", "1e999", "-nan"):
+            path = write(tmp_path, f"a,b,target\n1,{tok},2\n" + "4,5,6\n3,7,1\n" * 6)
+            with pytest.raises(NonNumericError, match="non-finite cell"):
+                load_dataset(path, "target")
+            path = write(tmp_path, f"a,target\n1,{tok}\n" + "4,5\n3,1\n" * 6)
+            with pytest.raises(NonNumericError):
+                load_dataset(path, "target", standardize=False)
+
     def test_error_codes_distinct(self):
         assert ParseError.code != MissingValueError.code != NonNumericError.code
 
@@ -145,3 +159,57 @@ class TestCrossValidateLambda:
             data, KernelSpec.gaussian(1.0), [1e-3], folds=3, seed=2, trace_rtol=0.05
         )
         assert all(1 <= r < 60 for r in res.ranks)
+
+    def test_matches_per_lambda_reference(self):
+        # the one-eigendecomposition-per-fold path against a rebuild of each
+        # fold with a reduced Cholesky solve and feature-map prediction per lambda
+        data = make_dataset(150, noise=0.2, seed=8)
+        spec = KernelSpec.gaussian(1.0)
+        grid = np.geomspace(1e-6, 1.0, 7)
+        folds, seed, rtol = 4, 11, 1e-4
+        res = cross_validate_lambda(data, spec, grid, folds=folds, seed=seed, trace_rtol=rtol)
+        X, y, n = data.features, data.targets, data.n
+        ref = np.zeros((folds, grid.size))
+        ranks = []
+        for f, val_idx in enumerate(_fold_slices(n, folds, seed)):
+            mask = np.ones(n, dtype=bool)
+            mask[val_idx] = False
+            Xtr, ytr = X[mask], y[mask]
+            oracle = lambda j: cross_gram(Xtr, Xtr[j : j + 1], spec).reshape(-1)
+            F = pivoted_ichol(oracle, np.ones(Xtr.shape[0]), trace_tol=rtol * Xtr.shape[0])
+            ranks.append(F.rank)
+            landmarks = Xtr[F.selection.indices]
+            for g, lam in enumerate(grid):
+                fit, _ = krr_lowrank(F, ytr, lam)
+                pred = predict(fit, X[val_idx], spec, landmarks=landmarks, whitener=F.whitener)
+                ref[f, g] = np.mean((pred - y[val_idx]) ** 2)
+        assert res.ranks == tuple(ranks)
+        assert np.allclose(res.errors, ref.mean(axis=0), rtol=1e-8, atol=0.0)
+        assert res.lambda_star == grid[int(np.argmin(ref.mean(axis=0)))]
+
+    def test_noiseless_errors_stay_below_target_variance(self):
+        # held-out predictions made in the factor's own basis: even the
+        # smallest lambda does not blow up past predicting zero (predicting in
+        # a rotated basis gave errors of 12 times the variance here)
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((200, 4))
+        y = np.sin(2 * X[:, 0]) + 0.5 * X[:, 1] * X[:, 2]
+        data = Dataset(features=X, targets=y - y.mean(), name="noiseless")
+        grid = np.geomspace(1e-8, 1.0, 5)
+        res = cross_validate_lambda(data, KernelSpec.gaussian(2.0), grid, folds=4, seed=3)
+        assert np.all(res.errors < np.var(data.targets))
+
+    def test_non_finite_data_rejected(self):
+        base = make_dataset(40, noise=0.1, seed=10)
+        for field, bad in (("targets", np.nan), ("targets", np.inf), ("features", -np.inf)):
+            arr = getattr(base, field).copy()
+            arr.flat[5] = bad
+            data = Dataset(**{**vars(base), field: arr})
+            with pytest.raises(DataError, match="finite"):
+                cross_validate_lambda(data, KernelSpec.gaussian(1.0), [1e-3], folds=3)
+
+    def test_non_positive_or_non_finite_grid_rejected(self):
+        data = make_dataset(30, noise=0.1, seed=12)
+        for grid in ([0.0, 0.1], [-1e-3], [np.nan], [np.inf]):
+            with pytest.raises(ConfigError, match="lambda grid"):
+                cross_validate_lambda(data, KernelSpec.gaussian(1.0), grid, folds=3)

@@ -397,6 +397,26 @@ class TestCli:
         ):
             self.assert_config_error(args, tmp_path)
 
+    def test_non_finite_data_rejected(self, tmp_path):
+        rows = ["x0,x1,target"] + [f"{i},{i % 3},{i % 5}" for i in range(20)]
+        rows[4] = "3,inf,1"
+        (tmp_path / "cv_inf.csv").write_text("\n".join(rows) + "\n")
+        self.assert_config_error(["cv", "--input", "cv_inf.csv"], tmp_path)
+        table = ["n,value", "16,0.5", "32,inf", "64,0.125", "128,0.06"]
+        (tmp_path / "fit_inf.csv").write_text("\n".join(table) + "\n")
+        self.assert_config_error(["fit", "--input", "fit_inf.csv"], tmp_path)
+
+    def test_empty_or_bad_lambda_grid_rejected(self, tmp_path):
+        rows = ["x0,target"] + [f"{i},{i % 5}" for i in range(20)]
+        (tmp_path / "toy.csv").write_text("\n".join(rows) + "\n")
+        for args in (
+            ["rank-ratio", "--n", "32", "--trials", "2", "--lambda-points", "0"],
+            ["cv", "--input", "toy.csv", "--lambda-points", "0"],
+            ["cv", "--input", "toy.csv", "--lambda-min", "0"],
+            ["cv", "--input", "toy.csv", "--lambda-min", "1", "--lambda-max", "0.1"],
+        ):
+            self.assert_config_error(args, tmp_path)
+
     def test_unknown_flag_fails_fast(self, tmp_path):
         res = self.run_cli("fig1", "--bogus", "1", cwd=tmp_path)
         assert res.returncode == 2

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nyridge.errors import ConfigError, NumericalError
-from nyridge.kernels import KernelSpec, gram
+from nyridge.errors import ConfigError, NumericalError, ParseError
+from nyridge.kernels import KernelSpec, cross_gram, gram
 from nyridge.lowrank import (
     ColumnSelection,
     approx_error,
@@ -182,6 +182,88 @@ class TestPivotedIchol:
         assert F.selection.indices.tolist() == [0, 1, 2]
 
 
+def reference_pivot_order(K, max_rank=None, trace_tol=None):
+    """Pivot order of the column-major pivoted Cholesky loop that
+    ``pivoted_ichol`` replaced (n x max_rank storage, column updates)."""
+    d = np.diag(K).astype(float).copy()
+    n = d.size
+    pmax = n if max_rank is None else min(max_rank, n)
+    phi = np.zeros((n, pmax))
+    pivots = []
+    for k in range(pmax):
+        j = int(np.argmax(d))
+        if d[j] <= 0.0:
+            break
+        phi[:, k] = (K[:, j] - phi[:, :k] @ phi[j, :k]) / np.sqrt(d[j])
+        d -= phi[:, k] ** 2
+        d[j] = 0.0
+        np.clip(d, 0.0, None, out=d)
+        pivots.append(j)
+        if trace_tol is not None and np.sum(d) <= trace_tol:
+            break
+    return pivots
+
+
+def gaussian_instance(n=300, dim=3, seed=0, bandwidth=1.5):
+    X = np.random.default_rng(seed).standard_normal((n, dim))
+    spec = KernelSpec.gaussian(bandwidth)
+    oracle = lambda j: cross_gram(X, X[j : j + 1], spec).reshape(-1)
+    return X, spec, oracle
+
+
+class TestPivotedFactorLayout:
+    def test_feature_map_reproduces_phi(self):
+        # the whitener maps kernel evaluations onto Phi's own basis, so the
+        # feature map of the training points is Phi itself, not a rotation
+        X, spec, oracle = gaussian_instance()
+        F = pivoted_ichol(oracle, np.ones(X.shape[0]), trace_tol=1e-3 * X.shape[0])
+        assert F.rank > 40
+        feats = feature_matrix(spec, X[F.selection.indices], F.whitener, X)
+        assert np.max(np.abs(feats - F.phi)) <= 1e-10 * np.max(np.abs(F.phi))
+
+    def test_whitener_is_inverse_transpose_of_pivot_rows(self):
+        K = random_psd(30, 16)
+        F = pivoted_ichol(make_column_oracle(K), materialized_diag(K), max_rank=9)
+        L = F.phi[F.selection.indices]
+        assert np.allclose(np.triu(L, 1), 0.0, atol=1e-12)
+        assert np.all(np.diag(L) > 0)
+        assert np.allclose(F.whitener.T @ L, np.eye(9), atol=1e-10)
+
+    def test_phi_holds_exactly_its_rows(self):
+        # row-major p x n storage trimmed to the rank, even with a large reserve
+        X, _, oracle = gaussian_instance(n=200)
+        F = pivoted_ichol(oracle, np.ones(200), max_rank=200, trace_tol=0.05 * 200)
+        assert F.rank < 200
+        assert F.phi.shape == (200, F.rank)
+        assert F.phi.T.flags.c_contiguous
+        assert F.phi.base.nbytes == F.phi.nbytes
+
+    def test_pivot_order_matches_reference_loop(self):
+        cases = [
+            (random_psd(32, 8, cond_floor=1e-4), 32, None),
+            (random_psd(12, 9), 1, None),
+            (random_psd(40, 10), 13, None),
+            (random_psd(16, 16), 16, None),
+            (random_psd(64, 64), 20, None),
+            (random_psd(128, 128), 20, None),
+            (random_psd(30, 12), 30, None),
+            (random_psd(25, 14), 6, None),
+            (random_psd(30, 21), 8, None),
+            (random_psd(14, 30), 5, None),
+            (np.eye(5), 3, None),
+        ]
+        K40 = random_psd(40, 13)
+        cases.append((K40, None, 0.05 * np.trace(K40)))
+        X, spec, _ = gaussian_instance()
+        Kg = cross_gram(X, X, spec)
+        cases.append((Kg, None, 1e-3 * X.shape[0]))
+        for K, max_rank, tol in cases:
+            F = pivoted_ichol(
+                make_column_oracle(K), materialized_diag(K), max_rank=max_rank, trace_tol=tol
+            )
+            assert F.selection.indices.tolist() == reference_pivot_order(K, max_rank, tol)
+
+
 class TestNestedFactor:
     def test_prefixes_match_nystrom(self):
         K = random_psd(30, 15)
@@ -285,3 +367,60 @@ def test_selection_validation():
         ColumnSelection(np.array([5]), "uniform-random", 5)
     with pytest.raises(ConfigError):
         ColumnSelection(np.array([], dtype=int), "uniform-random", 5)
+
+
+class TestLoadFactorErrors:
+    def saved(self, tmp_path):
+        K = random_psd(6, 31)
+        F = pivoted_ichol(make_column_oracle(K), materialized_diag(K), max_rank=2)
+        path = tmp_path / "factor.csv"
+        save_factor(path, F)
+        return path, path.read_text().splitlines()
+
+    def rewrite(self, path, lines):
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def assert_parse_error(self, path, match):
+        with pytest.raises(ParseError, match=match):
+            load_factor(path)
+
+    def test_truncated_file(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        self.assert_parse_error(self.rewrite(path, lines[:3]), "missing metadata")
+        self.assert_parse_error(self.rewrite(path, lines[:-1]), "expected 8 matrix rows")
+
+    def test_missing_or_wrong_header(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        self.assert_parse_error(self.rewrite(path, lines[1:]), "not a factor file")
+        wrong = ["# nyridge-factor v2"] + lines[1:]
+        self.assert_parse_error(self.rewrite(path, wrong), "not a factor file")
+        self.assert_parse_error(self.rewrite(path, []), "not a factor file")
+
+    def test_missing_metadata(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        for key in ("n", "p", "indices"):
+            kept = [l for l in lines if not l.startswith(f"# {key}=")]
+            self.assert_parse_error(self.rewrite(path, kept), "missing metadata")
+
+    def test_ragged_row(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        lines[-1] += ",1.0"
+        self.assert_parse_error(self.rewrite(path, lines), "needs 2 values")
+
+    def test_shape_does_not_match_n_and_p(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        bad_p = [l if not l.startswith("# p=") else "# p=3" for l in lines]
+        self.assert_parse_error(self.rewrite(path, bad_p), "expected 9 matrix rows")
+        bad_n = [l if not l.startswith("# n=") else "# n=7" for l in lines]
+        self.assert_parse_error(self.rewrite(path, bad_n), "expected 9 matrix rows")
+
+    def test_bad_numbers_and_indices(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        self.assert_parse_error(self.rewrite(path, lines[:-1] + ["0.5,abc"]), "malformed")
+        bad_n = [l if not l.startswith("# n=") else "# n=six" for l in lines]
+        self.assert_parse_error(self.rewrite(path, bad_n), "malformed")
+        short = [l if not l.startswith("# indices=") else "# indices=0" for l in lines]
+        self.assert_parse_error(self.rewrite(path, short), "need 2 entries")
+        far = [l if not l.startswith("# indices=") else "# indices=0;9" for l in lines]
+        self.assert_parse_error(self.rewrite(path, far), "out of range")

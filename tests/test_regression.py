@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nyridge.errors import ConfigError, NumericalError
-from nyridge.kernels import KernelSpec, gram
-from nyridge.lowrank import nystrom, sample_columns
+from nyridge.errors import ConfigError, DataError, NumericalError
+from nyridge.kernels import KernelSpec, cross_gram, gram
+from nyridge.lowrank import nystrom, pivoted_ichol, sample_columns
 from nyridge.regression import (
     krr_exact,
     krr_lowrank,
@@ -107,6 +107,23 @@ class TestKrrLowrank:
         resid = np.linalg.norm(G @ fit.coef - b)
         scale = np.linalg.norm(G, 2) * np.linalg.norm(fit.coef) + np.linalg.norm(b)
         assert resid <= 1e-8 * scale
+
+
+    def test_non_finite_inputs_rejected(self):
+        K = random_psd(10, 39)
+        F = nystrom(K, sample_columns(10, 4, 40))
+        y = np.ones(10)
+        for bad in (np.nan, np.inf):
+            y_bad = y.copy()
+            y_bad[3] = bad
+            with pytest.raises(DataError):
+                krr_lowrank(F, y_bad, 1e-3)
+        phi_bad = F.phi.copy()
+        phi_bad[0, 0] = np.nan
+        with pytest.raises(DataError):
+            krr_lowrank(type(F)(phi_bad, F.selection, F.whitener), y, 1e-3)
+        with pytest.raises(ConfigError):
+            krr_lowrank(F, y, float("nan"))
 
 
 class TestNewton:
@@ -224,6 +241,26 @@ class TestPredict:
         pe = predict(exact_fit, test, spec, train_points=pts)
         pl = predict(low_fit, test, spec, landmarks=pts[sel.indices], whitener=F.whitener)
         assert np.max(np.abs(pe - pl)) <= 1e-6 * max(1.0, np.max(np.abs(pe)))
+
+    def test_pivoted_factor_predicts_in_its_own_basis(self):
+        # a pivoted fit evaluated through its own whitener reproduces zhat on
+        # the training points and the Nystrom fit on the same columns elsewhere
+        rng = np.random.default_rng(38)
+        X = rng.standard_normal((300, 3))
+        y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(300)
+        spec = KernelSpec.gaussian(1.5)
+        oracle = lambda j: cross_gram(X, X[j : j + 1], spec).reshape(-1)
+        F = pivoted_ichol(oracle, np.ones(300), trace_tol=1e-3 * 300)
+        landmarks = X[F.selection.indices]
+        fit, zhat = krr_lowrank(F, y, 1e-4)
+        train = predict(fit, X, spec, landmarks=landmarks, whitener=F.whitener)
+        assert np.linalg.norm(train - zhat) <= 1e-8 * np.linalg.norm(zhat)
+        N = nystrom(cross_gram(X, X, spec), F.selection)
+        ref_fit, _ = krr_lowrank(N, y, 1e-4)
+        test = rng.standard_normal((40, 3))
+        got = predict(fit, test, spec, landmarks=landmarks, whitener=F.whitener)
+        ref = predict(ref_fit, test, spec, landmarks=landmarks, whitener=N.whitener)
+        assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def test_context_mismatch(self):
         fit, _ = krr_exact(np.eye(4), np.ones(4), 0.1)
