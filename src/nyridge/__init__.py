@@ -13,19 +13,11 @@ from .errors import (
     NyridgeError,
     VacuousBoundError,
 )
-from .kernels import (
-    KernelMatrix,
-    KernelSpec,
-    gaussian_kernel,
-    gram,
-    periodic_exp_kernel,
-    periodic_poly_kernel,
-)
+from .kernels import KernelMatrix, KernelSpec, gram
 from .lowrank import (
     ColumnSelection,
     LowRankFactor,
     approx_error,
-    feature_map,
     feature_matrix,
     nystrom,
     pivoted_ichol,
@@ -33,11 +25,9 @@ from .lowrank import (
 )
 from .regression import RidgeFit, krr_exact, krr_lowrank, newton_solve, predict
 from .stats import (
-    DofReport,
     RateFit,
     bias_variance,
     dof,
-    dof_report,
     fit_rate,
     optimal_lambda,
     sufficient_rank,
@@ -62,7 +52,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "DecayLaw",
-    "DofReport",
     "FixedDesignProblem",
     "KernelMatrix",
     "KernelSpec",
@@ -76,13 +65,10 @@ __all__ = [
     "approx_error",
     "bias_variance",
     "dof",
-    "dof_report",
     "draw_noise",
     "eig_circulant",
-    "feature_map",
     "feature_matrix",
     "fit_rate",
-    "gaussian_kernel",
     "gram",
     "grid_problem",
     "krr_exact",
@@ -90,8 +76,6 @@ __all__ = [
     "newton_solve",
     "nystrom",
     "optimal_lambda",
-    "periodic_exp_kernel",
-    "periodic_poly_kernel",
     "pivoted_ichol",
     "predict",
     "random_design_problem",

@@ -160,6 +160,8 @@ def cross_validate_lambda(
         raise ConfigError("lambda grid must be nonempty")
     if not np.all(np.isfinite(grid) & (grid > 0)):
         raise ConfigError("lambda grid values must be finite and > 0")
+    if not 0.0 <= trace_rtol < math.inf:
+        raise ConfigError(f"trace_rtol must be finite and >= 0, got {trace_rtol!r}")
     n = data.n
     if n // folds < 2:
         raise ConfigError(f"fold size {n // folds} too small (need >= 2)")
@@ -177,7 +179,7 @@ def cross_validate_lambda(
         if spec.is_periodic:
             if Xtr.shape[1] != 1:
                 raise ConfigError("periodic kernels need a single feature column")
-            diag = np.full(ntr, spec(0.0, 0.0))  # stationary: constant diagonal
+            diag = np.full(ntr, cross_gram([0.0], [0.0], spec)[0, 0])  # stationary
         else:
             diag = np.ones(ntr)  # gaussian: k(x, x) = 1
         oracle = lambda j: cross_gram(Xtr, Xtr[j : j + 1], spec).reshape(-1)

@@ -190,11 +190,11 @@ def _synthetic_problem(cfg: dict):
     return prob
 
 
-def _lambda_points(cfg: dict) -> int:
-    """The configured number of lambda grid points, or ConfigError below 1."""
-    points = int(cfg["lambda_points"])
+def _grid_points(cfg: dict, key: str) -> int:
+    """The configured number of grid points ``cfg[key]``, or ConfigError below 1."""
+    points = int(cfg[key])
     if points < 1:
-        raise ConfigError(f"lambda_points must be >= 1, got {points}")
+        raise ConfigError(f"{key} must be >= 1, got {points}")
     return points
 
 
@@ -321,7 +321,7 @@ def run_rate_check(cfg: dict):
 
 def run_rank_ratio(cfg: dict):
     """Sufficient rank over degrees of freedom across a lambda grid."""
-    points = _lambda_points(cfg)
+    points = _grid_points(cfg, "lambda_points")
     prob = _synthetic_problem(cfg)
     lams = prob.mean_diag * np.geomspace(cfg["lambda_lo"], cfg["lambda_hi"], points)
     spec = problem_spectrum(prob)
@@ -432,11 +432,12 @@ def run_verify_lemma(cfg: dict):
     """Monte-Carlo tail probabilities against the concentration bound."""
     n, r = int(cfg["n"]), int(cfg["r"])
     trials = int(cfg["trials"])
+    t_points = _grid_points(cfg, "t_points")
     rows = []
     for fam in cfg["families"]:
         psi = lemma_family(fam, n, r, cfg["seed"])
         lam_max = float(np.linalg.eigvalsh(psi.T @ psi / n)[-1])
-        t_grid = lam_max * np.geomspace(0.05, 1.0, int(cfg["t_points"]))
+        t_grid = lam_max * np.geomspace(0.05, 1.0, t_points)
         for p in cfg["p_list"]:
             table = verify_lemma_tail(psi, int(p), t_grid, trials, cfg["seed"])
             for tval, emp, bnd in table:
@@ -479,7 +480,7 @@ def run_cv(cfg: dict):
     if bandwidth is None:
         bandwidth = median_distance_bandwidth(data.features, seed=int(cfg["seed"]))
     spec = KernelSpec.gaussian(float(bandwidth))
-    points = _lambda_points(cfg)
+    points = _grid_points(cfg, "lambda_points")
     lo, hi = float(cfg["lambda_min"]), float(cfg["lambda_max"])
     if not 0.0 < lo <= hi < math.inf:
         raise ConfigError(f"cv needs 0 < lambda_min <= lambda_max < inf, got {lo!r}, {hi!r}")

@@ -1,13 +1,15 @@
 """Kernel functions and Gram-matrix assembly.
 
 Two families of translation-invariant kernels on [0, 1] with known Fourier
-coefficients, plus a Gaussian kernel for vector data:
+coefficients, plus a Gaussian kernel for vector data, each named by a
+:class:`KernelSpec` and evaluated block-wise by :func:`cross_gram`:
 
-* ``periodic_poly_kernel``: k(x, y) = sum_{i>=1} 2 i^(-2 beta) cos(2 i pi (x - y)),
-  evaluated in closed form through Bernoulli polynomials.
-* ``periodic_exp_kernel``: k(x, y) = sum_{i>=1} 2 exp(-rho i) cos(2 i pi (x - y)),
+* periodic-polynomial: k(x, y) = sum_{i>=1} 2 i^(-2 beta) cos(2 i pi (x - y))
+  = (-1)^(beta+1) (2 pi)^(2 beta) B_{2 beta}(frac(x - y)) / (2 beta)!,
+  in closed form through Bernoulli polynomials.
+* periodic-exponential: k(x, y) = sum_{i>=1} 2 exp(-rho i) cos(2 i pi (x - y)),
   evaluated as the real part of a geometric series.
-* ``gaussian_kernel``: exp(-||x - y||^2 / (2 bandwidth^2)).
+* gaussian: exp(-||x - y||^2 / (2 bandwidth^2)).
 
 All functions are pure; concurrent calls are safe.
 """
@@ -87,45 +89,6 @@ def _periodic_exp_values(delta, rho: float):
     return 2.0 * (er * c - 1.0) / (er * er - 2.0 * er * c + 1.0)
 
 
-def periodic_poly_kernel(x: float, y: float, beta: int) -> float:
-    """Periodic kernel with Fourier coefficients 2 i^(-2 beta).
-
-    Parameters
-    ----------
-    x, y : float
-        Points in [0, 1] (any reals are accepted; the kernel is 1-periodic).
-    beta : int
-        Decay exponent; one of ``SUPPORTED_BETAS``.
-
-    Returns
-    -------
-    float
-        sum_{i>=1} 2 i^(-2 beta) cos(2 i pi (x - y)), computed as
-        (-1)^(beta+1) (2 pi)^(2 beta) B_{2 beta}(frac(x - y)) / (2 beta)!.
-    """
-    return float(_periodic_poly_values(np.float64(x - y), beta))
-
-
-def periodic_exp_kernel(x: float, y: float, rho: float) -> float:
-    """Periodic kernel with Fourier coefficients 2 exp(-rho i).
-
-    Equals 2 (e^rho cos(2 pi (x-y)) - 1) / (e^(2 rho) - 2 e^rho cos(2 pi (x-y)) + 1).
-    """
-    return float(_periodic_exp_values(np.float64(x - y), rho))
-
-
-def gaussian_kernel(x, y, bandwidth: float) -> float:
-    """Gaussian kernel exp(-||x - y||^2 / (2 bandwidth^2)) for equal-length vectors."""
-    if bandwidth <= 0:
-        raise ConfigError(f"bandwidth must be > 0 (got {bandwidth!r})")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    if xv.shape != yv.shape:
-        raise ConfigError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
-    sq = float(np.sum((xv - yv) ** 2))
-    return exp(-sq / (2.0 * bandwidth * bandwidth))
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel family plus its single parameter.
@@ -140,18 +103,18 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind == "periodic-polynomial":
-            if self.param <= 0.5:
-                raise ConfigError("beta must be > 1/2 for a summable series")
+            if not self.param > 0.5:
+                raise ConfigError(f"beta must be > 1/2 for a summable series (got {self.param!r})")
             if int(self.param) != self.param or int(self.param) not in SUPPORTED_BETAS:
                 raise ConfigError(
                     f"beta must be an integer in {SUPPORTED_BETAS} (got {self.param!r})"
                 )
         elif self.kind == "periodic-exponential":
-            if self.param <= 0:
-                raise ConfigError("rho must be > 0")
+            if not self.param > 0:
+                raise ConfigError(f"rho must be > 0 (got {self.param!r})")
         elif self.kind == "gaussian":
-            if self.param <= 0:
-                raise ConfigError("bandwidth must be > 0")
+            if not self.param > 0:
+                raise ConfigError(f"bandwidth must be > 0 (got {self.param!r})")
         else:
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
 
@@ -170,13 +133,6 @@ class KernelSpec:
     @property
     def is_periodic(self) -> bool:
         return self.kind in ("periodic-polynomial", "periodic-exponential")
-
-    def __call__(self, x, y) -> float:
-        if self.kind == "periodic-polynomial":
-            return periodic_poly_kernel(float(x), float(y), int(self.param))
-        if self.kind == "periodic-exponential":
-            return periodic_exp_kernel(float(x), float(y), self.param)
-        return gaussian_kernel(x, y, self.param)
 
 
 @dataclass
@@ -225,6 +181,8 @@ def cross_gram(points_a, points_b, spec: KernelSpec) -> np.ndarray:
         return _periodic_poly_values(pa[:, None] - pb[None, :], int(spec.param))
     if spec.kind == "periodic-exponential":
         return _periodic_exp_values(pa[:, None] - pb[None, :], spec.param)
+    if pa.shape[1] != pb.shape[1]:
+        raise ConfigError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]} features")
     sq = cdist(pa, pb, "sqeuclidean")
     return np.exp(-sq / (2.0 * spec.param ** 2))
 
@@ -244,12 +202,6 @@ def gram(points, spec: KernelSpec) -> KernelMatrix:
     if spec.kind == "gaussian":
         np.fill_diagonal(entries, 1.0)
     return KernelMatrix(entries)
-
-
-def kernel_column(points, spec: KernelSpec, j: int) -> np.ndarray:
-    """Single Gram-matrix column, for algorithms that never hold all of K."""
-    pts = _as_points(points, spec)
-    return cross_gram(pts, pts[j : j + 1], spec).reshape(-1)
 
 
 def median_distance_bandwidth(features, subsample: int = 500, seed: int = 0) -> float:

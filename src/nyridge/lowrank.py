@@ -11,6 +11,11 @@ K(I, I) in pivot order. Both give the same L, but their Phi differ by an
 orthogonal rotation, so a factor's coefficients only make sense with its
 own whitener.
 
+One pivoted Cholesky loop, ``_cholesky_rows``, builds both triangular
+factors: ``pivoted_ichol`` (greedy pivots; stops at a rank, a trace
+tolerance or a collapse floor) and ``nested_factor`` (a fixed order, or
+greedy pivots to the collapse floor), whose every prefix is a factor.
+
 Factorizations are sequential internally (pivot order is a data
 dependence); factors are immutable after construction and safe to share
 between threads.
@@ -127,6 +132,49 @@ def nystrom(K, selection: ColumnSelection) -> LowRankFactor:
     return LowRankFactor(phi=phi, selection=selection, whitener=whitener)
 
 
+def _cholesky_rows(column, diag, pmax: int, order=None, trace_tol=None, floor=0.0):
+    """Pivoted Cholesky, row-major p x n: row k of the result is column k of Phi.
+
+    Pivot rule: greedy (``order`` None: the argmax of the online residual
+    diagonal d, ties to the smallest index) or the fixed ``order``. Stop
+    rule: ``pmax`` rows, sum(d) <= ``trace_tol``, or (greedy) max(d) <=
+    ``floor``; under a fixed order a pivot with d[j] <= ``floor`` leaves its
+    row zero. A greedy residual below -BREAKDOWN_RTOL * max(diag) raises
+    NumericalError. Returns (rows, pivots, trail), trail[k] = tr(K - L_{k+1});
+    the zeroed reserve is shrunk in place to the rows used, without a copy.
+    """
+    d = np.array(diag, dtype=float, copy=True)
+    n = d.shape[0]
+    breakdown = -BREAKDOWN_RTOL * float(np.max(d))
+    rows = np.zeros((pmax, n))
+    trail = np.empty(pmax)
+    pivots: list[int] = []
+    for k in range(pmax):
+        j = int(np.argmax(d)) if order is None else int(order[k])
+        pivot = d[j]
+        if pivot > floor:
+            row = rows[k]
+            row[:] = column(j)
+            row -= rows[:k, j] @ rows[:k]
+            row /= np.sqrt(pivot)
+            d -= row * row
+            d[j] = 0.0
+            if order is None and np.min(d) < breakdown:
+                raise NumericalError(
+                    f"pivoted Cholesky breakdown: residual diagonal {np.min(d):.3e} "
+                    f"below {breakdown:.3e} after {k + 1} pivots"
+                )
+            np.clip(d, 0.0, None, out=d)
+        elif order is None:
+            break
+        pivots.append(j)
+        trail[k] = float(np.sum(d))
+        if trace_tol is not None and trail[k] <= trace_tol:
+            break
+    rows.resize((len(pivots), n), refcheck=False)
+    return rows, pivots, trail[: len(pivots)].copy()
+
+
 def pivoted_ichol(
     column_oracle: Callable[[int], np.ndarray],
     diag: np.ndarray,
@@ -136,102 +184,59 @@ def pivoted_ichol(
     """Incomplete Cholesky with greedy diagonal pivoting.
 
     At each step the pivot is the argmax of the residual diagonal (ties go to
-    the smallest index, which np.argmax guarantees). The residual diagonal is
-    maintained online, so ``trace_residual_trail[k]`` equals tr(K - L_{k+1})
-    exactly and at most ``max_rank`` full kernel columns are ever evaluated;
-    K itself is never materialized (O(p^2 n) time, O(p n) memory).
+    the smallest index). The residual diagonal is maintained online, so
+    ``trace_residual_trail[k]`` equals tr(K - L_{k+1}) exactly and at most
+    ``max_rank`` full kernel columns are ever evaluated; K itself is never
+    materialized (O(p^2 n) time, O(p n) memory). Phi is the transpose of the
+    row-major p x n factor, which holds exactly the p rows used. With
+    L = Phi[P] (lower triangular, positive diagonal) the whitener is L^(-T),
+    so the feature map reproduces Phi on the training points:
+    K(V, P) L^(-T) = Phi.
 
-    The factor is built row-major, p x n: row k is column k of Phi, so each
-    update is a contiguous row operation. The reserve of ``max_rank`` rows is
-    ``np.empty``, whose untouched rows never become resident, and the
-    returned Phi is the transpose of a copy that holds exactly the p rows
-    used. With L = Phi[P] (lower triangular, positive diagonal) the
-    whitener is L^(-T), so the feature map reproduces Phi on the training
-    points: K(V, P) L^(-T) = Phi.
-
-    Stops after ``max_rank`` pivots or once the trace residual drops to
-    ``trace_tol`` (at least one of the two must be given).
+    Stops after ``max_rank`` pivots, once the trace residual drops to
+    ``trace_tol`` (at least one of the two must be given), or once the
+    largest residual diagonal collapses to ``PINV_RTOL * max(diag)``, where
+    rounding would dominate further pivots (K has numerical rank k then).
     """
-    d = np.array(diag, dtype=float, copy=True)
-    n = d.shape[0]
+    n = len(diag)
     if max_rank is None and trace_tol is None:
         raise ConfigError("give max_rank, trace_tol, or both")
     pmax = n if max_rank is None else min(int(max_rank), n)
     if pmax < 1:
         raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
-    breakdown = -BREAKDOWN_RTOL * float(np.max(d))
-
-    rows = np.empty((pmax, n))
-    trail = np.empty(pmax)
-    pivots: list[int] = []
-    for k in range(pmax):
-        j = int(np.argmax(d))
-        pivot = d[j]
-        if pivot <= 0.0:
-            break
-        row = rows[k]
-        row[:] = column_oracle(j)
-        row -= rows[:k, j] @ rows[:k]
-        row /= np.sqrt(pivot)
-        d -= row * row
-        d[j] = 0.0
-        low = float(np.min(d))
-        if low < breakdown:
-            raise NumericalError(
-                f"pivoted Cholesky breakdown: residual diagonal {low:.3e} "
-                f"below {breakdown:.3e} after {k + 1} pivots"
-            )
-        np.clip(d, 0.0, None, out=d)
-        pivots.append(j)
-        trail[k] = float(np.sum(d))
-        if trace_tol is not None and trail[k] <= trace_tol:
-            break
-
+    rows, pivots, trail = _cholesky_rows(
+        column_oracle, diag, pmax, trace_tol=trace_tol, floor=PINV_RTOL * float(np.max(diag))
+    )
     if not pivots:
         raise NumericalError("pivoted Cholesky made no progress (zero diagonal)")
-    k = len(pivots)
-    rows = rows[:k].copy()
     whitener = scipy.linalg.solve_triangular(
-        rows[:, pivots], np.eye(k), lower=False, check_finite=False
+        rows[:, pivots], np.eye(len(pivots)), lower=False, check_finite=False
     )
     return LowRankFactor(
         phi=rows.T,
         selection=ColumnSelection(np.array(pivots), "greedy-pivoted", n),
         whitener=whitener,
-        trace_residual_trail=trail[:k].copy(),
+        trace_residual_trail=trail,
     )
 
 
-def nested_factor(K, order: Sequence[int], rel_tol: float = PINV_RTOL) -> np.ndarray:
-    """Cholesky factor with an externally fixed pivot order.
+def nested_factor(K, order: Sequence[int] | None, rel_tol: float = PINV_RTOL) -> np.ndarray:
+    """Cholesky factor whose every prefix is a factor of its own pivots.
 
-    Column k of the result depends only on order[:k+1], so every prefix
-    phi[:, :p] is itself a factor of the column approximation built from
-    order[:p]. Columns whose residual diagonal has collapsed below
-    ``rel_tol * max(diag)`` are left at zero (the pseudo-inverse drops them
-    too, so prefixes still match ``nystrom`` on the same index set).
+    Column k of the result depends only on the first k+1 pivots, so every
+    prefix phi[:, :p] is itself a factor of the column approximation built
+    from them. With a fixed ``order``, columns whose residual diagonal has
+    collapsed below ``rel_tol * max(diag)`` are left at zero (the
+    pseudo-inverse drops them too, so prefixes still match ``nystrom`` on
+    the same index set). With ``order`` None the pivots are greedy, as in
+    ``pivoted_ichol``, and the factor ends where the largest residual
+    collapses, so it can have fewer than n columns.
     """
     A = np.asarray(K, dtype=float)
-    n = A.shape[0]
-    order = np.asarray(order, dtype=int)
-    d = np.array(np.diag(A), dtype=float, copy=True)
-    floor = rel_tol * float(np.max(d))
-    phi = np.zeros((n, order.size))
-    for k, j in enumerate(order):
-        pivot = d[j]
-        if pivot <= floor:
-            continue
-        resid = A[:, j] - phi[:, :k] @ phi[j, :k]
-        phi[:, k] = resid / np.sqrt(pivot)
-        d -= phi[:, k] ** 2
-        np.clip(d, 0.0, None, out=d)
-        d[j] = 0.0
-    return phi
-
-
-def feature_map(spec: KernelSpec, landmarks, whitener: np.ndarray, x) -> np.ndarray:
-    """Explicit p-dimensional feature vector of a single input point."""
-    return feature_matrix(spec, landmarks, whitener, [x]).reshape(-1)
+    diag = np.diag(A)
+    pmax = A.shape[0] if order is None else len(order)
+    floor = rel_tol * float(np.max(diag))
+    return _cholesky_rows(make_column_oracle(A), diag, pmax, order=order, floor=floor)[0].T
 
 
 def feature_matrix(spec: KernelSpec, landmarks, whitener: np.ndarray, points) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, ParseError
 from .kernels import KernelSpec, cross_gram
 from .lowrank import LowRankFactor, feature_matrix
 
@@ -202,12 +202,16 @@ def predict(
     raise ConfigError(f"unknown fit mode {fit.mode!r}")
 
 
+FIT_FORMAT_VERSION = 1
+FIT_MODES = ("exact", "lowrank")
+
+
 def save_fit(path, fit: RidgeFit) -> None:
     """CSV serialization: mode, lambda, loss, coefficients, indices."""
     lines = [
-        "# nyridge-fit v1",
+        f"# nyridge-fit v{FIT_FORMAT_VERSION}",
         f"# mode={fit.mode}",
-        f"# lambda={fit.lam!r}",
+        f"# lambda={float(fit.lam)!r}",
         f"# loss={fit.loss}",
     ]
     if fit.indices is not None:
@@ -219,27 +223,41 @@ def save_fit(path, fit: RidgeFit) -> None:
 
 
 def load_fit(path) -> RidgeFit:
+    """Inverse of :func:`save_fit`.
+
+    A missing or wrong version header, missing ``mode``/``lambda``/``loss``
+    metadata, a mode other than exact or lowrank, or unparsable numbers
+    raise ParseError.
+    """
+    header = f"# nyridge-fit v{FIT_FORMAT_VERSION}"
     meta: dict[str, str] = {}
     coefs: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line == "coef":
-                continue
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line for line in map(str.strip, fh) if line]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read fit file {path}: {exc}") from exc
+    if not lines or lines[0] != header:
+        raise ParseError(f"{path}: not a fit file, first line must be {header!r}")
+    try:
+        for line in lines[1:]:
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    meta[k.strip()] = v
-                continue
-            coefs.append(float(line))
-    indices = None
-    if "indices" in meta:
-        indices = np.array([int(t) for t in meta["indices"].split(";")])
+                key, sep, val = line[1:].partition("=")
+                if sep:
+                    meta[key.strip()] = val
+            elif line != "coef":
+                coefs.append(float(line))
+        missing = [key for key in ("mode", "lambda", "loss") if key not in meta]
+        if missing:
+            raise ParseError(f"{path}: missing metadata {missing}")
+        lam = float(meta["lambda"])
+        indices = None
+        if "indices" in meta:
+            indices = np.array([int(t) for t in meta["indices"].split(";")])
+    except ValueError as exc:
+        raise ParseError(f"{path}: malformed fit file: {exc}") from None
+    if meta["mode"] not in FIT_MODES:
+        raise ParseError(f"{path}: mode must be one of {FIT_MODES}, got {meta['mode']!r}")
     return RidgeFit(
-        mode=meta["mode"],
-        lam=float(meta["lambda"]),
-        loss=meta["loss"],
-        coef=np.array(coefs),
-        indices=indices,
+        mode=meta["mode"], lam=lam, loss=meta["loss"], coef=np.array(coefs), indices=indices
     )

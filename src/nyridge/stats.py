@@ -147,33 +147,10 @@ def problem_spectrum(problem: FixedDesignProblem) -> Spectrum:
     return Spectrum.dense(problem.K, problem.z)
 
 
-@dataclass
-class DofReport:
-    d_max: float
-    d_trace: float
-    d_ave: float
-    bias: float
-    variance: float
-    lam: float
-    n: int
-
-
 def dof(K, lam: float) -> tuple[float, float, float]:
     """(d_max, d_trace, d_ave) from one symmetric eigendecomposition."""
     _check_lambda(lam)
     return Spectrum.dense(K).dof(lam)
-
-
-def dof_from_eigs(eigs, lam: float, constant_leverage: bool = True):
-    """(d_max, d_trace, d_ave) from known eigenvalues.
-
-    For circulant matrices (grid designs) the smoother diagonal is constant,
-    so d_max = d_trace exactly; pass constant_leverage=False to get NaN for
-    d_max when that is not known.
-    """
-    s = np.clip(np.asarray(eigs, dtype=float), 0.0, None)
-    d_max, d_trace, d_ave = Spectrum(s, s.size).dof(lam)
-    return (d_max if constant_leverage else float("nan")), d_trace, d_ave
 
 
 def bias_variance(K, z, sigma2: float, lam: float) -> tuple[float, float]:
@@ -181,17 +158,6 @@ def bias_variance(K, z, sigma2: float, lam: float) -> tuple[float, float]:
     _check_lambda(lam)
     sigma2 = check_sigma2(sigma2)
     return Spectrum.dense(K, z).bias_variance(sigma2, lam)
-
-
-def bias_variance_from_eigs(eigs, coef2, sigma2: float, lam: float) -> tuple[float, float]:
-    """Spectral-path bias/variance given eigenvalues and squared coefficients.
-
-    ``coef2[i]`` is the squared coefficient of z on the i-th (unit-norm)
-    eigenvector; for grid designs that is |fft(z)|^2 / n in frequency order.
-    """
-    s = np.clip(np.asarray(eigs, dtype=float), 0.0, None)
-    spec = Spectrum(s, s.size, coef2=np.asarray(coef2, dtype=float))
-    return spec.bias_variance(sigma2, lam)
 
 
 def lowrank_bias_variance(phi, z, sigma2: float, lam: float) -> tuple[float, float]:
@@ -202,15 +168,6 @@ def lowrank_bias_variance(phi, z, sigma2: float, lam: float) -> tuple[float, flo
     contribution is ||z_perp||^2 / n.
     """
     return Spectrum.lowrank(phi, z).bias_variance(sigma2, lam)
-
-
-def dof_report(K, z, sigma2: float, lam: float) -> DofReport:
-    """All degrees-of-freedom quantities plus bias and variance."""
-    _check_lambda(lam)
-    spec = Spectrum.dense(K, z)
-    d_max, d_trace, d_ave = spec.dof(lam)
-    b, v = spec.bias_variance(check_sigma2(sigma2), lam)
-    return DofReport(d_max, d_trace, d_ave, b, v, lam, spec.n)
 
 
 def theorem_rank_bound(d_max: float, delta: float, n: int, r2: float, lam: float) -> int:
@@ -353,8 +310,7 @@ class RankSweeper:
             return self._perm_factors
         if method == "pivoted":
             if self._pivoted is None:
-                order = _greedy_order(A)
-                self._pivoted = nested_factor(A, order)
+                self._pivoted = nested_factor(A, None)
             return [self._pivoted]
         raise ConfigError(f"unknown method {method!r}")
 
@@ -378,8 +334,8 @@ class RankSweeper:
 
     def sufficient_rank(self, lam: float, method: str, tol: float = 0.01) -> int:
         """Smallest p with mean error <= (1 + tol) * full error; doubling + bisection."""
-        if tol <= 0:
-            raise ConfigError("tol must be > 0")
+        if not tol > 0:
+            raise ConfigError(f"tol must be > 0, got {tol!r}")
         n = self.problem.n
 
         def ok(p: int) -> bool:
@@ -402,28 +358,6 @@ class RankSweeper:
             else:
                 lo = mid
         return hi
-
-
-def _greedy_order(A: np.ndarray) -> np.ndarray:
-    """Pivot order of the greedy diagonal-pivoted Cholesky, full depth."""
-    n = A.shape[0]
-    d = np.diag(A).astype(float).copy()
-    floor = 1e-12 * float(np.max(d))
-    phi = np.zeros((n, n))
-    order = np.empty(n, dtype=int)
-    used = np.zeros(n, dtype=bool)
-    for k in range(n):
-        masked = np.where(used, -np.inf, d)
-        j = int(np.argmax(masked))
-        order[k] = j
-        used[j] = True
-        if d[j] > floor:
-            resid = A[:, j] - phi[:, :k] @ phi[j, :k]
-            phi[:, k] = resid / np.sqrt(d[j])
-            d -= phi[:, k] ** 2
-            np.clip(d, 0.0, None, out=d)
-        d[j] = 0.0
-    return order
 
 
 def sufficient_rank(

@@ -87,7 +87,6 @@ class FixedDesignProblem:
     z: np.ndarray
     sigma2: float
     spectrum: SpectrumSpec | None = None
-    exact_eigs: np.ndarray | None = None  # frequency order r = 0..n-1 (grid designs)
     row0: np.ndarray | None = None  # first row of K (grid designs)
     kernel_matrix: KernelMatrix | None = field(default=None, repr=False)
 
@@ -220,9 +219,10 @@ def _circulant_row(spec: KernelSpec, n: int) -> np.ndarray:
 
 
 def grid_problem(n: int, spectrum: SpectrumSpec, sigma2: float) -> FixedDesignProblem:
-    """Uniform-grid problem: x_i = (i-1)/n, circulant K, exact eigenvalues.
+    """Uniform-grid problem: x_i = (i-1)/n, circulant K.
 
-    K itself is assembled from its first row on first access to ``.K``.
+    K itself is assembled from its first row on first access to ``.K``; its
+    exact eigenvalues are ``eig_circulant(spectrum.mu, n)``.
     """
     if n < 2:
         raise ConfigError("n must be >= 2")
@@ -233,7 +233,6 @@ def grid_problem(n: int, spectrum: SpectrumSpec, sigma2: float) -> FixedDesignPr
         z=signal_on_grid(spectrum.nu, n),
         sigma2=sigma2,
         spectrum=spectrum,
-        exact_eigs=eig_circulant(spectrum.mu, n),
         row0=_circulant_row(spec, n),
     )
 

@@ -369,6 +369,7 @@ class TestCli:
         assert "config error" in res.stderr
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "x.csv").exists()
+        return res.stderr
 
     def test_nonfinite_sigma2_rejected(self, tmp_path):
         for args in (
@@ -416,6 +417,28 @@ class TestCli:
             ["cv", "--input", "toy.csv", "--lambda-min", "1", "--lambda-max", "0.1"],
         ):
             self.assert_config_error(args, tmp_path)
+
+    def test_nan_or_negative_cv_bounds_rejected(self, tmp_path):
+        # a NaN or negative trace tolerance used to factor every fold to full
+        # rank with exit 0; a NaN bandwidth failed on duplicate pivots
+        from nyridge.datasets import write_dataset_csv
+
+        X = np.random.default_rng(1).normal(size=(60, 2))
+        write_dataset_csv(tmp_path / "toy.csv", X, X[:, 0] - X[:, 1])
+        for flag, value, name in (
+            ("--trace-rtol", "nan", "trace_rtol"),
+            ("--trace-rtol", "-1", "trace_rtol"),
+            ("--trace-rtol", "inf", "trace_rtol"),
+            ("--bandwidth", "nan", "bandwidth"),
+        ):
+            args = ["cv", "--input", "toy.csv", "--folds", "5", flag, value]
+            assert name in self.assert_config_error(args, tmp_path)
+
+    def test_nan_tolerance_and_empty_t_grid_rejected(self, tmp_path):
+        rank_ratio = ["rank-ratio", "--n", "64", "--trials", "2"]
+        self.assert_config_error([*rank_ratio, "--tol", "nan"], tmp_path)
+        self.assert_config_error(["verify-lemma", "--n", "32", "--t-points", "0"], tmp_path)
+        self.assert_config_error(["verify-lemma", "--n", "32", "--t-points", "-3"], tmp_path)
 
     def test_unknown_flag_fails_fast(self, tmp_path):
         res = self.run_cli("fig1", "--bogus", "1", cwd=tmp_path)

@@ -9,18 +9,31 @@ from nyridge.kernels import (
     KernelMatrix,
     KernelSpec,
     cross_gram,
-    gaussian_kernel,
     gram,
-    kernel_column,
     median_distance_bandwidth,
-    periodic_exp_kernel,
-    periodic_poly_kernel,
 )
 
 # Frozen oracle values, computed from the defining truncated series
 # (1e6 terms for polynomial decay, 200 for exponential decay).
 POLY_SERIES_02_09_B1 = -0.8553657147600785
 EXP_SERIES_01_035_R2 = -0.03597241992418304
+
+
+def kernel_value(spec, x, y):
+    """k(x, y) for one pair of points, through the block evaluator."""
+    return float(cross_gram([x], [y], spec)[0, 0])
+
+
+def periodic_poly_kernel(x, y, beta):
+    return kernel_value(KernelSpec.periodic_poly(beta), x, y)
+
+
+def periodic_exp_kernel(x, y, rho):
+    return kernel_value(KernelSpec.periodic_exp(rho), x, y)
+
+
+def gaussian_kernel(x, y, bandwidth):
+    return kernel_value(KernelSpec.gaussian(bandwidth), x, y)
 
 
 def truncated_poly_series(x, y, beta, terms):
@@ -173,7 +186,8 @@ class TestGram:
         pts = rng.random(12)
         spec = KernelSpec.periodic_poly(2)
         km = gram(pts, spec)
-        assert np.allclose(kernel_column(pts, spec, 5), km.entries[:, 5], atol=1e-15)
+        column = cross_gram(pts, pts[5:6], spec).reshape(-1)
+        assert np.allclose(column, km.entries[:, 5], atol=1e-15)
 
     def test_gaussian_gram_unit_diag(self):
         rng = np.random.default_rng(1)
@@ -194,16 +208,28 @@ class TestKernelSpec:
         with pytest.raises(ConfigError):
             KernelSpec("triangle", 1.0)
 
-    def test_call_dispatch(self):
-        assert KernelSpec.periodic_poly(1)(0.3, 0.3) == pytest.approx(pi**2 / 3)
-        assert KernelSpec.gaussian(1.0)([0.0], [0.0]) == 1.0
+    def test_nan_parameter_rejected_by_name(self):
+        for kind, name in [
+            ("periodic-polynomial", "beta"),
+            ("periodic-exponential", "rho"),
+            ("gaussian", "bandwidth"),
+        ]:
+            with pytest.raises(ConfigError, match=f"{name} must be >"):
+                KernelSpec(kind, float("nan"))
+
+    def test_cross_gram_dispatch(self):
+        assert cross_gram([0.3], [0.3], KernelSpec.periodic_poly(1))[0, 0] == pytest.approx(
+            pi**2 / 3
+        )
+        assert cross_gram([[0.0]], [[0.0]], KernelSpec.gaussian(1.0))[0, 0] == 1.0
 
 
 def test_cross_gram_shapes():
     spec = KernelSpec.periodic_poly(1)
     out = cross_gram([0.1, 0.5, 0.9], [0.2, 0.4], spec)
     assert out.shape == (3, 2)
-    assert out[0, 0] == pytest.approx(periodic_poly_kernel(0.1, 0.2, 1))
+    # beta = 1: 2 pi^2 B_2(u) with u = 0.1 the folded difference
+    assert out[0, 0] == pytest.approx(2 * pi**2 * (0.01 - 0.1 + 1 / 6), rel=1e-12)
 
 
 def test_median_distance_bandwidth():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nyridge.errors import ConfigError, NumericalError, ParseError
 from nyridge.kernels import KernelSpec, cross_gram, gram
 from nyridge.lowrank import (
     ColumnSelection,
     approx_error,
-    feature_map,
     feature_matrix,
     load_factor,
     make_column_oracle,
@@ -264,6 +265,106 @@ class TestPivotedFactorLayout:
             assert F.selection.indices.tolist() == reference_pivot_order(K, max_rank, tol)
 
 
+def reference_greedy_nested(K, rel_tol=1e-12):
+    """The column-major greedy order and nested factor that the shared loop
+    replaced: a full-depth greedy pass for the order, then the factor
+    rebuilt column by column in that order."""
+    n = K.shape[0]
+    d = np.diag(K).astype(float).copy()
+    floor = rel_tol * float(np.max(d))
+    phi = np.zeros((n, n))
+    order = np.empty(n, dtype=int)
+    used = np.zeros(n, dtype=bool)
+    for k in range(n):
+        j = int(np.argmax(np.where(used, -np.inf, d)))
+        order[k] = j
+        used[j] = True
+        if d[j] > floor:
+            phi[:, k] = (K[:, j] - phi[:, :k] @ phi[j, :k]) / np.sqrt(d[j])
+            d -= phi[:, k] ** 2
+            np.clip(d, 0.0, None, out=d)
+        d[j] = 0.0
+    d = np.diag(K).astype(float).copy()
+    rebuilt = np.zeros((n, n))
+    for k, j in enumerate(order):
+        if d[j] <= floor:
+            continue
+        rebuilt[:, k] = (K[:, j] - rebuilt[:, :k] @ rebuilt[j, :k]) / np.sqrt(d[j])
+        d -= rebuilt[:, k] ** 2
+        np.clip(d, 0.0, None, out=d)
+        d[j] = 0.0
+    return order, rebuilt
+
+
+def low_rank_psd(n, rank, seed):
+    """B B^T with B n x rank and column scales in [0.1, 1]: rank-deficient
+    whenever rank < n, and free of exact ties in the residual diagonal."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, rank)) * rng.uniform(0.1, 1.0, size=rank)
+    return B @ B.T
+
+
+FACTOR_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+instances = dict(n=st.integers(2, 24), rank=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+
+
+class TestSharedCholeskyLoop:
+    @FACTOR_SETTINGS
+    @given(p=st.integers(1, 24), **instances)
+    def test_three_factors_agree_on_one_index_set(self, p, n, rank, seed):
+        K = low_rank_psd(n, min(rank, n), seed)
+        F = pivoted_ichol(make_column_oracle(K), materialized_diag(K), max_rank=min(p, n))
+        direct = nystrom(K, F.selection).gram()
+        nested = nested_factor(K, F.selection.indices)
+        scale = np.linalg.norm(direct)
+        assert np.linalg.norm(F.gram() - direct) <= 1e-8 * scale
+        assert np.linalg.norm(nested @ nested.T - direct) <= 1e-8 * scale
+
+    @FACTOR_SETTINGS
+    @given(**instances)
+    def test_greedy_nested_sweep_leads_with_pivoted_ichol(self, n, rank, seed):
+        K = low_rank_psd(n, min(rank, n), seed)
+        sweep = nested_factor(K, None)
+        order, reference = reference_greedy_nested(K)
+        k = sweep.shape[1]
+        assert k == min(rank, n)
+        for p in sorted({1, (k + 1) // 2, k}):
+            F = pivoted_ichol(make_column_oracle(K), materialized_diag(K), max_rank=p)
+            assert np.array_equal(sweep[:, :p], F.phi)
+            assert F.selection.indices.tolist() == order[:p].tolist()
+        assert np.max(np.abs(sweep - reference[:, :k])) <= 1e-12 * np.max(np.abs(reference))
+        assert not np.any(reference[:, k:])
+
+    @FACTOR_SETTINGS
+    @given(p=st.integers(1, 24), **instances)
+    def test_save_load_round_trip_bit_exact(self, tmp_path_factory, p, n, rank, seed):
+        K = low_rank_psd(n, min(rank, n), seed)
+        pivoted = pivoted_ichol(make_column_oracle(K), materialized_diag(K), max_rank=min(p, n))
+        sampled = nystrom(K, sample_columns(n, min(p, n), seed))
+        for F in (pivoted, sampled):
+            path = tmp_path_factory.mktemp("factor") / "factor.csv"
+            save_factor(path, F)
+            G = load_factor(path)
+            assert np.array_equal(F.phi, G.phi)
+            assert np.array_equal(F.whitener, G.whitener)
+            assert np.array_equal(F.selection.indices, G.selection.indices)
+            assert G.selection.method == F.selection.method
+            if F.trace_residual_trail is None:
+                assert G.trace_residual_trail is None
+            else:
+                assert np.array_equal(F.trace_residual_trail, G.trace_residual_trail)
+
+    @pytest.mark.parametrize("seed", [8, 9, 10, 12])
+    def test_fixed_order_matches_reference_on_full_rank(self, seed):
+        K = random_psd(32, seed, cond_floor=1e-3)
+        order, reference = reference_greedy_nested(K)
+        F = pivoted_ichol(make_column_oracle(K), materialized_diag(K), max_rank=32)
+        assert F.selection.indices.tolist() == order.tolist()
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(nested_factor(K, order) - reference)) <= 1e-12 * scale
+        assert np.max(np.abs(nested_factor(K, None) - reference)) <= 1e-12 * scale
+
+
 class TestNestedFactor:
     def test_prefixes_match_nystrom(self):
         K = random_psd(30, 15)
@@ -296,7 +397,7 @@ class TestFeatureMap:
         sel = sample_columns(18, 6, 4)
         F = nystrom(K, sel)
         i = sel.indices[2]
-        phi_x = feature_map(spec, pts[sel.indices], F.whitener, pts[i])
+        phi_x = feature_matrix(spec, pts[sel.indices], F.whitener, [pts[i]])[0]
         assert phi_x @ phi_x == pytest.approx(K.entries[i, i], rel=1e-8)
 
     def test_feature_gram_equals_factor_gram(self):
@@ -317,8 +418,9 @@ class TestFeatureMap:
         sel = ColumnSelection(np.array([4]), "uniform-random", 10)
         F = nystrom(K, sel)
         x = 0.77
-        phi_x = feature_map(spec, pts[sel.indices], F.whitener, x)
-        expected = spec(pts[4], x) / np.sqrt(spec(pts[4], pts[4]))
+        phi_x = feature_matrix(spec, pts[sel.indices], F.whitener, [x])[0]
+        expected = K.entries[4, 4] ** -0.5 * cross_gram([pts[4]], [x], spec)[0, 0]
+        assert phi_x.shape == (1,)
         assert phi_x[0] == pytest.approx(expected, rel=1e-12)
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from nyridge.errors import ConfigError, DataError, NumericalError
+from nyridge.errors import ConfigError, DataError, NumericalError, ParseError
 from nyridge.kernels import KernelSpec, cross_gram, gram
 from nyridge.lowrank import nystrom, pivoted_ichol, sample_columns
 from nyridge.regression import (
+    RidgeFit,
     krr_exact,
     krr_lowrank,
     load_fit,
@@ -295,3 +296,58 @@ def test_fit_save_load_round_trip(tmp_path):
     assert back.lam == fit.lam
     assert np.array_equal(back.coef, fit.coef)
     assert np.array_equal(back.indices, fit.indices)
+
+
+class TestLoadFitErrors:
+    def saved(self, tmp_path):
+        fit = RidgeFit(mode="lowrank", lam=np.float64(2e-3), loss="square",
+                       coef=np.array([0.5, -1.25]), indices=np.array([3, 1]))
+        path = tmp_path / "fit.csv"
+        save_fit(path, fit)
+        return path, path.read_text().splitlines()
+
+    def rewrite(self, path, lines):
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def assert_parse_error(self, path, match):
+        with pytest.raises(ParseError, match=match):
+            load_fit(path)
+
+    def test_numpy_lambda_round_trips(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        assert load_fit(path).lam == 2e-3
+
+    def test_header_and_mode_only(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        lines = ["# nyridge-fit v1", "# mode=lowrank"]
+        self.assert_parse_error(self.rewrite(path, lines), r"missing metadata \['lambda', 'loss'\]")
+
+    def test_missing_or_wrong_header(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        self.assert_parse_error(self.rewrite(path, lines[1:]), "not a fit file")
+        wrong = ["# nyridge-fit v2"] + lines[1:]
+        self.assert_parse_error(self.rewrite(path, wrong), "not a fit file")
+        self.assert_parse_error(self.rewrite(path, []), "not a fit file")
+
+    def test_missing_metadata(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        for key in ("mode", "lambda", "loss"):
+            kept = [line for line in lines if not line.startswith(f"# {key}=")]
+            self.assert_parse_error(self.rewrite(path, kept), f"missing metadata \\['{key}'\\]")
+
+    def test_unknown_mode(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        bad = [line if not line.startswith("# mode=") else "# mode=dense" for line in lines]
+        self.assert_parse_error(self.rewrite(path, bad), "mode must be one of")
+
+    def test_unparsable_numbers(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        self.assert_parse_error(self.rewrite(path, lines + ["abc"]), "malformed")
+        bad = [line if not line.startswith("# lambda=") else "# lambda=tiny" for line in lines]
+        self.assert_parse_error(self.rewrite(path, bad), "malformed")
+        bad = [line if not line.startswith("# indices=") else "# indices=3;x" for line in lines]
+        self.assert_parse_error(self.rewrite(path, bad), "malformed")
+
+    def test_unreadable_file(self, tmp_path):
+        self.assert_parse_error(tmp_path / "absent.csv", "cannot read")

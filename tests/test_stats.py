@@ -13,11 +13,8 @@ from nyridge.stats import (
     RankSweeper,
     Spectrum,
     bias_variance,
-    bias_variance_from_eigs,
     default_lambda_grid,
     dof,
-    dof_from_eigs,
-    dof_report,
     fit_rate,
     lowrank_bias_variance,
     optimal_lambda,
@@ -27,7 +24,7 @@ from nyridge.stats import (
     verify_lemma_tail,
     verify_theorem,
 )
-from nyridge.synthetic import SpectrumSpec, draw_noise, grid_problem
+from nyridge.synthetic import SpectrumSpec, draw_noise, eig_circulant, grid_problem
 
 
 def random_psd(n, seed, cond_floor=1e-4):
@@ -72,11 +69,11 @@ class TestDof:
             assert d_trace >= d_ave - 1e-10 * 15
             assert d_ave >= 0
 
-    def test_dof_from_eigs_matches_dense_for_circulant(self):
+    def test_exact_circulant_eigs_match_dense(self):
         prob = grid_problem(36, SpectrumSpec.polynomial(1, 2.0), 0.0)
         lam = 1e-2
         dense = dof(prob.K.entries, lam)
-        spectral = dof_from_eigs(prob.exact_eigs, lam)
+        spectral = Spectrum(eig_circulant(prob.spectrum.mu, 36), 36).dof(lam)
         assert dense[0] == pytest.approx(spectral[0], rel=1e-6)
         assert dense[1] == pytest.approx(spectral[1], rel=1e-8)
         assert dense[2] == pytest.approx(spectral[2], rel=1e-8)
@@ -151,21 +148,26 @@ class TestBiasVariance:
         prob = grid_problem(32, SpectrumSpec.polynomial(1, 3.0), 0.2)
         coef2 = np.abs(np.fft.fft(prob.z)) ** 2 / 32
         lam = 2e-3
-        b1, v1 = bias_variance_from_eigs(prob.exact_eigs, coef2, 0.2, lam)
+        spec = Spectrum(eig_circulant(prob.spectrum.mu, 32), 32, coef2=coef2)
+        b1, v1 = spec.bias_variance(0.2, lam)
         b2, v2 = bias_variance(prob.K.entries, prob.z, 0.2, lam)
         assert b1 == pytest.approx(b2, rel=1e-8)
         assert v1 == pytest.approx(v2, rel=1e-8)
 
 
-class TestDofReport:
+class TestDenseSpectrum:
     def test_fields_consistent(self):
         K = random_psd(9, 14)
         z = np.random.default_rng(15).normal(size=9)
-        rep = dof_report(K, z, 0.3, 0.05)
-        assert rep.d_max >= rep.d_trace >= rep.d_ave >= 0
-        assert 0 <= rep.d_ave <= 9
-        assert rep.bias >= 0 and rep.variance >= 0
-        assert rep.n == 9 and rep.lam == 0.05
+        spec = Spectrum.dense(K, z)
+        d_max, d_trace, d_ave = spec.dof(0.05)
+        bias, variance = spec.bias_variance(0.3, 0.05)
+        assert d_max >= d_trace >= d_ave >= 0
+        assert 0 <= d_ave <= 9
+        assert bias >= 0 and variance >= 0
+        assert spec.n == 9
+        assert (d_max, d_trace, d_ave) == dof(K, 0.05)
+        assert (bias, variance) == bias_variance(K, z, 0.3, 0.05)
 
 
 class TestTheoremRankBound:
@@ -376,7 +378,7 @@ class TestCirculantSpectrum:
     def test_eigenvalues_match_exact(self, beta, delta, n):
         prob = grid_problem(n, SpectrumSpec.polynomial(beta, delta), 0.0)
         got = Spectrum.circulant(prob.row0).eigs
-        exact = prob.exact_eigs
+        exact = eig_circulant(prob.spectrum.mu, n)
         big = exact > 1e-10 * exact.max()
         assert np.max(np.abs(got[big] - exact[big]) / exact[big]) <= 1e-6
 

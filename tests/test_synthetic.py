@@ -92,7 +92,8 @@ class TestGridProblem:
     def test_exact_eigs_match_dense(self):
         prob = grid_problem(48, SpectrumSpec.polynomial(1, 2.0), 0.0)
         dense = np.sort(np.linalg.eigvalsh(prob.K.entries))
-        assert np.max(np.abs(dense - np.sort(prob.exact_eigs)) / dense) <= 1e-6
+        exact = np.sort(eig_circulant(prob.spectrum.mu, 48))
+        assert np.max(np.abs(dense - exact) / dense) <= 1e-6
 
     def test_fourier_coefficients_track_signal_law(self):
         # |<z, u_i>| approx sqrt(n nu_i), wrap-around tails allowed
@@ -145,7 +146,7 @@ class TestGridProblem:
         spec = SpectrumSpec(EXPO(1.0), EXPO(2.0))
         prob = grid_problem(24, spec, 0.0)
         dense = np.sort(np.linalg.eigvalsh(prob.K.entries))
-        mine = np.sort(prob.exact_eigs)
+        mine = np.sort(eig_circulant(spec.mu, 24))
         assert np.max(np.abs(dense - mine)) <= 1e-8 * mine[-1]
         # f(0) = 2 sum e^{-kappa i / 2} = 2 e^{-1} / (1 - e^{-1})
         f0 = 2 * np.exp(-1.0) / (1 - np.exp(-1.0))
@@ -196,7 +197,7 @@ class TestRandomDesign:
     def test_trace_is_n_times_diagonal(self):
         prob = random_design_problem(50, SpectrumSpec.polynomial(1, 2.0), 0.0, seed=1)
         assert prob.K.trace() == pytest.approx(50 * pi**2 / 3, rel=1e-10)
-        assert prob.exact_eigs is None
+        assert prob.row0 is None
 
     def test_eigenvalue_decay_tracks_law(self):
         # top eigenvalues within a [1/3, 3] band of n mu_i for beta = 1
