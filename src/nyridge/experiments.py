@@ -18,16 +18,17 @@ import numpy as np
 from .datasets import cross_validate_lambda, load_dataset
 from .errors import ConfigError, VacuousBoundError
 from .kernels import KernelSpec, median_distance_bandwidth
-from .lowrank import approx_error
+from .lowrank import prefix_errors
 from .stats import (
     RankSweeper,
+    Spectrum,
     _rng_for,
     fit_rate,
-    lowrank_bias_variance,
+    lemma_deviations,
+    lemma_tail,
     optimal_lambda,
     problem_spectrum,
     theorem_rank_bound,
-    verify_lemma_tail,
     verify_theorem,
 )
 from .synthetic import (
@@ -211,10 +212,14 @@ def run_fig1(cfg: dict):
     For each rank p and each selection method, reports the trace- and
     operator-norm relative errors of L and the closed-form relative excess
     prediction error [err(L) - err(K)] / err(K); random selection averages
-    over ``trials`` draws, the pivoted path is deterministic.
+    over ``trials`` draws, the pivoted path is deterministic. Every rank is
+    a prefix of one nested Cholesky factor per draw, so each factor gets one
+    thin QR (:meth:`Spectrum.prefixes`, then a p x p ``eigh`` per rank) and
+    one pass of :func:`prefix_errors` (running trace error, warm-started
+    Lanczos operator norm); an n x n residual is formed only where the
+    dense operator norm is the fallback.
     """
     prob = _synthetic_problem(cfg)
-    n = prob.n
     A = prob.K.entries
     lam = cfg.get("lam")
     if lam is None:
@@ -223,29 +228,25 @@ def run_fig1(cfg: dict):
     err_full = spec.error(prob.sigma2, lam)
     tr_full = prob.K.trace()
     op_full = float(np.max(spec.eigs))
-    trials = int(cfg["trials"])
+    ranks = _default_p_grid(prob.n)
 
-    sweeper = RankSweeper(prob, trials=trials, seed=cfg["seed"])
-    rows = []
-    for p in _default_p_grid(n):
-        for method in ("random", "pivoted"):
-            factors = sweeper.factors(method)
-            tr_errs, op_errs, excess = [], [], []
-            for t, phi_full in enumerate(factors):
-                phi = phi_full[:, :p]
-                tr_errs.append(approx_error(A, phi, "trace") / tr_full)
-                op_errs.append(approx_error(A, phi, "operator") / op_full)
-                bl, vl = lowrank_bias_variance(phi, prob.z, prob.sigma2, lam)
-                excess.append((bl + vl - err_full) / err_full)
-            rows.append(
-                (
-                    p,
-                    float(np.mean(tr_errs)),
-                    float(np.mean(op_errs)),
-                    float(np.mean(excess)),
-                    method,
-                )
-            )
+    sweeper = RankSweeper(prob, trials=int(cfg["trials"]), seed=cfg["seed"])
+    curves = {}  # method -> (rel trace, rel operator, rel excess), each trials x ranks
+    for method in ("random", "pivoted"):
+        tr_errs, op_errs, excess = [], [], []
+        for phi in sweeper.factors(method):
+            tr_err, op_err = prefix_errors(A, phi, ranks)
+            tr_errs.append(tr_err / tr_full)
+            op_errs.append(op_err / op_full)
+            prefix = Spectrum.prefixes(phi, prob.z)
+            errs = [prefix(p).error(prob.sigma2, lam) for p in ranks]
+            excess.append((np.array(errs) - err_full) / err_full)
+        curves[method] = [np.mean(c, axis=0) for c in (tr_errs, op_errs, excess)]
+    rows = [
+        (p, float(tr[i]), float(op[i]), float(ex[i]), method)
+        for i, p in enumerate(ranks)
+        for method, (tr, op, ex) in curves.items()
+    ]
     meta = _base_meta(cfg) + [
         ("lambda", repr(float(lam))),
         ("lambda_source", "config" if cfg.get("lam") is not None else "optimal-on-default-grid"),
@@ -322,8 +323,11 @@ def run_rate_check(cfg: dict):
 def run_rank_ratio(cfg: dict):
     """Sufficient rank over degrees of freedom across a lambda grid."""
     points = _grid_points(cfg, "lambda_points")
+    lo, hi = float(cfg["lambda_lo"]), float(cfg["lambda_hi"])
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ConfigError(f"rank-ratio needs finite lambda_lo, lambda_hi > 0, got {lo!r}, {hi!r}")
     prob = _synthetic_problem(cfg)
-    lams = prob.mean_diag * np.geomspace(cfg["lambda_lo"], cfg["lambda_hi"], points)
+    lams = prob.mean_diag * np.geomspace(lo, hi, points)
     spec = problem_spectrum(prob)
     sweeper = RankSweeper(prob, trials=int(cfg["trials"]), seed=cfg["seed"])
     tol = float(cfg["tol"])
@@ -419,6 +423,8 @@ def lemma_family(name: str, n: int, r: int, seed) -> np.ndarray:
     """
     if name not in LEMMA_FAMILIES:
         raise ConfigError(f"unknown lemma family {name!r}")
+    if n < 1 or r < 1:
+        raise ConfigError(f"lemma matrices need n >= 1 and r >= 1, got n={n}, r={r}")
     rng = _rng_for(seed, 1000 + LEMMA_FAMILIES[name])
     psi = rng.standard_normal((n, r))
     if name == "decaying":
@@ -433,13 +439,18 @@ def run_verify_lemma(cfg: dict):
     n, r = int(cfg["n"]), int(cfg["r"])
     trials = int(cfg["trials"])
     t_points = _grid_points(cfg, "t_points")
+    families = list(cfg["families"])
+    if not families:
+        raise ConfigError("verify-lemma needs at least one family")
+    psis = [lemma_family(fam, n, r, cfg["seed"]) for fam in families]
+    # one subset draw per (p, trial), shared by every family
+    devs = {int(p): lemma_deviations(psis, int(p), trials, cfg["seed"]) for p in cfg["p_list"]}
     rows = []
-    for fam in cfg["families"]:
-        psi = lemma_family(fam, n, r, cfg["seed"])
+    for f, (fam, psi) in enumerate(zip(families, psis)):
         lam_max = float(np.linalg.eigvalsh(psi.T @ psi / n)[-1])
         t_grid = lam_max * np.geomspace(0.05, 1.0, t_points)
         for p in cfg["p_list"]:
-            table = verify_lemma_tail(psi, int(p), t_grid, trials, cfg["seed"])
+            table = lemma_tail(psi, int(p), t_grid, devs[int(p)][f])
             for tval, emp, bnd in table:
                 rows.append((fam, int(p), tval, emp, bnd, emp <= bnd))
     meta = _base_meta(cfg)

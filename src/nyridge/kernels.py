@@ -82,7 +82,7 @@ def _periodic_poly_values(delta, beta: int):
 
 def _periodic_exp_values(delta, rho: float):
     """Vectorized closed form of the exponential-decay periodic kernel."""
-    if rho <= 0:
+    if not rho > 0:
         raise ConfigError(f"rho must be > 0 (got {rho!r})")
     c = np.cos(2.0 * pi * _fold_half(_frac(delta)))
     er = exp(rho)

@@ -39,6 +39,13 @@ PINV_RTOL = 1e-12
 # Residual diagonals below -BREAKDOWN_RTOL * max(diag) indicate breakdown.
 BREAKDOWN_RTOL = 1e-10
 
+# ``prefix_errors``: relative trace error at or below which the operator norm
+# comes from a dense eigendecomposition instead of Lanczos, the restart budget
+# before that fallback, and the weight of the fixed vector in a warm start.
+LANCZOS_RTOL = 1e-10
+LANCZOS_MAXITER = 100
+LANCZOS_MIX = 1e-2
+
 
 @dataclass(frozen=True)
 class ColumnSelection:
@@ -267,6 +274,53 @@ def approx_error(K, factor, norm: str = "trace") -> float:
     if norm == "frobenius":
         return float(np.linalg.norm(resid))
     raise ConfigError(f"unknown norm {norm!r}")
+
+
+def prefix_errors(K, phi, ranks) -> tuple[np.ndarray, np.ndarray]:
+    """Trace- and operator-norm errors of K - Phi_p Phi_p^T for each p in ``ranks``.
+
+    One pass serves every prefix of a nested factor. The trace error is
+    tr K minus the running sum of squared column norms. The operator error
+    is the top eigenvalue of the PSD residual, found by Lanczos (``eigsh``,
+    full precision) on x -> K x - Phi_p (Phi_p^T x). The first rank starts
+    from a fixed unit vector g, each later rank from the previous rank's top
+    eigenvector plus ``LANCZOS_MIX * g``, which keeps a component along
+    every eigenvector: a pure warm start can be nearly orthogonal to the new
+    top eigenvector, and Lanczos then settles on a lower one. Restarts use a
+    fixed seed, so reruns are identical. Where the trace error is at most
+    ``LANCZOS_RTOL * tr K`` (it bounds the operator error), or Lanczos does
+    not converge in ``LANCZOS_MAXITER`` restarts, the dense
+    :func:`approx_error` is used instead. Ranks above the number of columns
+    are capped, as slicing phi[:, :p] would.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    A = np.asarray(K, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    n, m = phi.shape
+    tr = float(np.trace(A))
+    trace_left = tr - np.concatenate(([0.0], np.cumsum(np.sum(phi * phi, axis=0))))
+    caps = [min(int(p), m) for p in ranks]
+    op_errs = np.empty(len(caps))
+    g = np.random.default_rng(0).standard_normal(n)
+    g /= np.linalg.norm(g)
+    v0 = g
+    for i, p in enumerate(caps):
+        if i > 0 and p == caps[i - 1]:
+            op_errs[i] = op_errs[i - 1]
+            continue
+        phi_p = phi[:, :p]
+        if n > 1 and trace_left[p] > LANCZOS_RTOL * tr:
+            op = LinearOperator((n, n), lambda x: A @ x - phi_p @ (phi_p.T @ x), dtype=float)
+            try:
+                vals, vecs = eigsh(op, k=1, which="LA", v0=v0, maxiter=LANCZOS_MAXITER, rng=0)
+                op_errs[i] = max(float(vals[0]), 0.0)
+                v0 = vecs[:, 0] + LANCZOS_MIX * g
+                continue
+            except ArpackNoConvergence:
+                pass
+        op_errs[i] = approx_error(A, phi_p, "operator")
+    return trace_left[caps], op_errs
 
 
 FACTOR_FORMAT_VERSION = 1

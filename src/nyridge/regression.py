@@ -61,7 +61,7 @@ def krr_exact(K, y, lam: float):
 
     Returns (fit, zhat); O(n^3).
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ConfigError(f"lambda must be > 0, got {lam!r}")
     A = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -126,7 +126,7 @@ def newton_solve(
     that only accepts descent steps. Labels must be in {-1, +1} for the
     logistic loss.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ConfigError(f"lambda must be > 0, got {lam!r}")
     if loss not in LOSSES:
         raise ConfigError(f"loss must be one of {LOSSES}, got {loss!r}")

@@ -20,15 +20,17 @@ d_max >= d_trace >= d_ave:
 All of them are functions of the spectrum of K and of the coefficients of z
 on its eigenbasis. :class:`Spectrum` is the single home of these closed
 forms; it is built by a dense eigendecomposition (general K, random
-designs), by one FFT of the first row (circulant K on a uniform grid), or by
-a thin SVD of a factor Phi (low-rank smoothers L = Phi Phi^T). Every other
-function here is a thin wrapper over it.
+designs), by one FFT of the first row (circulant K on a uniform grid), by
+a thin SVD of a factor Phi (low-rank smoothers L = Phi Phi^T), or, for
+every prefix Phi[:, :p] of a nested factor at once, by one thin QR of Phi.
+Every other function here is a thin wrapper over it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -49,8 +51,8 @@ def _rng_for(seed, *key) -> np.random.Generator:
 
 
 def _check_lambda(lam: float) -> None:
-    if not lam > 0:
-        raise ConfigError("lambda must be > 0")
+    if not 0 < lam < math.inf:
+        raise ConfigError(f"lambda must be finite and > 0 (got {lam!r})")
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,10 @@ class Spectrum:
     ||z_perp||^2 for a low-rank factor. ``basis`` holds the orthonormal
     eigenvectors as columns, whose squared rows weight the leverage; it is
     None for a circulant K, whose basis is the Fourier one and whose leverage
-    is constant, so that d_max = d_trace.
+    is constant, so that d_max = d_trace. When ``frame`` (n x p, orthonormal
+    columns) is set, ``basis`` holds the eigenvectors in the frame's
+    coordinates and the n x p eigenvectors ``frame @ basis`` are only formed
+    when ``dof`` needs the leverage.
     """
 
     eigs: np.ndarray
@@ -71,6 +76,7 @@ class Spectrum:
     coef2: np.ndarray | None = None
     resid2: float = 0.0
     basis: np.ndarray | None = None
+    frame: np.ndarray | None = None
 
     @classmethod
     def dense(cls, K, z=None) -> "Spectrum":
@@ -94,13 +100,34 @@ class Spectrum:
         spec = cls(s * s, phi.shape[0], basis=u)
         return spec if z is None else spec.project(z)
 
+    @classmethod
+    def prefixes(cls, phi, z) -> Callable[[int], "Spectrum"]:
+        """Spectra of every prefix factor Phi[:, :p] from one thin QR of Phi.
+
+        With Phi = QR, Phi[:, :p] = Q_p R_p for R_p = R[:p, :p], so the
+        rank-p smoother has the eigenvalues of R_p R_p^T = W S W^T (p x p),
+        the coefficients W^T (Q^T z)[:p] and the residual energy
+        ||z||^2 - ||(Q^T z)[:p]||^2; its eigenvectors Q_p W are built only if
+        ``dof`` asks for them. Returns p -> spectrum; p is capped at the
+        number of columns of Phi, as slicing Phi[:, :p] would.
+        """
+        z = np.asarray(z, dtype=float)
+        q, r = np.linalg.qr(np.asarray(phi, dtype=float))
+
+        def prefix(p: int) -> Spectrum:
+            rp = r[:p, :p]
+            s, w = np.linalg.eigh(rp @ rp.T)
+            return cls(np.clip(s, 0.0, None), q.shape[0], basis=w, frame=q[:, :p]).project(z)
+
+        return prefix
+
     def project(self, z) -> "Spectrum":
         """The same spectrum with ``coef2`` and ``resid2`` of the signal z."""
         z = np.asarray(z, dtype=float)
         if self.basis is None:
             f = np.fft.fft(z)
             return replace(self, coef2=(f.real**2 + f.imag**2) / self.n, resid2=0.0)
-        uz = self.basis.T @ z
+        uz = self.basis.T @ (z if self.frame is None else self.frame.T @ z)
         resid2 = 0.0
         if self.basis.shape[1] < self.n:
             resid2 = max(float(z @ z - uz @ uz), 0.0)
@@ -132,7 +159,8 @@ class Spectrum:
         if self.basis is None:
             d_max = d_trace
         else:
-            d_max = float(self.n * np.max(np.einsum("ji,i,ji->j", self.basis, r, self.basis)))
+            u = self.basis if self.frame is None else self.frame @ self.basis
+            d_max = float(self.n * np.max(np.einsum("ji,i,ji->j", u, r, u)))
         return d_max, d_trace, float(np.sum(r * r))
 
 
@@ -250,28 +278,51 @@ def verify_theorem(
     )
 
 
+def lemma_deviations(psis, p: int, trials: int, seed) -> np.ndarray:
+    """lambda_max[Psi^T Psi / n - Psi_I^T Psi_I / p] per matrix and trial.
+
+    Trial t draws its p row indices I from ``_rng_for(seed, t)``. The draw
+    depends only on (seed, t, n, p), so one draw serves every matrix in
+    ``psis`` (all with n rows). Returns a (len(psis), trials) array.
+    """
+    psis = [np.asarray(psi, dtype=float) for psi in psis]
+    n = psis[0].shape[0]
+    if any(psi.shape[0] != n for psi in psis):
+        raise ConfigError("every matrix needs the same number of rows")
+    if not (1 <= p <= n):
+        raise ConfigError(f"need 1 <= p <= n, got p={p}")
+    if trials < 1:
+        raise ConfigError(f"need trials >= 1, got {trials}")
+    grams = [psi.T @ psi / n for psi in psis]
+    devs = np.empty((len(psis), trials))
+    for t in range(trials):
+        idx = _rng_for(seed, t).choice(n, size=p, replace=False)
+        for f, (psi, A) in enumerate(zip(psis, grams)):
+            sub = psi[idx]
+            devs[f, t] = np.linalg.eigvalsh(A - sub.T @ sub / p)[-1]
+    return devs
+
+
 def verify_lemma_tail(psi, p: int, t_grid, trials: int, seed) -> list[tuple[float, float, float]]:
     """Monte-Carlo tail of lambda_max[Psi^T Psi / n - Psi_I^T Psi_I / p].
 
-    Returns rows (t, empirical_prob, bound) where the bound is
+    Draws ``trials`` subsets (:func:`lemma_deviations`) and returns the
+    :func:`lemma_tail` rows of their deviations.
+    """
+    return lemma_tail(psi, p, t_grid, lemma_deviations([psi], p, trials, seed)[0])
+
+
+def lemma_tail(psi, p: int, t_grid, devs) -> list[tuple[float, float, float]]:
+    """Rows (t, empirical_prob, bound) of the deviations ``devs`` of psi's subsets.
+
+    empirical_prob is the fraction of ``devs`` above t; the bound is
     r exp(-p t^2 / 2 / (lambda_max(Psi^T Psi / n) (R^2 + t/3))) clipped to 1,
     with R^2 the computed maximum squared row norm.
     """
     psi = np.asarray(psi, dtype=float)
     n, r = psi.shape
-    if not (1 <= p <= n):
-        raise ConfigError(f"need 1 <= p <= n, got p={p}")
-    if trials < 1:
-        raise ConfigError(f"need trials >= 1, got {trials}")
-    A = psi.T @ psi / n
-    lam_max = float(np.linalg.eigvalsh(A)[-1])
+    lam_max = float(np.linalg.eigvalsh(psi.T @ psi / n)[-1])
     r2 = float(np.max(np.sum(psi * psi, axis=1)))
-    devs = np.empty(trials)
-    for t in range(trials):
-        idx = _rng_for(seed, t).choice(n, size=p, replace=False)
-        sub = psi[idx]
-        B = sub.T @ sub / p
-        devs[t] = np.linalg.eigvalsh(A - B)[-1]
     rows = []
     for tval in np.asarray(t_grid, dtype=float):
         emp = float(np.mean(devs > tval))
@@ -286,16 +337,22 @@ class RankSweeper:
     Random trials draw one permutation each; prefixes of a fixed-order
     Cholesky factor then give every nested column subset at once. The
     pivoted path is deterministic, so a single greedy factor serves all
-    requested ranks. Per-(trial, p) spectra are cached, making repeated
+    requested ranks. Spectra come from one thin QR of each factor's leading
+    columns (:meth:`Spectrum.prefixes`), redone only when a search reaches
+    past the next power of two; a rank-p spectrum then costs one p x p
+    ``eigh``, and per-(trial, p) spectra are cached, making repeated
     sufficient-rank queries across a lambda grid cheap.
     """
 
     def __init__(self, problem: FixedDesignProblem, trials: int = 10, seed=0):
+        if trials < 1:
+            raise ConfigError(f"need trials >= 1, got {trials}")
         self.problem = problem
         self.trials = trials
         self.seed = seed
         self._perm_factors: list[np.ndarray] | None = None
         self._pivoted: np.ndarray | None = None
+        self._prefixes: dict = {}
         self._spectra: dict = {}
 
     def factors(self, method: str) -> list[np.ndarray]:
@@ -318,8 +375,15 @@ class RankSweeper:
         key = (method, t, p)
         got = self._spectra.get(key)
         if got is None:
-            got = Spectrum.lowrank(self.factors(method)[t][:, :p], self.problem.z)
-            self._spectra[key] = got
+            phi = self.factors(method)[t]
+            width, prefix = self._prefixes.get((method, t), (0, None))
+            if p > width and width < phi.shape[1]:
+                # factor the leading power-of-two columns: the searches rarely
+                # need a whole factor, and regrowing at most doubles the work
+                width = min(1 << (p - 1).bit_length(), phi.shape[1])
+                prefix = Spectrum.prefixes(phi[:, :width], self.problem.z)
+                self._prefixes[(method, t)] = (width, prefix)
+            got = self._spectra[key] = prefix(p)
         return got
 
     def error(self, method: str, p: int, lam: float) -> float:
@@ -439,7 +503,7 @@ def fit_rate(pairs) -> RateFit:
     pts = [(float(a), float(b)) for a, b in pairs]
     if len(pts) < 4:
         raise ConfigError(f"rate fit needs >= 4 pairs, got {len(pts)}")
-    if any(v <= 0 for _, v in pts) or any(a <= 0 for a, _ in pts):
+    if not all(a > 0 and v > 0 for a, v in pts):
         raise ConfigError("rate fit needs positive sizes and values")
     x = np.log([a for a, _ in pts])
     y = np.log([v for _, v in pts])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import isfinite, pi
+from math import inf, isfinite, pi
 
 import numpy as np
 from scipy.linalg import circulant
@@ -46,11 +46,13 @@ class DecayLaw:
 
     def __post_init__(self):
         if self.kind == POLYNOMIAL:
-            if self.rate <= 0.5:
-                raise ConfigError("polynomial decay needs rate > 1/2 for summability")
+            if not 0.5 < self.rate < inf:
+                raise ConfigError(
+                    f"polynomial decay needs a finite rate > 1/2 (got {self.rate!r})"
+                )
         elif self.kind == EXPONENTIAL:
-            if self.rate <= 0:
-                raise ConfigError("exponential decay needs rate > 0")
+            if not 0 < self.rate < inf:
+                raise ConfigError(f"exponential decay needs a finite rate > 0 (got {self.rate!r})")
         else:
             raise ConfigError(f"unknown decay kind {self.kind!r}")
 
@@ -140,7 +142,7 @@ def _residue_fold(law: DecayLaw, scale: float, n: int) -> np.ndarray:
     r = np.arange(n, dtype=float)
     if law.kind == POLYNOMIAL:
         s = 2.0 * law.rate * scale
-        if s <= 1.0:
+        if not s > 1.0:
             raise ConfigError(
                 f"series sum_i i^(-{s:g}) diverges; decay rate too small"
             )
@@ -192,7 +194,7 @@ def signal_values(nu: DecayLaw, x) -> np.ndarray:
         eh = np.exp(h)
         return 2.0 * (eh * c - 1.0) / (eh * eh - 2.0 * eh * c + 1.0)
     s = nu.rate  # exponent of sqrt(nu_i) = i^(-s)
-    if s <= 1.0:
+    if not s > 1.0:
         raise ConfigError(f"signal series diverges for delta <= 1 (got {s!r})")
     if s == int(s) and int(s) % 2 == 0:
         return np.asarray(_periodic_poly_values(xs, int(s) // 2), dtype=float)
@@ -266,8 +268,8 @@ def draw_noise(n: int, sigma2: float, trials: int, seed) -> np.ndarray:
 
 def sigma2_for_snr(z, snr: float) -> float:
     """Noise variance giving signal power / noise power = snr^2."""
-    if snr <= 0:
-        raise ConfigError("snr must be > 0")
+    if not snr > 0:
+        raise ConfigError(f"snr must be > 0 (got {snr!r})")
     return float(np.mean(np.square(z))) / (snr * snr)
 
 

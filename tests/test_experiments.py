@@ -23,7 +23,7 @@ from nyridge.experiments import (
     run_verify_theorem,
     write_csv,
 )
-from nyridge.stats import bias_variance, lowrank_bias_variance
+from nyridge.stats import bias_variance, lowrank_bias_variance, verify_lemma_tail
 from nyridge.synthetic import SpectrumSpec, grid_problem
 
 
@@ -220,6 +220,28 @@ class TestVerifyLemma:
         for row in rows_by(header, rows):
             assert row["empirical_prob"] <= row["bound"] + 1e-12
 
+    def test_shared_draws_match_per_family_draws(self):
+        # the subsets are drawn once per (p, trial) and shared by the
+        # families; each family's own draws must give the same rows exactly
+        cfg = resolve_config(
+            "verify-lemma", None, {"n": 40, "r": 5, "trials": 200, "p_list": [8, 20]}
+        )
+        _, _, rows = run_verify_lemma(cfg)
+        expected = []
+        for fam in cfg["families"]:
+            psi = lemma_family(fam, 40, 5, cfg["seed"])
+            lam_max = float(np.linalg.eigvalsh(psi.T @ psi / 40)[-1])
+            t_grid = lam_max * np.geomspace(0.05, 1.0, cfg["t_points"])
+            for p in cfg["p_list"]:
+                for tval, emp, bnd in verify_lemma_tail(psi, p, t_grid, 200, cfg["seed"]):
+                    expected.append((fam, p, tval, emp, bnd, emp <= bnd))
+        assert rows == expected
+
+    def test_empty_family_list_rejected(self):
+        cfg = resolve_config("verify-lemma", None, {"n": 40, "trials": 10, "families": []})
+        with pytest.raises(ConfigError):
+            run_verify_lemma(cfg)
+
 
 class TestDeterminism:
     def test_byte_identical_rerun(self):
@@ -387,12 +409,17 @@ class TestCli:
     def test_zero_trials_rejected(self, tmp_path):
         self.assert_config_error(["verify-theorem", "--n", "32", "--trials", "0"], tmp_path)
         self.assert_config_error(["verify-lemma", "--n", "32", "--trials", "0"], tmp_path)
+        # fig1 wrote NaN means with exit 0; rank-ratio divided by zero
+        self.assert_config_error(["fig1", "--n", "32", "--trials", "0"], tmp_path)
+        self.assert_config_error(["rank-ratio", "--n", "32", "--trials", "0"], tmp_path)
+        self.assert_config_error(["verify-lemma", "--n", "32", "--r", "0"], tmp_path)
 
     def test_nonpositive_or_nan_lambda_rejected(self, tmp_path):
         for args in (
             ["fig1", "--n", "32", "--trials", "2", "--lam", "-1"],
             ["fig1", "--n", "32", "--trials", "2", "--lam", "0"],
             ["fig1", "--n", "32", "--trials", "2", "--lam", "nan"],
+            ["fig1", "--n", "32", "--trials", "2", "--lam", "inf"],
             ["verify-theorem", "--n", "32", "--trials", "2", "--lam", "-1", "--p", "10"],
             ["verify-theorem", "--n", "32", "--trials", "2", "--lam", "nan"],
         ):
@@ -412,6 +439,8 @@ class TestCli:
         (tmp_path / "toy.csv").write_text("\n".join(rows) + "\n")
         for args in (
             ["rank-ratio", "--n", "32", "--trials", "2", "--lambda-points", "0"],
+            ["rank-ratio", "--n", "32", "--trials", "2", "--lambda-lo", "0"],
+            ["rank-ratio", "--n", "32", "--trials", "2", "--lambda-hi", "nan"],
             ["cv", "--input", "toy.csv", "--lambda-points", "0"],
             ["cv", "--input", "toy.csv", "--lambda-min", "0"],
             ["cv", "--input", "toy.csv", "--lambda-min", "1", "--lambda-max", "0.1"],
@@ -439,6 +468,17 @@ class TestCli:
         self.assert_config_error([*rank_ratio, "--tol", "nan"], tmp_path)
         self.assert_config_error(["verify-lemma", "--n", "32", "--t-points", "0"], tmp_path)
         self.assert_config_error(["verify-lemma", "--n", "32", "--t-points", "-3"], tmp_path)
+
+    def test_nan_or_infinite_decay_rate_rejected(self, tmp_path):
+        # a NaN or infinite delta passed the old `rate <= 0.5` check: fig1
+        # and rates wrote NaN rows with exit 0 once sigma2 was given
+        for args, bad in (
+            (["fig1", "--n", "32", "--trials", "2", "--delta", "nan", "--sigma2", "0.1"], "nan"),
+            (["rank-ratio", "--delta", "nan"], "nan"),
+            (["fig1", "--n", "32", "--trials", "2", "--delta", "inf", "--sigma2", "0.1"], "inf"),
+            (["rates", "--delta", "inf", "--sigma2", "0.1"], "inf"),
+        ):
+            assert f"(got {bad})" in self.assert_config_error(args, tmp_path)
 
     def test_unknown_flag_fails_fast(self, tmp_path):
         res = self.run_cli("fig1", "--bogus", "1", cwd=tmp_path)

@@ -15,9 +15,11 @@ from nyridge.lowrank import (
     nested_factor,
     nystrom,
     pivoted_ichol,
+    prefix_errors,
     sample_columns,
     save_factor,
 )
+from nyridge.stats import Spectrum
 
 
 def random_psd(n, seed, cond_floor=1e-6):
@@ -363,6 +365,76 @@ class TestSharedCholeskyLoop:
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(nested_factor(K, order) - reference)) <= 1e-12 * scale
         assert np.max(np.abs(nested_factor(K, None) - reference)) <= 1e-12 * scale
+
+
+def nested_sweep_factors(n, rank, seed):
+    """A rank-deficient K with its two nested factors: a fixed random order,
+    whose columns past the rank collapse to zero, and the greedy one, which
+    stops at the numerical rank and so is shorter than a 1..n rank grid."""
+    K = low_rank_psd(n, min(rank, n), seed)
+    order = np.random.default_rng(seed).permutation(n)
+    return K, (nested_factor(K, order), nested_factor(K, None))
+
+
+class TestPrefixSweeps:
+    """One-factorization prefix sweeps against the per-rank reference paths."""
+
+    @FACTOR_SETTINGS
+    @given(log_lam=st.floats(-6, 0), sigma2=st.floats(0, 2), **instances)
+    def test_prefix_spectra_match_thin_svd(self, log_lam, sigma2, n, rank, seed):
+        K, factors = nested_sweep_factors(n, rank, seed)
+        z = np.random.default_rng(seed).normal(size=n)
+        lam = 10.0**log_lam * np.trace(K) / n
+        for phi in factors:
+            prefix = Spectrum.prefixes(phi, z)
+            for p in range(1, n + 1):
+                got, want = prefix(p), Spectrum.lowrank(phi[:, :p], z)
+                for a, b in zip(got.bias_variance(sigma2, lam), want.bias_variance(sigma2, lam)):
+                    assert a == pytest.approx(b, rel=1e-10, abs=1e-14)
+                for a, b in zip(got.dof(lam), want.dof(lam)):
+                    assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
+
+    @FACTOR_SETTINGS
+    @given(**instances)
+    def test_lanczos_operator_norms_match_dense(self, n, rank, seed):
+        K, factors = nested_sweep_factors(n, rank, seed)
+        tr = np.trace(K)
+        ranks = list(range(1, n + 1))
+        for phi in factors:
+            tr_errs, op_errs = prefix_errors(K, phi, ranks)
+            for p, tr_err, op_err in zip(ranks, tr_errs, op_errs):
+                want_tr = approx_error(K, phi[:, :p], "trace")
+                want_op = approx_error(K, phi[:, :p], "operator")
+                assert abs(tr_err - want_tr) <= 1e-12 * tr
+                if want_tr > 1e-10 * tr:
+                    assert abs(op_err - want_op) <= 1e-10 * want_op
+                else:
+                    assert abs(op_err - want_op) <= 1e-10 * tr
+
+    def test_reruns_identical_and_ranks_capped(self):
+        K, (_, greedy) = nested_sweep_factors(40, 12, 3)
+        assert greedy.shape[1] == 12
+        ranks = [1, 2, 5, 12, 20, 40]
+        first = prefix_errors(K, greedy, ranks)
+        again = prefix_errors(K, greedy, ranks)
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
+        capped = prefix_errors(K, greedy, [12])
+        assert first[0][-1] == first[0][3] == capped[0][0]
+        assert first[1][-1] == first[1][3] == capped[1][0]
+
+    def test_prefix_spectrum_is_not_read_as_circulant(self):
+        # basis None would mean a circulant K, where d_max = d_trace; a prefix
+        # spectrum keeps its eigenvectors Q_p W, formed only for the leverage
+        K, (random_order, _) = nested_sweep_factors(30, 30, 4)
+        z = np.random.default_rng(5).normal(size=30)
+        lam = 1e-3 * np.trace(K) / 30
+        spec = Spectrum.prefixes(random_order, z)(6)
+        assert spec.basis.shape == (6, 6) and spec.frame.shape == (30, 6)
+        d_max, d_trace, _ = spec.dof(lam)
+        assert d_max > 1.5 * d_trace
+        want = Spectrum.lowrank(random_order[:, :6], z).dof(lam)
+        assert d_max == pytest.approx(want[0], rel=1e-10)
 
 
 class TestNestedFactor:

@@ -7,12 +7,15 @@ run; this test makes such a deletion fail here instead.
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import nyridge
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -42,3 +45,16 @@ def test_every_traced_name_resolves():
 
 def test_every_exported_name_resolves():
     assert [name for name in nyridge.__all__ if not hasattr(nyridge, name)] == []
+
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    # the Lanczos solver is imported inside the operator-norm sweep only, so
+    # that every command's start-up skips it
+    env = dict(os.environ)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + inherited if inherited else "")
+    code = "import sys, nyridge.cli; print('scipy.sparse.linalg' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert res.stdout.strip() == "False"
