@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands mirror the experiment drivers: fig1, rates, rank-ratio,
-verify-theorem, verify-lemma, fit, cv. Configuration precedence is
-CLI flags > --config JSON file > built-in defaults. Exit codes: 0 success,
-2 configuration error, 3 numerical failure.
+One subcommand per experiment in ``experiments.CONFIG``, with one flag per
+config key. Configuration precedence is CLI flags > --config JSON file >
+built-in defaults. Exit codes: 0 success, 2 configuration error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,75 +13,45 @@ import json
 import sys
 
 from .errors import ConfigError, NumericalError
-from .experiments import EXPERIMENTS, resolve_config, run_experiment, write_csv
+from .experiments import CONFIG, Key, resolve_config, run_experiment, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# CLI flag name -> config key, argument type
-_COMMON_FLAGS = [("seed", int)]
-_FLAGS: dict[str, list[tuple[str, type]]] = {
-    "fig1": [("n", int), ("beta", int), ("delta", float), ("snr", float),
-             ("sigma2", float), ("trials", int), ("lam", float)],
-    "rates": [("beta", int), ("delta", float), ("snr", float), ("sigma2", float),
-              ("drop-smallest", int)],
-    "rank-ratio": [("n", int), ("beta", int), ("delta", float), ("snr", float),
-                   ("sigma2", float), ("trials", int), ("tol", float),
-                   ("lambda-points", int), ("lambda-lo", float), ("lambda-hi", float)],
-    "verify-theorem": [("n", int), ("beta", int), ("delta", float), ("snr", float),
-                       ("sigma2", float), ("slack", float), ("trials", int),
-                       ("lam", float), ("p", int)],
-    "verify-lemma": [("n", int), ("r", int), ("trials", int), ("t-points", int)],
-    "fit": [("input", str), ("n-column", str), ("value-column", str)],
-    "cv": [("input", str), ("target-column", str), ("folds", int),
-           ("lambda-points", int), ("lambda-min", float), ("lambda-max", float),
-           ("bandwidth", float), ("trace-rtol", float), ("n-cap", int)],
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per experiment, with one flag per config key (``_`` read as ``-``)."""
     parser = argparse.ArgumentParser(
         prog="nyridge",
         description="Column-sampled kernel ridge regression experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in EXPERIMENTS:
+    for cmd, keys in CONFIG.items():
         p = sub.add_parser(cmd, help=f"run the {cmd} experiment")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=f"{cmd}.csv", help="output CSV path")
-        for flag, typ in _COMMON_FLAGS + _FLAGS[cmd]:
-            p.add_argument(f"--{flag}", type=typ, default=None)
-    sub.choices["rates"].add_argument(
-        "--n-list", default=None, help="comma-separated sizes, e.g. 64,128,256,512,1024"
-    )
-    sub.choices["verify-lemma"].add_argument(
-        "--p-list", default=None, help="comma-separated ranks, e.g. 20,40,80"
-    )
+        for name, key in keys.items():
+            default = "" if key.default is None else f" (default {key.default})"
+            p.add_argument("--" + name.replace("_", "-"), help=key.help + default)
     return parser
 
 
-def _overrides_from_args(cmd: str, args: argparse.Namespace) -> dict:
-    over: dict = {}
-    for flag, _ in _COMMON_FLAGS + _FLAGS[cmd]:
-        key = flag.replace("-", "_")
-        val = getattr(args, key, None)
-        if val is not None:
-            over[key] = val
-    for key in ("n_list", "p_list"):
-        text = getattr(args, key, None)
-        if text:
-            over[key] = _int_list(key, text)
-    return over
+def _value(key: Key, text: str):
+    """Flag text as the JSON value it spells: a list for a list key, split at commas."""
+    if key.item is not None:
+        return [t if key.item is str else _number(t) for t in text.split(",") if t]
+    return text if key.kind is str else _number(text)
 
 
-def _int_list(key: str, text: str) -> list[int]:
-    """Comma-separated integers, or ConfigError."""
-    try:
-        return [int(t) for t in str(text).split(",") if t]
-    except ValueError:
-        flag = "--" + key.replace("_", "-")
-        raise ConfigError(f"{flag} needs comma-separated integers, got {text!r}") from None
+def _number(text: str):
+    """The int or float that ``text`` spells, else ``text`` itself."""
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
 
 
 def main(argv=None) -> int:
@@ -95,7 +65,12 @@ def main(argv=None) -> int:
                     file_cfg = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot load config {args.config}: {exc}") from exc
-        cfg = resolve_config(cmd, file_cfg, _overrides_from_args(cmd, args))
+        overrides = {
+            name: _value(key, getattr(args, name))
+            for name, key in CONFIG[cmd].items()
+            if getattr(args, name) is not None
+        }
+        cfg = resolve_config(cmd, file_cfg, overrides)
         meta, header, rows = run_experiment(cfg)
         write_csv(args.out, meta, header, rows)
     except ConfigError as exc:

@@ -1,10 +1,10 @@
 """Experiment drivers and deterministic CSV emission.
 
-Every driver takes a plain config dict (validated against per-experiment
-defaults), derives all randomness from the master seed through spawn keys,
-and returns (meta, header, rows). Rerunning with the same config yields
-byte-identical CSV: floats are written with shortest round-trip repr and
-rows are built in a fixed order.
+Every driver takes a plain config dict (checked against its experiment's
+keys in ``CONFIG``), derives all randomness from the master seed through
+spawn keys, and returns (meta, header, rows). Rerunning with the same
+config yields byte-identical CSV: floats are written with shortest
+round-trip repr and rows are built in a fixed order.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,103 +41,147 @@ from .synthetic import (
     signal_on_grid,
 )
 
-EXPERIMENTS = (
-    "fig1",
-    "rates",
-    "rank-ratio",
-    "verify-theorem",
-    "verify-lemma",
-    "fit",
-    "cv",
-)
 
-DEFAULTS: dict[str, dict] = {
-    "fig1": {
-        "n": 400,
-        "beta": 1,
-        "delta": 3.0,
-        "snr": 0.7,
-        "sigma2": None,  # derived from snr when absent
-        "trials": 10,
-        "lam": None,  # optimal lambda on the default grid when absent
-        "seed": 0,
-    },
-    "rates": {
-        "beta": 4,
-        "delta": 8.0,
-        "n_list": [64, 128, 256, 512, 1024, 2048, 4096],
-        "snr": 4.0,
-        "sigma2": None,
-        "drop_smallest": 2,
-        "seed": 0,
-    },
-    "rank-ratio": {
-        "n": 400,
-        "beta": 1,
-        "delta": 3.0,
-        "snr": 1.0,
-        "sigma2": None,
-        "trials": 10,
-        "tol": 0.01,
-        "lambda_points": 10,
-        "lambda_lo": 3e-3,  # times tr(K)/n
-        "lambda_hi": 4e-2,
-        "seed": 0,
-    },
-    "verify-theorem": {
-        "n": 400,
-        "beta": 1,
-        "delta": 3.0,
-        "snr": 0.7,
-        "sigma2": None,
-        "slack": 0.25,  # the bound's delta; error ratio must stay <= 1 + 4 slack
-        "trials": 50,
-        "lam": None,
-        "p": None,  # bound value capped at n when absent
-        "seed": 0,
-    },
-    "verify-lemma": {
-        "n": 200,
-        "r": 20,
-        "p_list": [20, 40, 80],
-        "trials": 10000,
-        "t_points": 10,
-        "families": ["gaussian", "decaying", "outlier"],
-        "seed": 0,
-    },
-    "fit": {
-        "input": None,
-        "n_column": "n",
-        "value_column": "value",
-        "seed": 0,
-    },
-    "cv": {
-        "input": None,
-        "target_column": "target",
-        "folds": 5,
-        "lambda_points": 20,
-        "lambda_min": 1e-8,
-        "lambda_max": 1.0,
-        "bandwidth": None,  # median-distance heuristic when absent
-        "trace_rtol": 1e-3,
-        "n_cap": 8192,
-        "seed": 0,
-    },
+class Key(NamedTuple):
+    """One config key: its default, type, bound (a ``BOUNDS`` name) and help line."""
+
+    default: object
+    kind: type  # int, float, str, list[int] or list[str]
+    bound: str
+    help: str
+
+    @property
+    def item(self) -> type | None:
+        """The element type of a list key, None for a scalar key."""
+        return getattr(self.kind, "__args__", (None,))[0]
+
+
+# bound name -> test; each is written so that NaN fails it
+BOUNDS = {
+    "": lambda x: True,
+    ">= 0": lambda x: x >= 0,
+    ">= 1": lambda x: x >= 1,
+    ">= 2": lambda x: x >= 2,
+    "> 0": lambda x: x > 0,
+    "> 0.5": lambda x: x > 0.5,
+    "in (0, 1)": lambda x: 0 < x < 1,
+}
+
+# keys that several experiments take: name -> (type, bound, help); each
+# experiment gives its own default
+_SHARED = {
+    "n": (int, ">= 1", "number of design points"),
+    "beta": (int, ">= 1", "kernel eigenvalue decay i^(-2 beta)"),
+    "delta": (float, "> 0.5", "signal coefficient decay i^(-2 delta)"),
+    "snr": (float, "> 0", "signal-to-noise ratio that sets sigma2 when sigma2 is absent"),
+    "sigma2": (float, ">= 0", "noise variance; derived from snr when absent"),
+    "trials": (int, ">= 1", "random draws averaged over"),
+    "lam": (float, "> 0", "ridge lambda; the optimal lambda on the default grid when absent"),
+    "lambda_points": (int, ">= 1", "points on the geometric lambda grid"),
+    "input": (str, "", "input CSV path (required)"),
+    "seed": (int, ">= 0", "master seed of every random draw"),
 }
 
 
+def _keys(**keys) -> dict[str, Key]:
+    """An experiment's keys: a shared key given by its default, any other as a Key."""
+    keys["seed"] = 0
+    return {name: k if isinstance(k, Key) else Key(k, *_SHARED[name]) for name, k in keys.items()}
+
+
+# experiment -> its config keys; the CLI flags are generated from this table
+CONFIG: dict[str, dict[str, Key]] = {
+    "fig1": _keys(n=400, beta=1, delta=3.0, snr=0.7, sigma2=None, trials=10, lam=None),
+    "rates": _keys(
+        beta=4, delta=8.0, snr=4.0, sigma2=None,
+        n_list=Key([64, 128, 256, 512, 1024, 2048, 4096], list[int], ">= 1", "grid sizes, at least 5"),
+        drop_smallest=Key(2, int, ">= 0", "smallest sizes left out of the exponent fits"),
+    ),
+    "rank-ratio": _keys(
+        n=400, beta=1, delta=3.0, snr=1.0, sigma2=None, trials=10, lambda_points=10,
+        tol=Key(0.01, float, "> 0", "relative excess error a sufficient rank must reach"),
+        lambda_lo=Key(3e-3, float, "> 0", "smallest lambda, times tr(K)/n"),
+        lambda_hi=Key(4e-2, float, "> 0", "largest lambda, times tr(K)/n"),
+    ),
+    "verify-theorem": _keys(
+        n=400, beta=1, delta=3.0, snr=0.7, sigma2=None, trials=50, lam=None,
+        slack=Key(0.25, float, "in (0, 1)", "the bound's delta; the error ratio must be <= 1 + 4 slack"),
+        p=Key(None, int, ">= 1", "rank; the theorem's bound capped at n when absent"),
+    ),
+    "verify-lemma": _keys(
+        n=200, trials=10000,
+        r=Key(20, int, ">= 1", "columns of each test matrix"),
+        p_list=Key([20, 40, 80], list[int], ">= 1", "subsample sizes"),
+        t_points=Key(10, int, ">= 1", "points on the deviation grid"),
+        families=Key(["gaussian", "decaying", "outlier"], list[str], "", "test matrix families"),
+    ),
+    "fit": _keys(
+        input=None,
+        n_column=Key("n", str, "", "column of sizes"),
+        value_column=Key("value", str, "", "column of values"),
+    ),
+    "cv": _keys(
+        input=None, lambda_points=20,
+        target_column=Key("target", str, "", "column of targets"),
+        folds=Key(5, int, ">= 2", "cross-validation folds"),
+        lambda_min=Key(1e-8, float, "> 0", "smallest lambda on the grid"),
+        lambda_max=Key(1.0, float, "> 0", "largest lambda on the grid"),
+        bandwidth=Key(None, float, "> 0", "Gaussian bandwidth; the median-distance rule when absent"),
+        trace_rtol=Key(1e-3, float, ">= 0", "relative trace error at which a fold's factor stops"),
+        n_cap=Key(8192, int, ">= 1", "rows kept, drawn at random from larger data"),
+    ),
+}
+
+_NOUNS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _checked(name: str, key: Key, value):
+    """``value`` as ``key``'s type if it is one and meets its bound, else ConfigError.
+
+    A bool is never a number, an int is stored as a float for a float key,
+    a float stands for an int only without a fractional part, floats must
+    be finite, and a list must be non-empty with every entry of its type.
+    """
+    if key.item is not None:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list (got {value!r})")
+        return [_checked(f"every {name} entry", key._replace(kind=key.item), v) for v in value]
+    kind = key.kind
+    if kind is str:
+        ok = isinstance(value, str)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        ok = False
+    elif kind is float:
+        value = math.inf if abs(value) > sys.float_info.max else float(value)
+        ok = math.isfinite(value)
+    else:
+        ok = isinstance(value, int) or value.is_integer()
+        value = int(value) if ok else value
+    if not ok:
+        raise ConfigError(f"{name} must be {_NOUNS[kind]} (got {value!r})")
+    if not BOUNDS[key.bound](value):
+        raise ConfigError(f"{name} must be {key.bound} (got {value!r})")
+    return value
+
+
 def resolve_config(experiment: str, file_cfg: dict | None = None, overrides: dict | None = None) -> dict:
-    """Merge defaults, config-file values, and CLI overrides (highest wins)."""
-    if experiment not in DEFAULTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-    cfg = dict(DEFAULTS[experiment])
-    for layer in (file_cfg or {}), (overrides or {}):
-        for key, val in layer.items():
-            if val is None:
-                continue
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r} for {experiment}")
-            cfg[key] = val
+    """Merge defaults, config-file values, and CLI overrides (highest wins).
+
+    Every value is checked against its key in ``CONFIG``; a None value keeps
+    the value of the layer below.
+    """
+    if experiment not in CONFIG:
+        raise ConfigError(f"unknown experiment {experiment!r}; choose from {tuple(CONFIG)}")
+    keys = CONFIG[experiment]
+    cfg = {name: key.default for name, key in keys.items()}
+    for layer in file_cfg, overrides:
+        if not isinstance(layer, (dict, type(None))):
+            raise ConfigError(f"a config file must hold a JSON object (got {layer!r})")
+        for name, value in (layer or {}).items():
+            if name not in keys:
+                raise ConfigError(f"unknown config key {name!r} for {experiment}")
+            if value is not None:
+                cfg[name] = _checked(name, keys[name], value)
     cfg["experiment"] = experiment
     return cfg
 
@@ -191,14 +237,6 @@ def _synthetic_problem(cfg: dict):
     return prob
 
 
-def _grid_points(cfg: dict, key: str) -> int:
-    """The configured number of grid points ``cfg[key]``, or ConfigError below 1."""
-    points = int(cfg[key])
-    if points < 1:
-        raise ConfigError(f"{key} must be >= 1, got {points}")
-    return points
-
-
 def _default_p_grid(n: int) -> list[int]:
     """Dense at low rank (where the crossings live), geometric above."""
     dense = range(1, min(64, n) + 1)
@@ -230,7 +268,7 @@ def run_fig1(cfg: dict):
     op_full = float(np.max(spec.eigs))
     ranks = _default_p_grid(prob.n)
 
-    sweeper = RankSweeper(prob, trials=int(cfg["trials"]), seed=cfg["seed"])
+    sweeper = RankSweeper(prob, trials=cfg["trials"], seed=cfg["seed"])
     curves = {}  # method -> (rel trace, rel operator, rel excess), each trials x ranks
     for method in ("random", "pivoted"):
         tr_errs, op_errs, excess = [], [], []
@@ -268,9 +306,9 @@ def run_rate_check(cfg: dict):
     fixed. Exponent fits drop the ``drop_smallest`` smallest sizes; fits are
     refused when the sweep saturates or sigma^2 = 0.
     """
-    n_list = sorted(int(n) for n in cfg["n_list"])
+    n_list = sorted(cfg["n_list"])
     if len(n_list) < 5:
-        raise ConfigError("rates needs at least 5 sizes in n_list")
+        raise ConfigError(f"rates needs at least 5 sizes in n_list (got {n_list!r})")
     spectrum = SpectrumSpec.polynomial(cfg["beta"], cfg["delta"])
     sigma2 = _sigma2(cfg, signal_on_grid(spectrum.nu, n_list[len(n_list) // 2]))
 
@@ -293,8 +331,7 @@ def run_rate_check(cfg: dict):
         )
 
     meta = _base_meta(cfg) + [("sigma2", repr(sigma2))]
-    drop = int(cfg["drop_smallest"])
-    fit_rows = rows[drop:]
+    fit_rows = rows[cfg["drop_smallest"] :]
     if sigma2 == 0.0:
         meta.append(("rate_fit", "refused: sigma2 = 0, lambda* pinned at grid minimum"))
     elif any_saturated:
@@ -322,20 +359,15 @@ def run_rate_check(cfg: dict):
 
 def run_rank_ratio(cfg: dict):
     """Sufficient rank over degrees of freedom across a lambda grid."""
-    points = _grid_points(cfg, "lambda_points")
-    lo, hi = float(cfg["lambda_lo"]), float(cfg["lambda_hi"])
-    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
-        raise ConfigError(f"rank-ratio needs finite lambda_lo, lambda_hi > 0, got {lo!r}, {hi!r}")
     prob = _synthetic_problem(cfg)
-    lams = prob.mean_diag * np.geomspace(lo, hi, points)
+    lams = prob.mean_diag * np.geomspace(cfg["lambda_lo"], cfg["lambda_hi"], cfg["lambda_points"])
     spec = problem_spectrum(prob)
-    sweeper = RankSweeper(prob, trials=int(cfg["trials"]), seed=cfg["seed"])
-    tol = float(cfg["tol"])
+    sweeper = RankSweeper(prob, trials=cfg["trials"], seed=cfg["seed"])
     rows = []
     for lam in lams:
         d_max, d_trace, d_ave = spec.dof(float(lam))
-        p_rand = sweeper.sufficient_rank(float(lam), "random", tol)
-        p_piv = sweeper.sufficient_rank(float(lam), "pivoted", tol)
+        p_rand = sweeper.sufficient_rank(float(lam), "random", cfg["tol"])
+        p_piv = sweeper.sufficient_rank(float(lam), "pivoted", cfg["tol"])
         rows.append(
             (
                 float(lam),
@@ -348,7 +380,7 @@ def run_rank_ratio(cfg: dict):
                 d_max / d_ave,
             )
         )
-    meta = _base_meta(cfg) + [("sigma2", repr(prob.sigma2)), ("tol", repr(tol))]
+    meta = _base_meta(cfg) + [("sigma2", repr(prob.sigma2)), ("tol", repr(cfg["tol"]))]
     header = [
         "lambda",
         "d_max",
@@ -368,18 +400,16 @@ def run_verify_theorem(cfg: dict):
     lam = cfg.get("lam")
     if lam is None:
         lam = optimal_lambda(prob).lambda_star
-    lam = float(lam)
-    slack = float(cfg["slack"])
     d_max, _, _ = problem_spectrum(prob).dof(lam)
     p = cfg.get("p")
     bound_p = None
     if p is None:
         try:
-            bound_p = theorem_rank_bound(d_max, slack, prob.n, prob.K.max_diag, lam)
+            bound_p = theorem_rank_bound(d_max, cfg["slack"], prob.n, prob.K.max_diag, lam)
             p = min(prob.n, bound_p)
         except VacuousBoundError:
             p = prob.n
-    check = verify_theorem(prob, lam, slack, int(p), int(cfg["trials"]), cfg["seed"])
+    check = verify_theorem(prob, lam, cfg["slack"], p, cfg["trials"], cfg["seed"])
     meta = _base_meta(cfg) + [
         ("lambda", repr(lam)),
         ("sigma2", repr(prob.sigma2)),
@@ -436,23 +466,17 @@ def lemma_family(name: str, n: int, r: int, seed) -> np.ndarray:
 
 def run_verify_lemma(cfg: dict):
     """Monte-Carlo tail probabilities against the concentration bound."""
-    n, r = int(cfg["n"]), int(cfg["r"])
-    trials = int(cfg["trials"])
-    t_points = _grid_points(cfg, "t_points")
-    families = list(cfg["families"])
-    if not families:
-        raise ConfigError("verify-lemma needs at least one family")
-    psis = [lemma_family(fam, n, r, cfg["seed"]) for fam in families]
+    n, families = cfg["n"], cfg["families"]
+    psis = [lemma_family(fam, n, cfg["r"], cfg["seed"]) for fam in families]
     # one subset draw per (p, trial), shared by every family
-    devs = {int(p): lemma_deviations(psis, int(p), trials, cfg["seed"]) for p in cfg["p_list"]}
+    devs = {p: lemma_deviations(psis, p, cfg["trials"], cfg["seed"]) for p in cfg["p_list"]}
     rows = []
     for f, (fam, psi) in enumerate(zip(families, psis)):
         lam_max = float(np.linalg.eigvalsh(psi.T @ psi / n)[-1])
-        t_grid = lam_max * np.geomspace(0.05, 1.0, t_points)
+        t_grid = lam_max * np.geomspace(0.05, 1.0, cfg["t_points"])
         for p in cfg["p_list"]:
-            table = lemma_tail(psi, int(p), t_grid, devs[int(p)][f])
-            for tval, emp, bnd in table:
-                rows.append((fam, int(p), tval, emp, bnd, emp <= bnd))
+            for tval, emp, bnd in lemma_tail(psi, p, t_grid, devs[p][f]):
+                rows.append((fam, p, tval, emp, bnd, emp <= bnd))
     meta = _base_meta(cfg)
     header = ["family", "p", "t", "empirical_prob", "bound", "within_bound"]
     return meta, header, rows
@@ -483,26 +507,25 @@ def run_cv(cfg: dict):
         raise ConfigError("cv needs input=<csv path>")
     data = load_dataset(cfg["input"], target_column=cfg["target_column"])
     rng = _rng_for(cfg["seed"], 0)
-    if data.n > int(cfg["n_cap"]):
-        keep = np.sort(rng.choice(data.n, size=int(cfg["n_cap"]), replace=False))
+    if data.n > cfg["n_cap"]:
+        keep = np.sort(rng.choice(data.n, size=cfg["n_cap"], replace=False))
         data.features = data.features[keep]
         data.targets = data.targets[keep]
     bandwidth = cfg.get("bandwidth")
     if bandwidth is None:
-        bandwidth = median_distance_bandwidth(data.features, seed=int(cfg["seed"]))
+        bandwidth = median_distance_bandwidth(data.features, seed=cfg["seed"])
     spec = KernelSpec.gaussian(float(bandwidth))
-    points = _grid_points(cfg, "lambda_points")
-    lo, hi = float(cfg["lambda_min"]), float(cfg["lambda_max"])
-    if not 0.0 < lo <= hi < math.inf:
-        raise ConfigError(f"cv needs 0 < lambda_min <= lambda_max < inf, got {lo!r}, {hi!r}")
-    grid = np.geomspace(lo, hi, points)
+    lo, hi = cfg["lambda_min"], cfg["lambda_max"]
+    if not lo <= hi:
+        raise ConfigError(f"cv needs lambda_min <= lambda_max (got {lo!r}, {hi!r})")
+    grid = np.geomspace(lo, hi, cfg["lambda_points"])
     result = cross_validate_lambda(
         data,
         spec,
         grid,
-        folds=int(cfg["folds"]),
+        folds=cfg["folds"],
         seed=_rng_for(cfg["seed"], 1),
-        trace_rtol=float(cfg["trace_rtol"]),
+        trace_rtol=cfg["trace_rtol"],
     )
     meta = _base_meta(cfg) + [
         ("bandwidth", repr(float(bandwidth))),

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,10 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nyridge
+from nyridge import cli
 from nyridge.errors import ConfigError, NumericalError
 from nyridge.experiments import (
+    CONFIG,
     config_hash,
     lemma_family,
     render_csv,
@@ -59,6 +64,123 @@ class TestConfig:
         c = resolve_config("fig1", None, {"n": 65})
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
+
+
+# Each bad value is given once, by --config file or by flag, with the key the
+# message must name (None where the file itself is not a JSON object).
+BAD_CONFIGS = [
+    (["fig1"], {"n": "abc"}, "n"),
+    (["fig1"], {"n": 100.5}, "n"),
+    (["fig1"], {"snr": "high"}, "snr"),
+    (["rates"], {"n_list": "64,128,256,512,1024"}, "n_list"),
+    (["fig1"], [1, 2], None),
+    (["fig1"], "x", None),
+    (["fig1"], 3, None),
+    (["cv", "--n-cap", "-3"], None, "n_cap"),
+    (["fig1", "--seed", "-1"], None, "seed"),
+    (["fig1"], {"trials": True}, "trials"),
+    (["cv"], {"folds": 2.5}, "folds"),
+    (["cv"], {"lambda_points": 3.7}, "lambda_points"),
+    (["fig1"], {"seed": "x"}, "seed"),
+    (["rates", "--drop-smallest", "-1"], None, "drop_smallest"),
+    (["verify-lemma"], {"families": "gaussian"}, "families"),
+    (["verify-lemma"], {"p_list": "20"}, "p_list"),
+    (["cv"], {"input": 5}, "input"),
+    (["cv"], {"lambda_max": math.inf}, "lambda_max"),
+    (["verify-theorem", "--n", "32", "--trials", "2", "--slack", "nan"], None, "slack"),
+]
+
+CONFIG_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+# small numbers and known names, so that a fair share of draws is valid
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2, 50), st.floats(), st.floats(-1, 2),
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.text(max_size=6),
+    st.sampled_from(["gaussian", "outlier"]),
+)
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.lists(JSON_SCALARS, max_size=4),
+    st.lists(st.integers(0, 50), max_size=4),
+    st.lists(st.sampled_from(["gaussian", "outlier", "x"]), max_size=3),
+    st.lists(st.lists(JSON_SCALARS, max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2),
+)
+
+def meets(bound: str, x) -> bool:
+    """The bound text read independently of ``experiments.BOUNDS``."""
+    if bound == "in (0, 1)":
+        return 0 < x < 1
+    if not bound:
+        return True
+    op, limit = bound.split()
+    return {">=": x >= float(limit), ">": x > float(limit)}[op]
+
+
+def conforms(value, key) -> bool:
+    if value is None:
+        return key.default is None
+    if key.item is not None:
+        entry = key._replace(kind=key.item)
+        return type(value) is list and value != [] and all(conforms(v, entry) for v in value)
+    if type(value) is not key.kind or (key.kind is float and not math.isfinite(value)):
+        return False
+    return key.kind is str or meets(key.bound, value)
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("argv,file_cfg,key", BAD_CONFIGS)
+    def test_bad_value_exits_2_naming_its_key(self, argv, file_cfg, key, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if file_cfg is not None:
+            (tmp_path / "c.json").write_text(json.dumps(file_cfg))
+            argv = [*argv, "--config", "c.json"]
+        assert cli.main([*argv, "--out", "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert f"{key} must be" in err if key else "must hold a JSON object" in err
+        assert err.rstrip().endswith(")") and "(got " in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_hash_does_not_depend_on_where_a_value_came_from(self, tmp_path, monkeypatch):
+        # an int for a float key is stored as a float, so --delta 8 and a
+        # file's "delta": 8 record the same config
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"delta": 8}))
+        sizes = ["--n-list", "16,24,32,48,64"]
+        assert cli.main(["rates", *sizes, "--delta", "8", "--out", "flag.csv"]) == 0
+        assert cli.main(["rates", *sizes, "--config", "c.json", "--out", "file.csv"]) == 0
+        assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+        assert '"delta": 8.0' in (tmp_path / "file.csv").read_text()
+
+    def test_every_key_has_a_flag(self):
+        parser = cli.build_parser()
+        for cmd, keys in CONFIG.items():
+            for name in keys:
+                args = parser.parse_args([cmd, "--" + name.replace("_", "-"), "7"])
+                assert getattr(args, name) == "7"
+
+    def test_families_flag(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify-lemma", "--n", "40", "--r", "4", "--trials", "20", "--p-list", "8"]
+        assert cli.main([*argv, "--families", "outlier,gaussian", "--out", "vl.csv"]) == 0
+        rows = (tmp_path / "vl.csv").read_text().splitlines()[-20:]
+        assert [r.split(",")[0] for r in rows[::10]] == ["outlier", "gaussian"]
+
+    @pytest.mark.parametrize(
+        "experiment,name", [(e, name) for e, keys in CONFIG.items() for name in keys]
+    )
+    @CONFIG_SETTINGS
+    @given(value=JSON_VALUES)
+    def test_resolve_returns_typed_values_or_config_error(self, experiment, name, value):
+        try:
+            cfg = resolve_config(experiment, {name: value})
+        except ConfigError:
+            return
+        keys = CONFIG[experiment]
+        assert all(conforms(cfg[k], key) for k, key in keys.items())
+        if value is not None:  # an int for a float key is rounded to a float
+            assert cfg[name] == (float(value) if keys[name].kind is float else value)
 
 
 class TestCsv:
@@ -238,9 +360,9 @@ class TestVerifyLemma:
         assert rows == expected
 
     def test_empty_family_list_rejected(self):
-        cfg = resolve_config("verify-lemma", None, {"n": 40, "trials": 10, "families": []})
-        with pytest.raises(ConfigError):
-            run_verify_lemma(cfg)
+        # the config table rejects the empty list before the runner is reached
+        with pytest.raises(ConfigError, match="families"):
+            run_verify_lemma(resolve_config("verify-lemma", None, {"n": 40, "families": []}))
 
 
 class TestDeterminism:
