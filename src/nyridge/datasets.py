@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvio
 from .errors import (
     ConfigError,
     DataError,
@@ -50,15 +51,16 @@ def load_dataset(
 ) -> Dataset:
     """Read a numeric CSV with a header row into a Dataset.
 
-    Features are standardized per column (zero mean, unit variance) and the
-    target centered; zero-variance feature columns are dropped with a
-    warning. Row order is the file order. Parse failures, missing values,
+    ``#`` comment lines (the metadata of the CSVs nyridge writes) are
+    skipped. Features are standardized per column (zero mean, unit
+    variance) and the target centered; zero-variance feature columns are
+    dropped with a warning. Row order is the file order. Parse failures, missing values,
     and non-numeric cells (non-finite ones such as ``inf`` or ``1e999``
     included) raise distinct error types.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(line for line in fh if not csvio.is_comment(line))
             rows = [row for row in reader if row and any(c.strip() for c in row)]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
@@ -142,7 +144,6 @@ def cross_validate_lambda(
     folds: int = 5,
     seed=0,
     trace_rtol: float = 1e-3,
-    max_rank: int | None = None,
 ) -> CVResult:
     """Pick lambda by k-fold CV of low-rank kernel ridge regression.
 
@@ -186,7 +187,7 @@ def cross_validate_lambda(
         factor = pivoted_ichol(
             oracle,
             diag,
-            max_rank=max_rank or ntr,
+            max_rank=ntr,
             trace_tol=trace_rtol * float(np.sum(diag)),
         )
         ranks.append(factor.rank)
@@ -212,11 +213,7 @@ def cross_validate_lambda(
 def write_dataset_csv(path, features, targets, feature_names=None, target_name="target"):
     """Write a feature/target table; inverse of load_dataset(standardize=False)."""
     X = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
     if feature_names is None:
         feature_names = [f"x{i}" for i in range(X.shape[1])]
-    lines = [",".join([*feature_names, target_name])]
-    for row, t in zip(X, y):
-        lines.append(",".join([repr(float(v)) for v in row] + [repr(float(t))]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = np.column_stack([X, np.asarray(targets, dtype=float)])
+    csvio.write(path, [], [*feature_names, target_name], rows)

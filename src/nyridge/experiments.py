@@ -3,8 +3,8 @@
 Every driver takes a plain config dict (checked against its experiment's
 keys in ``CONFIG``), derives all randomness from the master seed through
 spawn keys, and returns (meta, header, rows). Rerunning with the same
-config yields byte-identical CSV: floats are written with shortest
-round-trip repr and rows are built in a fixed order.
+config yields byte-identical CSV: :mod:`nyridge.csvio` fixes the format
+and rows are built in a fixed order.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import csvio
 from .datasets import cross_validate_lambda, load_dataset
 from .errors import ConfigError, VacuousBoundError
 from .kernels import KernelSpec, median_distance_bandwidth
@@ -191,34 +192,22 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def render_csv(meta: list[tuple[str, str]], header: list[str], rows: list[tuple]) -> str:
-    lines = [f"# {key}={val}" for key, val in meta]
-    lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def render_csv(meta: list[tuple[str, object]], header: list[str], rows: list[tuple]) -> str:
+    """The experiment CSV text; NumericalError naming the key or column of a non-finite float."""
+    return csvio.render(meta, header, rows)
 
 
 def write_csv(path, meta, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_csv(meta, header, rows))
+    """Write :func:`render_csv`'s text; no file is written when a value is rejected."""
+    csvio.write(path, meta, header, rows)
 
 
-def _base_meta(cfg: dict) -> list[tuple[str, str]]:
+def _base_meta(cfg: dict) -> list[tuple[str, object]]:
     return [
         ("experiment", cfg["experiment"]),
         ("config", json.dumps(cfg, sort_keys=True, default=str)),
         ("config_hash", config_hash(cfg)),
-        ("seed", str(cfg.get("seed", 0))),
+        ("seed", cfg.get("seed", 0)),
     ]
 
 
@@ -286,10 +275,10 @@ def run_fig1(cfg: dict):
         for method, (tr, op, ex) in curves.items()
     ]
     meta = _base_meta(cfg) + [
-        ("lambda", repr(float(lam))),
+        ("lambda", float(lam)),
         ("lambda_source", "config" if cfg.get("lam") is not None else "optimal-on-default-grid"),
-        ("sigma2", repr(prob.sigma2)),
-        ("err_full", repr(err_full)),
+        ("sigma2", prob.sigma2),
+        ("err_full", err_full),
     ]
     header = ["p", "rel_trace_err", "rel_op_err", "rel_pred_excess", "method"]
     return meta, header, rows
@@ -319,18 +308,9 @@ def run_rate_check(cfg: dict):
         choice = optimal_lambda(prob)
         d_max, d_trace, d_ave = problem_spectrum(prob).dof(choice.lambda_star)
         any_saturated |= choice.saturated
-        rows.append(
-            (
-                n,
-                choice.lambda_star,
-                choice.error_star,
-                d_ave,
-                d_max,
-                choice.saturated,
-            )
-        )
+        rows.append((n, choice.lambda_star, choice.error_star, d_ave, d_max, choice.saturated))
 
-    meta = _base_meta(cfg) + [("sigma2", repr(sigma2))]
+    meta = _base_meta(cfg) + [("sigma2", sigma2)]
     fit_rows = rows[cfg["drop_smallest"] :]
     if sigma2 == 0.0:
         meta.append(("rate_fit", "refused: sigma2 = 0, lambda* pinned at grid minimum"))
@@ -343,12 +323,12 @@ def run_rate_check(cfg: dict):
         err_fit = fit_rate([(r[0], r[2]) for r in fit_rows])
         dav_fit = fit_rate([(r[0], r[3]) for r in fit_rows])
         meta += [
-            ("lambda_exponent", repr(lam_fit.exponent)),
-            ("lambda_fit_r2", repr(lam_fit.r_squared)),
-            ("error_exponent", repr(err_fit.exponent)),
-            ("error_fit_r2", repr(err_fit.r_squared)),
-            ("dave_exponent", repr(dav_fit.exponent)),
-            ("dave_fit_r2", repr(dav_fit.r_squared)),
+            ("lambda_exponent", lam_fit.exponent),
+            ("lambda_fit_r2", lam_fit.r_squared),
+            ("error_exponent", err_fit.exponent),
+            ("error_fit_r2", err_fit.r_squared),
+            ("dave_exponent", dav_fit.exponent),
+            ("dave_fit_r2", dav_fit.r_squared),
         ]
     if any_saturated:
         first = next(r[0] for r in rows if r[5])
@@ -366,31 +346,15 @@ def run_rank_ratio(cfg: dict):
     rows = []
     for lam in lams:
         d_max, d_trace, d_ave = spec.dof(float(lam))
+        if not d_ave > 0:  # d_max >= d_ave
+            raise ConfigError(f"lambda={float(lam)!r} leaves no degrees of freedom; lower lambda_hi")
         p_rand = sweeper.sufficient_rank(float(lam), "random", cfg["tol"])
         p_piv = sweeper.sufficient_rank(float(lam), "pivoted", cfg["tol"])
-        rows.append(
-            (
-                float(lam),
-                d_max,
-                d_ave,
-                p_rand,
-                p_piv,
-                p_rand / d_max,
-                p_piv / d_max,
-                d_max / d_ave,
-            )
-        )
-    meta = _base_meta(cfg) + [("sigma2", repr(prob.sigma2)), ("tol", repr(cfg["tol"]))]
-    header = [
-        "lambda",
-        "d_max",
-        "d_ave",
-        "p_star_random",
-        "p_star_pivoted",
-        "ratio_random",
-        "ratio_pivoted",
-        "dmax_over_dave",
-    ]
+        ratios = (p_rand / d_max, p_piv / d_max, d_max / d_ave)
+        rows.append((float(lam), d_max, d_ave, p_rand, p_piv, *ratios))
+    meta = _base_meta(cfg) + [("sigma2", prob.sigma2), ("tol", cfg["tol"])]
+    header = ["lambda", "d_max", "d_ave", "p_star_random", "p_star_pivoted"]
+    header += ["ratio_random", "ratio_pivoted", "dmax_over_dave"]
     return meta, header, rows
 
 
@@ -411,33 +375,14 @@ def run_verify_theorem(cfg: dict):
             p = prob.n
     check = verify_theorem(prob, lam, cfg["slack"], p, cfg["trials"], cfg["seed"])
     meta = _base_meta(cfg) + [
-        ("lambda", repr(lam)),
-        ("sigma2", repr(prob.sigma2)),
-        ("d_max", repr(d_max)),
-        ("bound_p", str(bound_p) if bound_p is not None else "n/a"),
+        ("lambda", lam),
+        ("sigma2", prob.sigma2),
+        ("d_max", d_max),
+        ("bound_p", "n/a" if bound_p is None else bound_p),
     ]
-    header = [
-        "p",
-        "trials",
-        "ratio_mean",
-        "bound",
-        "holds",
-        "high_prob_threshold",
-        "frac_above_threshold",
-        "high_prob_bound",
-    ]
-    rows = [
-        (
-            check.p,
-            check.trials,
-            check.ratio_mean,
-            check.bound,
-            check.holds,
-            check.high_prob_threshold,
-            check.frac_above_threshold,
-            check.high_prob_bound,
-        )
-    ]
+    header = ["p", "trials", "ratio_mean", "bound", "holds", "high_prob_threshold"]
+    header += ["frac_above_threshold", "high_prob_bound"]
+    rows = [tuple(getattr(check, name) for name in header)]
     return meta, header, rows
 
 
@@ -528,9 +473,9 @@ def run_cv(cfg: dict):
         trace_rtol=cfg["trace_rtol"],
     )
     meta = _base_meta(cfg) + [
-        ("bandwidth", repr(float(bandwidth))),
-        ("lambda_star", repr(result.lambda_star)),
-        ("ranks", ";".join(str(r) for r in result.ranks)),
+        ("bandwidth", float(bandwidth)),
+        ("lambda_star", result.lambda_star),
+        ("ranks", result.ranks),
     ]
     header = ["lambda", "cv_error", "is_best"]
     rows = [

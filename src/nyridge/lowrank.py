@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
+from . import csvio
 from .errors import ConfigError, NumericalError, ParseError
 from .kernels import KernelMatrix, KernelSpec, cross_gram
 
@@ -227,13 +228,13 @@ def pivoted_ichol(
     )
 
 
-def nested_factor(K, order: Sequence[int] | None, rel_tol: float = PINV_RTOL) -> np.ndarray:
+def nested_factor(K, order: Sequence[int] | None) -> np.ndarray:
     """Cholesky factor whose every prefix is a factor of its own pivots.
 
     Column k of the result depends only on the first k+1 pivots, so every
     prefix phi[:, :p] is itself a factor of the column approximation built
     from them. With a fixed ``order``, columns whose residual diagonal has
-    collapsed below ``rel_tol * max(diag)`` are left at zero (the
+    collapsed below ``PINV_RTOL * max(diag)`` are left at zero (the
     pseudo-inverse drops them too, so prefixes still match ``nystrom`` on
     the same index set). With ``order`` None the pivots are greedy, as in
     ``pivoted_ichol``, and the factor ends where the largest residual
@@ -242,7 +243,7 @@ def nested_factor(K, order: Sequence[int] | None, rel_tol: float = PINV_RTOL) ->
     A = np.asarray(K, dtype=float)
     diag = np.diag(A)
     pmax = A.shape[0] if order is None else len(order)
-    floor = rel_tol * float(np.max(diag))
+    floor = PINV_RTOL * float(np.max(diag))
     return _cholesky_rows(make_column_oracle(A), diag, pmax, order=order, floor=floor)[0].T
 
 
@@ -324,71 +325,42 @@ def prefix_errors(K, phi, ranks) -> tuple[np.ndarray, np.ndarray]:
 
 
 FACTOR_FORMAT_VERSION = 1
+FACTOR_META = {"n": int, "p": int, "method": str, "indices": list[int], "trail": list[float]}
 
 
 def save_factor(path, factor: LowRankFactor) -> None:
-    """Write a factor as CSV: metadata comments, then Phi rows (row-major).
+    """Write a factor as a ``nyridge-factor v1`` CSV (see :mod:`nyridge.csvio`).
 
-    Layout: ``# n=..``, ``# p=..``, ``# method=..``, ``# indices=i0;i1;...``,
-    optional ``# trail=t0;t1;...``, then one comma-separated row of Phi per
-    line using shortest round-trip float formatting.
+    Metadata ``n``, ``p``, ``method``, ``indices`` and optional ``trail``,
+    then the p rows of the whitener and the n rows of Phi.
     """
-    lines = [
-        f"# nyridge-factor v{FACTOR_FORMAT_VERSION}",
-        f"# n={factor.n}",
-        f"# p={factor.rank}",
-        f"# method={factor.selection.method}",
-        "# indices=" + ";".join(str(int(i)) for i in factor.selection.indices),
+    meta = [
+        ("n", factor.n),
+        ("p", factor.rank),
+        ("method", factor.selection.method),
+        ("indices", factor.selection.indices),
     ]
     if factor.trace_residual_trail is not None:
-        lines.append("# trail=" + ";".join(repr(float(t)) for t in factor.trace_residual_trail))
-    lines.append("# whitener rows, then phi rows")
-    for row in factor.whitener:
-        lines.append(",".join(repr(float(v)) for v in row))
-    for row in factor.phi:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        meta.append(("trail", factor.trace_residual_trail))
+    meta.append("whitener rows, then phi rows")
+    rows = [*factor.whitener, *factor.phi]
+    csvio.write(path, meta, None, rows, version=("factor", FACTOR_FORMAT_VERSION))
 
 
 def load_factor(path) -> LowRankFactor:
     """Inverse of :func:`save_factor`; bit-exact round trip.
 
-    A missing or wrong version header, missing ``n``/``p``/``indices``
-    metadata, unparsable numbers, ragged rows, or matrix shapes that do not
-    match ``n`` and ``p`` raise ParseError.
+    Besides the format's own checks (:func:`nyridge.csvio.read`), a missing
+    ``n``/``p``/``indices``, or matrix shapes, indices or a trail that do
+    not match ``n`` and ``p`` raise ParseError.
     """
-    header = f"# nyridge-factor v{FACTOR_FORMAT_VERSION}"
-    meta: dict[str, str] = {}
-    rows: list[list[float]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in map(str.strip, fh) if line]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read factor file {path}: {exc}") from exc
-    if not lines or lines[0] != header:
-        raise ParseError(f"{path}: not a factor file, first line must be {header!r}")
-    try:
-        for line in lines[1:]:
-            if line.startswith("#"):
-                key, sep, val = line[1:].partition("=")
-                if sep:
-                    meta[key.strip()] = val
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-        missing = [key for key in ("n", "p", "indices") if key not in meta]
-        if missing:
-            raise ParseError(f"{path}: missing metadata {missing}")
-        n, p = int(meta["n"]), int(meta["p"])
-        indices = np.array([int(t) for t in meta["indices"].split(";")])
-        trail = None
-        if "trail" in meta:
-            trail = np.array([float(t) for t in meta["trail"].split(";")])
-    except ValueError as exc:
-        raise ParseError(f"{path}: malformed factor file: {exc}") from None
+    meta, rows = csvio.read(
+        path, ("factor", FACTOR_FORMAT_VERSION), FACTOR_META, required=("n", "p", "indices")
+    )
+    n, p, indices, trail = meta["n"], meta["p"], meta["indices"], meta.get("trail")
     if len(rows) != n + p:
         raise ParseError(f"{path}: expected {n + p} matrix rows, found {len(rows)}")
-    if any(len(row) != p for row in rows):
+    if rows.shape[1] != p:
         raise ParseError(f"{path}: every whitener and phi row needs {p} values")
     if indices.size != p or (trail is not None and trail.size != p):
         raise ParseError(f"{path}: indices and trail need {p} entries")
@@ -397,10 +369,7 @@ def load_factor(path) -> LowRankFactor:
     except ConfigError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return LowRankFactor(
-        phi=np.array(rows[p:]),
-        selection=selection,
-        whitener=np.array(rows[:p]),
-        trace_residual_trail=trail,
+        phi=rows[p:], selection=selection, whitener=rows[:p], trace_residual_trail=trail
     )
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
+from . import csvio
 from .errors import ConfigError, DataError, NumericalError, ParseError
 from .kernels import KernelSpec, cross_gram
 from .lowrank import LowRankFactor, feature_matrix
@@ -204,60 +205,32 @@ def predict(
 
 FIT_FORMAT_VERSION = 1
 FIT_MODES = ("exact", "lowrank")
+FIT_META = {"mode": str, "lambda": float, "loss": str, "indices": list[int]}
 
 
 def save_fit(path, fit: RidgeFit) -> None:
-    """CSV serialization: mode, lambda, loss, coefficients, indices."""
-    lines = [
-        f"# nyridge-fit v{FIT_FORMAT_VERSION}",
-        f"# mode={fit.mode}",
-        f"# lambda={float(fit.lam)!r}",
-        f"# loss={fit.loss}",
-    ]
+    """Write a ``nyridge-fit v1`` CSV: mode, lambda, loss, indices, then a coef column."""
+    meta = [("mode", fit.mode), ("lambda", float(fit.lam)), ("loss", fit.loss)]
     if fit.indices is not None:
-        lines.append("# indices=" + ";".join(str(int(i)) for i in fit.indices))
-    lines.append("coef")
-    lines.extend(repr(float(c)) for c in fit.coef)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        meta.append(("indices", fit.indices))
+    rows = [(c,) for c in fit.coef]
+    csvio.write(path, meta, ["coef"], rows, version=("fit", FIT_FORMAT_VERSION))
 
 
 def load_fit(path) -> RidgeFit:
     """Inverse of :func:`save_fit`.
 
-    A missing or wrong version header, missing ``mode``/``lambda``/``loss``
-    metadata, a mode other than exact or lowrank, or unparsable numbers
-    raise ParseError.
+    Besides the format's own checks (:func:`nyridge.csvio.read`), a missing
+    ``mode``/``lambda``/``loss``, a mode other than exact or lowrank, a
+    lambda that is not > 0 or a loss not in ``LOSSES`` raise ParseError.
     """
-    header = f"# nyridge-fit v{FIT_FORMAT_VERSION}"
-    meta: dict[str, str] = {}
-    coefs: list[float] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in map(str.strip, fh) if line]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read fit file {path}: {exc}") from exc
-    if not lines or lines[0] != header:
-        raise ParseError(f"{path}: not a fit file, first line must be {header!r}")
-    try:
-        for line in lines[1:]:
-            if line.startswith("#"):
-                key, sep, val = line[1:].partition("=")
-                if sep:
-                    meta[key.strip()] = val
-            elif line != "coef":
-                coefs.append(float(line))
-        missing = [key for key in ("mode", "lambda", "loss") if key not in meta]
-        if missing:
-            raise ParseError(f"{path}: missing metadata {missing}")
-        lam = float(meta["lambda"])
-        indices = None
-        if "indices" in meta:
-            indices = np.array([int(t) for t in meta["indices"].split(";")])
-    except ValueError as exc:
-        raise ParseError(f"{path}: malformed fit file: {exc}") from None
+    required = ("mode", "lambda", "loss")
+    version = ("fit", FIT_FORMAT_VERSION)
+    meta, rows = csvio.read(path, version, FIT_META, required=required, header=["coef"])
     if meta["mode"] not in FIT_MODES:
         raise ParseError(f"{path}: mode must be one of {FIT_MODES}, got {meta['mode']!r}")
-    return RidgeFit(
-        mode=meta["mode"], lam=lam, loss=meta["loss"], coef=np.array(coefs), indices=indices
-    )
+    if not meta["lambda"] > 0:
+        raise ParseError(f"{path}: lambda must be > 0, got {meta['lambda']!r}")
+    if meta["loss"] not in LOSSES:
+        raise ParseError(f"{path}: loss must be one of {LOSSES}, got {meta['loss']!r}")
+    return RidgeFit(meta["mode"], meta["lambda"], meta["loss"], rows[:, 0], meta.get("indices"))

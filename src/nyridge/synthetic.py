@@ -23,6 +23,7 @@ import numpy as np
 from scipy.linalg import circulant
 from scipy.special import zeta as hurwitz_zeta
 
+from . import csvio
 from .errors import ConfigError
 from .kernels import (
     SUPPORTED_BETAS,
@@ -157,12 +158,11 @@ def _residue_fold(law: DecayLaw, scale: float, n: int) -> np.ndarray:
     return out
 
 
-def eig_circulant(mu: DecayLaw, n: int, tail_tol: float = 1e-12) -> np.ndarray:
+def eig_circulant(mu: DecayLaw, n: int) -> np.ndarray:
     """Exact eigenvalues of the grid kernel matrix, in frequency order.
 
     eig_r = n (a_r + a_{(n-r) mod n}) where a is the residue fold of mu;
-    wrap-around tails are closed forms (Hurwitz zeta / geometric series), so
-    ``tail_tol`` is honored trivially.
+    wrap-around tails are closed forms (Hurwitz zeta / geometric series).
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -270,16 +270,13 @@ def sigma2_for_snr(z, snr: float) -> float:
     """Noise variance giving signal power / noise power = snr^2."""
     if not snr > 0:
         raise ConfigError(f"snr must be > 0 (got {snr!r})")
-    return float(np.mean(np.square(z))) / (snr * snr)
+    snr2 = snr * snr  # an underflow to 0 means a sigma2 too large to represent
+    return float(np.mean(np.square(z))) / snr2 if snr2 > 0 else inf
 
 
 def save_problem(problem: FixedDesignProblem, csv_path) -> None:
     """points,z as CSV plus a JSON metadata sidecar ``<csv_path>.meta.json``."""
-    lines = ["point,z"]
-    for x, v in zip(problem.points, problem.z):
-        lines.append(f"{float(x)!r},{float(v)!r}")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    csvio.write(csv_path, [], ["point", "z"], zip(problem.points, problem.z))
     meta = {"sigma2": problem.sigma2, "n": problem.n}
     if problem.spectrum is not None:
         meta["mu"] = {"kind": problem.spectrum.mu.kind, "rate": problem.spectrum.mu.rate}

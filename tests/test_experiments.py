@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import nyridge
 from nyridge import cli
+from nyridge.datasets import write_dataset_csv
 from nyridge.errors import ConfigError, NumericalError
 from nyridge.experiments import (
     CONFIG,
@@ -90,6 +91,16 @@ BAD_CONFIGS = [
     (["verify-theorem", "--n", "32", "--trials", "2", "--slack", "nan"], None, "slack"),
 ]
 
+# Runs whose config is valid but whose numbers are not: each must exit 2 or
+# 3 with the given message and write no CSV. The first two once wrote NaN
+# CSVs with exit 0, the last two ended in ZeroDivisionError tracebacks.
+BAD_RUNS = [
+    (["fig1", "--n", "16", "--trials", "1", "--lam", "1e308"], 3, "err_full is not finite"),
+    (["cv", "--input", "toy.csv", "--bandwidth", "1e-300"], 3, "cv_error is not finite"),
+    (["fig1", "--n", "16", "--trials", "1", "--snr", "1e-200"], 2, "sigma2 must be"),
+    (["rank-ratio", "--n", "16", "--trials", "1", "--lambda-hi", "1e300"], 2, "lambda="),
+]
+
 CONFIG_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 # small numbers and known names, so that a fair share of draws is valid
@@ -140,6 +151,16 @@ class TestConfigTable:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert f"{key} must be" in err if key else "must hold a JSON object" in err
         assert err.rstrip().endswith(")") and "(got " in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv,code,message", BAD_RUNS)
+    def test_bad_run_exits_without_csv(self, argv, code, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        X = np.random.default_rng(1).normal(size=(60, 2))
+        write_dataset_csv(tmp_path / "toy.csv", X, X[:, 0] - X[:, 1])
+        assert cli.main([*argv, "--out", "x.csv"]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_hash_does_not_depend_on_where_a_value_came_from(self, tmp_path, monkeypatch):
@@ -445,6 +466,15 @@ class TestCli:
         got = dict(zip(header, row))
         assert abs(float(got["exponent"]) + 0.5) <= 1e-10
 
+    def test_fit_reads_rates_output(self, tmp_path):
+        res = self.run_cli("rates", "--n-list", "16,32,64,128,256", "--out", "r.csv", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        res = self.run_cli(
+            "fit", "--input", "r.csv", "--value-column", "err_star", "--out", "f.csv", cwd=tmp_path
+        )
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "f.csv").read_text().splitlines()[-1].endswith(",5")
+
     def test_rank_ratio_command(self, tmp_path):
         res = self.run_cli(
             "rank-ratio", "--n", "48", "--trials", "2", "--lambda-points", "3",
@@ -486,8 +516,6 @@ class TestCli:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(60, 2))
         y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(60)
-        from nyridge.datasets import write_dataset_csv
-
         data = tmp_path / "toy.csv"
         write_dataset_csv(data, X, y)
         res = self.run_cli(
@@ -572,8 +600,6 @@ class TestCli:
     def test_nan_or_negative_cv_bounds_rejected(self, tmp_path):
         # a NaN or negative trace tolerance used to factor every fold to full
         # rank with exit 0; a NaN bandwidth failed on duplicate pivots
-        from nyridge.datasets import write_dataset_csv
-
         X = np.random.default_rng(1).normal(size=(60, 2))
         write_dataset_csv(tmp_path / "toy.csv", X, X[:, 0] - X[:, 1])
         for flag, value, name in (

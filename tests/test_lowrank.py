@@ -7,6 +7,7 @@ from nyridge.errors import ConfigError, NumericalError, ParseError
 from nyridge.kernels import KernelSpec, cross_gram, gram
 from nyridge.lowrank import (
     ColumnSelection,
+    LowRankFactor,
     approx_error,
     feature_matrix,
     load_factor,
@@ -534,6 +535,22 @@ def test_factor_save_load_round_trip(tmp_path):
     assert np.array_equal(F.trace_residual_trail, G.trace_residual_trail)
 
 
+def test_factor_file_layout(tmp_path):
+    F = LowRankFactor(
+        phi=np.array([[1.0, 0.0], [0.5, 0.25], [-2.0, 1e-300]]),
+        selection=ColumnSelection(np.array([0, 2]), "greedy-pivoted", 3),
+        whitener=np.array([[1.0, 0.0], [2.0, 1.0 / 3.0]]),
+        trace_residual_trail=np.array([1.5, 0.1]),
+    )
+    path = tmp_path / "factor.csv"
+    save_factor(path, F)
+    assert path.read_text() == (
+        "# nyridge-factor v1\n# n=3\n# p=2\n# method=greedy-pivoted\n# indices=0;2\n"
+        "# trail=1.5;0.1\n# whitener rows, then phi rows\n"
+        "1.0,0.0\n2.0,0.3333333333333333\n1.0,0.0\n0.5,0.25\n-2.0,1e-300\n"
+    )
+
+
 def test_selection_validation():
     with pytest.raises(ConfigError):
         ColumnSelection(np.array([0, 0]), "uniform-random", 5)
@@ -598,3 +615,7 @@ class TestLoadFactorErrors:
         self.assert_parse_error(self.rewrite(path, short), "need 2 entries")
         far = [l if not l.startswith("# indices=") else "# indices=0;9" for l in lines]
         self.assert_parse_error(self.rewrite(path, far), "out of range")
+        for bad in ("nan", "inf", "-1e999"):
+            self.assert_parse_error(self.rewrite(path, lines[:-1] + [f"0.5,{bad}"]), "not finite")
+            trail = [l if not l.startswith("# trail=") else f"# trail=1.0;{bad}" for l in lines]
+            self.assert_parse_error(self.rewrite(path, trail), "not finite")

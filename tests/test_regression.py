@@ -349,5 +349,31 @@ class TestLoadFitErrors:
         bad = [line if not line.startswith("# indices=") else "# indices=3;x" for line in lines]
         self.assert_parse_error(self.rewrite(path, bad), "malformed")
 
+    def test_non_finite_or_unknown_values(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        for key, bad, match in (
+            ("lambda", "nan", "not finite"),
+            ("lambda", "inf", "not finite"),
+            ("lambda", "0.0", "lambda must be > 0"),
+            ("lambda", "-1e-3", "lambda must be > 0"),
+            ("loss", "hinge", "loss must be one of"),
+        ):
+            bad_lines = [l if not l.startswith(f"# {key}=") else f"# {key}={bad}" for l in lines]
+            self.assert_parse_error(self.rewrite(path, bad_lines), match)
+        for bad in ("nan", "-inf", "1e999"):
+            self.assert_parse_error(self.rewrite(path, lines + [bad]), "not finite")
+
+    def test_missing_coef_header(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        kept = [line for line in lines if line != "coef"]
+        self.assert_parse_error(self.rewrite(path, kept), "header 'coef'")
+
+    def test_file_layout(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        assert path.read_text() == (
+            "# nyridge-fit v1\n# mode=lowrank\n# lambda=0.002\n# loss=square\n"
+            "# indices=3;1\ncoef\n0.5\n-1.25\n"
+        )
+
     def test_unreadable_file(self, tmp_path):
         self.assert_parse_error(tmp_path / "absent.csv", "cannot read")
