@@ -30,9 +30,7 @@ from .stats import (
     dof,
     fit_rate,
     optimal_lambda,
-    sufficient_rank,
     theorem_rank_bound,
-    verify_lemma_tail,
     verify_theorem,
 )
 from .synthetic import (
@@ -42,7 +40,6 @@ from .synthetic import (
     draw_noise,
     eig_circulant,
     grid_problem,
-    random_design_problem,
 )
 
 __version__ = "0.1.0"
@@ -78,10 +75,7 @@ __all__ = [
     "optimal_lambda",
     "pivoted_ichol",
     "predict",
-    "random_design_problem",
     "sample_columns",
-    "sufficient_rank",
     "theorem_rank_bound",
-    "verify_lemma_tail",
     "verify_theorem",
 ]

@@ -3,7 +3,7 @@
 One subcommand per experiment in ``experiments.CONFIG``, with one flag per
 config key. Configuration precedence is CLI flags > --config JSON file >
 built-in defaults. Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+3 numerical failure (running out of memory included).
 """
 
 from __future__ import annotations
@@ -78,6 +78,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        reason = str(exc) or "allocation failed"
+        print(f"numerical failure: out of memory ({reason})", file=sys.stderr)
         return EXIT_NUMERICAL
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK

@@ -51,22 +51,25 @@ def load_dataset(
 ) -> Dataset:
     """Read a numeric CSV with a header row into a Dataset.
 
-    ``#`` comment lines (the metadata of the CSVs nyridge writes) are
-    skipped. Features are standardized per column (zero mean, unit
-    variance) and the target centered; zero-variance feature columns are
-    dropped with a warning. Row order is the file order. Parse failures, missing values,
+    ``#`` comment lines (the metadata of the CSVs nyridge writes) and blank
+    lines are skipped; errors name the line number in the file itself.
+    Features are standardized per column (zero mean, unit variance) and the
+    target centered; zero-variance feature columns are dropped with a
+    warning. Row order is the file order. Parse failures, missing values,
     and non-numeric cells (non-finite ones such as ``inf`` or ``1e999``
     included) raise distinct error types.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(line for line in fh if not csvio.is_comment(line))
-            rows = [row for row in reader if row and any(c.strip() for c in row)]
+            kept = [(no, line) for no, line in enumerate(fh, 1) if not csvio.is_comment(line)]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    # (line number in the file, cells) of each non-blank row
+    reader = csv.reader(line for _, line in kept)
+    rows = [(kept[reader.line_num - 1][0], row) for row in reader if any(c.strip() for c in row)]
     if len(rows) < 2:
         raise ParseError(f"{path}: need a header row plus data rows")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     if target_column not in header:
         raise ConfigError(f"target column {target_column!r} not in header {header}")
     if feature_columns is None:
@@ -95,7 +98,7 @@ def load_dataset(
         return val
 
     feats, targs = [], []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if len(row) > width:
             raise ParseError(f"{path}:{line_no}: {len(row)} cells, header has {width}")
         feats.append([cell(row, line_no, c) for c in feature_columns])
@@ -145,7 +148,7 @@ def cross_validate_lambda(
     seed=0,
     trace_rtol: float = 1e-3,
 ) -> CVResult:
-    """Pick lambda by k-fold CV of low-rank kernel ridge regression.
+    """Pick lambda by k-fold CV of low-rank Gaussian-kernel ridge regression.
 
     Each fold factors its training Gram matrix with pivoted incomplete
     Cholesky until the trace residual falls below ``trace_rtol`` times the
@@ -154,6 +157,8 @@ def cross_validate_lambda(
     are w = V diag(1 / (s + n lambda)) V^T Phi^T y, so the whole grid costs
     O(p^2 n + p^3) per fold plus O(m p) per lambda for m held-out points.
     """
+    if spec.kind != "gaussian":
+        raise ConfigError(f"cross-validation needs a Gaussian kernel (got {spec.kind!r})")
     if folds < 2:
         raise ConfigError("folds must be >= 2")
     grid = np.asarray(lambda_grid, dtype=float)
@@ -177,12 +182,7 @@ def cross_validate_lambda(
         Xtr, ytr = X[mask], y[mask]
         Xval, yval = X[val_idx], y[val_idx]
         ntr = Xtr.shape[0]
-        if spec.is_periodic:
-            if Xtr.shape[1] != 1:
-                raise ConfigError("periodic kernels need a single feature column")
-            diag = np.full(ntr, cross_gram([0.0], [0.0], spec)[0, 0])  # stationary
-        else:
-            diag = np.ones(ntr)  # gaussian: k(x, x) = 1
+        diag = np.ones(ntr)  # gaussian: k(x, x) = 1
         oracle = lambda j: cross_gram(Xtr, Xtr[j : j + 1], spec).reshape(-1)
         factor = pivoted_ichol(
             oracle,

@@ -1,14 +1,13 @@
 """Kernel functions and Gram-matrix assembly.
 
-Two families of translation-invariant kernels on [0, 1] with known Fourier
-coefficients, plus a Gaussian kernel for vector data, each named by a
-:class:`KernelSpec` and evaluated block-wise by :func:`cross_gram`:
+A translation-invariant periodic kernel on [0, 1] with known Fourier
+coefficients, for the synthetic experiments, plus a Gaussian kernel for
+vector data, each named by a :class:`KernelSpec` and evaluated block-wise
+by :func:`cross_gram`:
 
 * periodic-polynomial: k(x, y) = sum_{i>=1} 2 i^(-2 beta) cos(2 i pi (x - y))
   = (-1)^(beta+1) (2 pi)^(2 beta) B_{2 beta}(frac(x - y)) / (2 beta)!,
   in closed form through Bernoulli polynomials.
-* periodic-exponential: k(x, y) = sum_{i>=1} 2 exp(-rho i) cos(2 i pi (x - y)),
-  evaluated as the real part of a geometric series.
 * gaussian: exp(-||x - y||^2 / (2 bandwidth^2)).
 
 All functions are pure; concurrent calls are safe.
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, exp, factorial, pi
+from math import comb, factorial, pi
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -53,17 +52,18 @@ BERNOULLI_POLY_COEFFS: dict[int, np.ndarray] = {
 }
 
 
-def _frac(delta):
-    """Fractional part delta - floor(delta), in [0, 1) for any sign."""
-    return delta - np.floor(delta)
+def _folded(delta):
+    """The fractional part u of -|delta|, mapped to [0, 0.5] as min(u, 1 - u).
 
-
-def _fold_half(u):
-    """Map u in [0, 1) to [0, 0.5] using the symmetry B_2m(u) = B_2m(1 - u).
-
-    The folded argument is bit-identical for u and 1 - u, which makes the
-    periodic kernels exactly symmetric in floating point.
+    The kernel is even in delta and B_2m(u) = B_2m(1 - u), so this argument
+    gives the same value as delta itself. Taking -|delta| makes it
+    bit-identical for +delta and -delta, and so the kernel exactly symmetric
+    in floating point: frac(delta) and frac(-delta) = 1 - frac(delta) can
+    differ by a rounding (delta = 0.3 does). The grid's first row,
+    k(0, x_j), has delta <= 0 already.
     """
+    u = -np.abs(delta)
+    u = u - np.floor(u)
     return 0.5 - np.abs(u - 0.5)
 
 
@@ -75,27 +75,17 @@ def _periodic_poly_values(delta, beta: int):
             "only these have tabulated Bernoulli polynomials"
         )
     m = 2 * beta
-    u = _fold_half(_frac(delta))
+    u = _folded(delta)
     scale = (-1.0) ** (beta + 1) * (2.0 * pi) ** m / factorial(m)
     return scale * np.polyval(BERNOULLI_POLY_COEFFS[m], u)
-
-
-def _periodic_exp_values(delta, rho: float):
-    """Vectorized closed form of the exponential-decay periodic kernel."""
-    if not rho > 0:
-        raise ConfigError(f"rho must be > 0 (got {rho!r})")
-    c = np.cos(2.0 * pi * _fold_half(_frac(delta)))
-    er = exp(rho)
-    return 2.0 * (er * c - 1.0) / (er * er - 2.0 * er * c + 1.0)
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel family plus its single parameter.
 
-    ``kind`` is one of ``"periodic-polynomial"`` (param = beta > 1/2, integer,
-    tabulated), ``"periodic-exponential"`` (param = rho > 0) or ``"gaussian"``
-    (param = bandwidth > 0).
+    ``kind`` is ``"periodic-polynomial"`` (param = beta > 1/2, integer,
+    tabulated) or ``"gaussian"`` (param = bandwidth > 0).
     """
 
     kind: str
@@ -109,9 +99,6 @@ class KernelSpec:
                 raise ConfigError(
                     f"beta must be an integer in {SUPPORTED_BETAS} (got {self.param!r})"
                 )
-        elif self.kind == "periodic-exponential":
-            if not self.param > 0:
-                raise ConfigError(f"rho must be > 0 (got {self.param!r})")
         elif self.kind == "gaussian":
             if not self.param > 0:
                 raise ConfigError(f"bandwidth must be > 0 (got {self.param!r})")
@@ -123,16 +110,12 @@ class KernelSpec:
         return cls("periodic-polynomial", beta)
 
     @classmethod
-    def periodic_exp(cls, rho: float) -> "KernelSpec":
-        return cls("periodic-exponential", rho)
-
-    @classmethod
     def gaussian(cls, bandwidth: float) -> "KernelSpec":
         return cls("gaussian", bandwidth)
 
     @property
     def is_periodic(self) -> bool:
-        return self.kind in ("periodic-polynomial", "periodic-exponential")
+        return self.kind == "periodic-polynomial"
 
 
 @dataclass
@@ -179,8 +162,6 @@ def cross_gram(points_a, points_b, spec: KernelSpec) -> np.ndarray:
     pa, pb = _as_points(points_a, spec), _as_points(points_b, spec)
     if spec.kind == "periodic-polynomial":
         return _periodic_poly_values(pa[:, None] - pb[None, :], int(spec.param))
-    if spec.kind == "periodic-exponential":
-        return _periodic_exp_values(pa[:, None] - pb[None, :], spec.param)
     if pa.shape[1] != pb.shape[1]:
         raise ConfigError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]} features")
     sq = cdist(pa, pb, "sqeuclidean")
@@ -190,7 +171,7 @@ def cross_gram(points_a, points_b, spec: KernelSpec) -> np.ndarray:
 def gram(points, spec: KernelSpec) -> KernelMatrix:
     """Assemble the n x n Gram matrix K_ij = k(x_i, x_j).
 
-    The output is symmetric by construction: periodic kernels are evaluated
+    The output is symmetric by construction: the periodic kernel is evaluated
     through an argument folded onto [0, 0.5] (identical floats for +/- the
     same difference), and the Gaussian through symmetric squared distances.
     """

@@ -66,10 +66,6 @@ class ColumnSelection:
         if idx.min() < 0 or idx.max() >= self.n:
             raise ConfigError("selection indices out of range")
 
-    @property
-    def p(self) -> int:
-        return int(self.indices.size)
-
 
 @dataclass(frozen=True)
 class LowRankFactor:
@@ -88,10 +84,6 @@ class LowRankFactor:
     selection: ColumnSelection
     whitener: np.ndarray
     trace_residual_trail: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.phi.shape[0]
 
     @property
     def rank(self) -> int:
@@ -335,7 +327,7 @@ def save_factor(path, factor: LowRankFactor) -> None:
     then the p rows of the whitener and the n rows of Phi.
     """
     meta = [
-        ("n", factor.n),
+        ("n", factor.selection.n),
         ("p", factor.rank),
         ("method", factor.selection.method),
         ("indices", factor.selection.indices),

@@ -19,11 +19,12 @@ d_max >= d_trace >= d_ave:
 
 All of them are functions of the spectrum of K and of the coefficients of z
 on its eigenbasis. :class:`Spectrum` is the single home of these closed
-forms; it is built by a dense eigendecomposition (general K, random
-designs), by one FFT of the first row (circulant K on a uniform grid), by
-a thin SVD of a factor Phi (low-rank smoothers L = Phi Phi^T), or, for
-every prefix Phi[:, :p] of a nested factor at once, by one thin QR of Phi.
-Every other function here is a thin wrapper over it.
+forms. It is built by one FFT of the first row (the circulant K of a grid
+problem), by a dense eigendecomposition (any K: the reference behind
+:func:`dof` and :func:`bias_variance`), by a thin SVD of a factor Phi
+(low-rank smoothers L = Phi Phi^T), or, for every prefix Phi[:, :p] of a
+nested factor at once, by one thin QR of Phi. The error and d.o.f.
+functions here are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, VacuousBoundError
+from .errors import ConfigError, NumericalError, VacuousBoundError
 from .lowrank import nested_factor, nystrom, sample_columns
 from .synthetic import FixedDesignProblem, check_sigma2
 
@@ -167,12 +168,9 @@ class Spectrum:
 def problem_spectrum(problem: FixedDesignProblem) -> Spectrum:
     """Spectrum of the problem's K with the coefficients of its current z.
 
-    Grid problems use the FFT of their first row and never assemble K;
-    other designs use a dense eigendecomposition.
+    One FFT of the first row; K is never assembled.
     """
-    if problem.row0 is not None:
-        return Spectrum.circulant(problem.row0, problem.z)
-    return Spectrum.dense(problem.K, problem.z)
+    return Spectrum.circulant(problem.row0, problem.z)
 
 
 def dof(K, lam: float) -> tuple[float, float, float]:
@@ -303,15 +301,6 @@ def lemma_deviations(psis, p: int, trials: int, seed) -> np.ndarray:
     return devs
 
 
-def verify_lemma_tail(psi, p: int, t_grid, trials: int, seed) -> list[tuple[float, float, float]]:
-    """Monte-Carlo tail of lambda_max[Psi^T Psi / n - Psi_I^T Psi_I / p].
-
-    Draws ``trials`` subsets (:func:`lemma_deviations`) and returns the
-    :func:`lemma_tail` rows of their deviations.
-    """
-    return lemma_tail(psi, p, t_grid, lemma_deviations([psi], p, trials, seed)[0])
-
-
 def lemma_tail(psi, p: int, t_grid, devs) -> list[tuple[float, float, float]]:
     """Rows (t, empirical_prob, bound) of the deviations ``devs`` of psi's subsets.
 
@@ -397,7 +386,12 @@ class RankSweeper:
         return problem_spectrum(self.problem).error(self.problem.sigma2, lam)
 
     def sufficient_rank(self, lam: float, method: str, tol: float = 0.01) -> int:
-        """Smallest p with mean error <= (1 + tol) * full error; doubling + bisection."""
+        """Smallest p with mean error <= (1 + tol) * full error; doubling + bisection.
+
+        Returns n when no smaller rank suffices. A full error that is not
+        finite (an overflow at a huge lambda) raises NumericalError, because
+        no rank could be compared with it.
+        """
         if not tol > 0:
             raise ConfigError(f"tol must be > 0, got {tol!r}")
         n = self.problem.n
@@ -406,6 +400,8 @@ class RankSweeper:
             return self.error(method, p, lam) <= target
 
         target = (1.0 + tol) * self.full_error(lam)
+        if not math.isfinite(target):
+            raise NumericalError(f"full-matrix error at lambda={lam!r} is not finite")
         p = 1
         while p < n and not ok(p):
             p *= 2
@@ -424,24 +420,6 @@ class RankSweeper:
         return hi
 
 
-def sufficient_rank(
-    problem: FixedDesignProblem,
-    lam: float,
-    tol: float = 0.01,
-    trials: int = 10,
-    method: str = "random",
-    seed=0,
-) -> int:
-    """Smallest rank within (1 + tol) of the full-matrix expected error.
-
-    Random selection averages the closed-form error over ``trials`` nested
-    column draws; the pivoted path is deterministic (trials ignored).
-    Returns n when no smaller rank suffices.
-    """
-    sweeper = RankSweeper(problem, trials=trials if method == "random" else 1, seed=seed)
-    return sweeper.sufficient_rank(lam, method, tol)
-
-
 @dataclass
 class LambdaChoice:
     lambda_star: float
@@ -458,10 +436,9 @@ def default_lambda_grid(trace_over_n: float, num: int = 40) -> np.ndarray:
 def optimal_lambda(problem: FixedDesignProblem, grid=None) -> LambdaChoice:
     """Grid minimizer of the closed-form error, with one local refinement.
 
-    The spectrum is the problem's (:func:`problem_spectrum`): for grid
-    designs the FFT of the assembled floating-point first row of K, which is
-    the spectrum a circulant solver sees; random designs still use a dense
-    eigendecomposition. For very fast eigenvalue decays the computed
+    The spectrum is the problem's (:func:`problem_spectrum`): the FFT of the
+    assembled floating-point first row of K, which is the spectrum a
+    circulant solver sees. For very fast eigenvalue decays the computed
     eigenvalues keep a machine-precision floor, so the minimizer can hit it;
     that regime is flagged through ``saturated`` (argmin at the smallest grid
     point or lambda* < 1e-15).

@@ -103,6 +103,16 @@ class TestLoadDataset:
             with pytest.raises(NonNumericError):
                 load_dataset(path, "target", standardize=False)
 
+    def test_errors_name_the_line_in_the_file(self, tmp_path):
+        # '#' lines and blank lines are counted: the bad cell is on line 6
+        text = "# a=1\n# b=2\na,target\n1,2\n\nfoo,3\n" + "4,5\n" * 10
+        path = write(tmp_path, text, name="ln.csv")
+        with pytest.raises(NonNumericError, match=r"ln\.csv:6: "):
+            load_dataset(path, "target")
+        path = write(tmp_path, text.replace("foo,3", "7,8,9"), name="ln.csv")
+        with pytest.raises(ParseError, match=r"ln\.csv:6: "):
+            load_dataset(path, "target")
+
     def test_error_codes_distinct(self):
         assert ParseError.code != MissingValueError.code != NonNumericError.code
 
@@ -152,6 +162,8 @@ class TestCrossValidateLambda:
             cross_validate_lambda(data, KernelSpec.gaussian(1.0), [], folds=3)
         with pytest.raises(ConfigError):
             cross_validate_lambda(data, KernelSpec.gaussian(1.0), [0.1], folds=20)
+        with pytest.raises(ConfigError, match="Gaussian"):
+            cross_validate_lambda(data, KernelSpec.periodic_poly(1), [0.1], folds=3)
 
     def test_rank_respects_trace_tolerance(self):
         data = make_dataset(90, noise=0.1, seed=6)

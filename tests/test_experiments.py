@@ -29,7 +29,7 @@ from nyridge.experiments import (
     run_verify_theorem,
     write_csv,
 )
-from nyridge.stats import bias_variance, lowrank_bias_variance, verify_lemma_tail
+from nyridge.stats import bias_variance, lemma_deviations, lemma_tail, lowrank_bias_variance
 from nyridge.synthetic import SpectrumSpec, grid_problem
 
 
@@ -99,6 +99,9 @@ BAD_RUNS = [
     (["cv", "--input", "toy.csv", "--bandwidth", "1e-300"], 3, "cv_error is not finite"),
     (["fig1", "--n", "16", "--trials", "1", "--snr", "1e-200"], 2, "sigma2 must be"),
     (["rank-ratio", "--n", "16", "--trials", "1", "--lambda-hi", "1e300"], 2, "lambda="),
+    # the full error overflows to NaN, which no rank can meet
+    (["rank-ratio", "--n", "16", "--trials", "1", "--lambda-lo", "1e155", "--lambda-hi", "1e155",
+      "--lambda-points", "1"], 3, "is not finite"),
 ]
 
 CONFIG_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -161,6 +164,19 @@ class TestConfigTable:
         assert cli.main([*argv, "--out", "x.csv"]) == code
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 20.5 GiB"), MemoryError()])
+    def test_memory_error_exits_3_without_csv(self, exc, tmp_path, monkeypatch, capsys):
+        def exhausted(cfg):
+            raise exc
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        assert cli.main(["fig1", "--out", "x.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: out of memory (") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_hash_does_not_depend_on_where_a_value_came_from(self, tmp_path, monkeypatch):
@@ -376,7 +392,8 @@ class TestVerifyLemma:
             lam_max = float(np.linalg.eigvalsh(psi.T @ psi / 40)[-1])
             t_grid = lam_max * np.geomspace(0.05, 1.0, cfg["t_points"])
             for p in cfg["p_list"]:
-                for tval, emp, bnd in verify_lemma_tail(psi, p, t_grid, 200, cfg["seed"]):
+                devs = lemma_deviations([psi], p, 200, cfg["seed"])[0]
+                for tval, emp, bnd in lemma_tail(psi, p, t_grid, devs):
                     expected.append((fam, p, tval, emp, bnd, emp <= bnd))
         assert rows == expected
 

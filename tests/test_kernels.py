@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from math import comb, e, pi
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from math import comb, pi
+from scipy.special import zeta
 
 from nyridge.errors import ConfigError
 from nyridge.kernels import (
     BERNOULLI_POLY_COEFFS,
+    SUPPORTED_BETAS,
     KernelMatrix,
     KernelSpec,
     cross_gram,
@@ -13,10 +17,8 @@ from nyridge.kernels import (
     median_distance_bandwidth,
 )
 
-# Frozen oracle values, computed from the defining truncated series
-# (1e6 terms for polynomial decay, 200 for exponential decay).
+# Frozen oracle value, computed from the defining series truncated at 1e6 terms.
 POLY_SERIES_02_09_B1 = -0.8553657147600785
-EXP_SERIES_01_035_R2 = -0.03597241992418304
 
 
 def kernel_value(spec, x, y):
@@ -28,10 +30,6 @@ def periodic_poly_kernel(x, y, beta):
     return kernel_value(KernelSpec.periodic_poly(beta), x, y)
 
 
-def periodic_exp_kernel(x, y, rho):
-    return kernel_value(KernelSpec.periodic_exp(rho), x, y)
-
-
 def gaussian_kernel(x, y, bandwidth):
     return kernel_value(KernelSpec.gaussian(bandwidth), x, y)
 
@@ -39,11 +37,6 @@ def gaussian_kernel(x, y, bandwidth):
 def truncated_poly_series(x, y, beta, terms):
     i = np.arange(1, terms + 1, dtype=float)
     return float(np.sum(2.0 * i ** (-2.0 * beta) * np.cos(2.0 * np.pi * i * (x - y))))
-
-
-def truncated_exp_series(x, y, rho, terms):
-    i = np.arange(1, terms + 1, dtype=float)
-    return float(np.sum(2.0 * np.exp(-rho * i) * np.cos(2.0 * np.pi * i * (x - y))))
 
 
 class TestBernoulliPolynomials:
@@ -80,6 +73,22 @@ class TestPeriodicPolyKernel:
     def test_frozen_series_value(self):
         assert abs(periodic_poly_kernel(0.2, 0.9, 1) - POLY_SERIES_02_09_B1) < 1e-9
 
+    @pytest.mark.parametrize("beta", [2, 3, 4, 8])
+    @pytest.mark.parametrize(
+        "x, y, factor",
+        [
+            # k(x, x) = 2 zeta(2 beta)
+            (0.7, 0.7, lambda beta: 2.0),
+            # k(0, 1/2) = 2 sum_i (-1)^i i^(-2 beta) = -2 (1 - 2^(1 - 2 beta)) zeta(2 beta)
+            (0.0, 0.5, lambda beta: -2.0 * (1.0 - 2.0 ** (1 - 2 * beta))),
+        ],
+        ids=["same-point", "half-period"],
+    )
+    def test_zeta_values_every_beta(self, beta, x, y, factor):
+        # oracle from scipy's zeta rather than the Bernoulli table
+        expect = factor(beta) * zeta(2.0 * beta)
+        assert periodic_poly_kernel(x, y, beta) == pytest.approx(expect, rel=1e-13)
+
     def test_depends_only_on_fractional_difference(self):
         assert periodic_poly_kernel(0.2, 0.9, 2) == periodic_poly_kernel(1.2, 1.9, 2)
         assert periodic_poly_kernel(0.1, 0.4, 2) == periodic_poly_kernel(0.4, 0.1, 2)
@@ -96,30 +105,6 @@ class TestPeriodicPolyKernel:
             closed = periodic_poly_kernel(x, y, beta)
             series = truncated_poly_series(x, y, beta, 10**6)
             assert abs(closed - series) <= 1e-8 * max(1.0, abs(closed))
-
-
-class TestPeriodicExpKernel:
-    def test_same_point_geometric_sum(self):
-        assert periodic_exp_kernel(0.4, 0.4, 1.0) == pytest.approx(2 / (e - 1), abs=1e-12)
-
-    def test_half_period(self):
-        assert periodic_exp_kernel(0.0, 0.5, 1.0) == pytest.approx(-2 / (e + 1), abs=1e-12)
-
-    def test_frozen_series_value(self):
-        assert abs(periodic_exp_kernel(0.1, 0.35, 2.0) - EXP_SERIES_01_035_R2) < 1e-12
-
-    def test_matches_series_on_random_triples(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            x, y = rng.random(2)
-            rho = 0.5 + 2.5 * rng.random()
-            closed = periodic_exp_kernel(x, y, rho)
-            series = truncated_exp_series(x, y, rho, 200)
-            assert abs(closed - series) <= 1e-8 * max(1.0, abs(closed))
-
-    def test_nonpositive_rho_rejected(self):
-        with pytest.raises(ConfigError):
-            periodic_exp_kernel(0.1, 0.2, 0.0)
 
 
 class TestGaussianKernel:
@@ -143,6 +128,19 @@ class TestGaussianKernel:
             gaussian_kernel([1.0, 2.0], [1.0], 1.0)
 
 
+# A computed Gram matrix may fall short of PSD only by rounding: its smallest
+# eigenvalue stays above -PSD_SLACK * n * eps * max diag. Random draws of
+# every kernel reach at most 1.7 times n * eps * max diag.
+PSD_SLACK = 10.0
+
+
+def assert_symmetric_psd(km):
+    K = km.entries
+    assert np.array_equal(K, K.T)
+    floor = -PSD_SLACK * km.n * np.finfo(float).eps * km.max_diag
+    assert np.linalg.eigvalsh(K)[0] >= floor
+
+
 class TestGram:
     def test_single_point(self):
         km = gram([0.37], KernelSpec.periodic_poly(1))
@@ -154,19 +152,38 @@ class TestGram:
         # circulant; other n agree to rounding.
         n = 64
         pts = np.arange(n) / n
-        km = gram(pts, KernelSpec.periodic_exp(1.0))
+        km = gram(pts, KernelSpec.periodic_poly(1))
         for i in range(0, n, 7):
             assert np.array_equal(km.entries[i], np.roll(km.entries[0], i))
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(3)
         pts = rng.random(40)
-        for spec in (KernelSpec.periodic_poly(2), KernelSpec.periodic_exp(0.7)):
-            km = gram(pts, spec)
-            assert np.array_equal(km.entries, km.entries.T)
+        km = gram(pts, KernelSpec.periodic_poly(2))
+        assert np.array_equal(km.entries, km.entries.T)
         X = rng.normal(size=(40, 3))
         km = gram(X, KernelSpec.gaussian(1.3))
         assert np.array_equal(km.entries, km.entries.T)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        beta=st.sampled_from(SUPPORTED_BETAS),
+        points=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40),
+    )
+    def test_periodic_gram_symmetric_and_psd(self, beta, points):
+        assert_symmetric_psd(gram(points, KernelSpec.periodic_poly(beta)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        bandwidth=st.floats(0.05, 50.0),
+        points=st.integers(1, 3).flatmap(
+            lambda d: st.lists(
+                st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d), min_size=1, max_size=40
+            )
+        ),
+    )
+    def test_gaussian_gram_symmetric_and_psd(self, bandwidth, points):
+        assert_symmetric_psd(gram(points, KernelSpec.gaussian(bandwidth)))
 
     @pytest.mark.parametrize("n", [17, 128, 512])
     def test_psd_up_to_tolerance(self, n):
@@ -177,9 +194,9 @@ class TestGram:
 
     def test_diag_cached(self):
         rng = np.random.default_rng(5)
-        km = gram(rng.random(9), KernelSpec.periodic_exp(1.5))
+        km = gram(rng.random(9), KernelSpec.periodic_poly(1))
         assert np.array_equal(km.diag, np.diag(km.entries))
-        assert km.max_diag == pytest.approx(2 / (np.exp(1.5) - 1))
+        assert km.max_diag == pytest.approx(pi**2 / 3)
 
     def test_kernel_column_matches_gram(self):
         rng = np.random.default_rng(11)
@@ -201,8 +218,8 @@ class TestKernelSpec:
             KernelSpec.periodic_poly(0)
         with pytest.raises(ConfigError):
             KernelSpec("periodic-polynomial", 2.5)  # non-tabulated beta
-        with pytest.raises(ConfigError):
-            KernelSpec.periodic_exp(-1.0)
+        with pytest.raises(ConfigError, match="unknown kernel kind"):
+            KernelSpec("periodic-exponential", 1.0)
         with pytest.raises(ConfigError):
             KernelSpec.gaussian(0.0)
         with pytest.raises(ConfigError):
@@ -211,7 +228,6 @@ class TestKernelSpec:
     def test_nan_parameter_rejected_by_name(self):
         for kind, name in [
             ("periodic-polynomial", "beta"),
-            ("periodic-exponential", "rho"),
             ("gaussian", "bandwidth"),
         ]:
             with pytest.raises(ConfigError, match=f"{name} must be >"):

@@ -1,12 +1,17 @@
-"""Every name the benchmark tracer wraps, and every exported name, resolves.
+"""The package surface: what must resolve, and what must be reached.
 
 ``perfbench/tracer.py`` patches the functions in its ``TRACED`` table by
 name, so deleting or renaming one of them breaks every traced benchmark
-run; this test makes such a deletion fail here instead.
+run; a test here makes such a deletion fail first. The reachability guard
+fails for any function or method in ``src/nyridge`` that no CLI command,
+no README example and no import of the acceptance suite reaches, unless
+``KEEP`` gives a reason to keep it.
 """
 
+import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +20,74 @@ from pathlib import Path
 import nyridge
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "nyridge"
 TRACER = ROOT / "perfbench" / "tracer.py"
+
+# Functions kept although no command, README example or acceptance import
+# enters them: "<module>.<qualified name>" -> why it stays.
+KEEP = {
+    "csvio.read": "the reader behind load_factor and load_fit",
+    "csvio._value": "csvio.read's cell parser",
+    "datasets.write_dataset_csv": "README File formats; perfbench writes its cv input with it",
+    "lowrank.LowRankFactor.gram": "the dense L through which acceptance compares factors",
+    "lowrank.save_factor": "README File formats: factor files",
+    "lowrank.load_factor": "README File formats: factor files",
+    "regression.krr_exact": "the exact reference smoother the low-rank solvers are tested against",
+    "regression.newton_solve": "README: damped Newton for smooth convex losses, logistic included",
+    "regression._loss_terms": "newton_solve's pointwise loss and derivatives",
+    "regression._objective": "newton_solve's line-search objective",
+    "regression.save_fit": "README File formats: fit files",
+    "regression.load_fit": "README File formats: fit files",
+    "stats.Spectrum.dense": "the dense reference behind dof and bias_variance (acceptance imports)",
+    "synthetic.eig_circulant": "the exact oracle of the FFT spectrum of grid problems",
+}
+
+# Runs every command in process at small sizes, then the README's python
+# blocks, under a profiler; writes the (file name, first line) of every
+# function of the package that was entered to entered.json.
+REACH_SCRIPT = r"""
+import json, math, re, sys
+from pathlib import Path
+
+root = Path(sys.argv[1])
+entered = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+sys.setprofile(profile)
+import importlib, pkgutil
+import nyridge
+package = Path(nyridge.__file__).resolve().parent
+assert package == root / "src" / "nyridge", package
+for info in pkgutil.iter_modules(nyridge.__path__):
+    if info.name != "__main__":
+        importlib.import_module("nyridge." + info.name)
+from nyridge import cli
+
+rows = [f"{math.sin(i)!r},{math.cos(3 * i)!r},{math.sin(i) - math.cos(3 * i)!r}" for i in range(60)]
+Path("data.csv").write_text("a,b,target\n" + "\n".join(rows) + "\n")
+for argv in (
+    ["fig1", "--n", "32", "--trials", "2"],
+    ["rates", "--n-list", "16,24,32,48,64", "--out", "rates.csv"],
+    ["rank-ratio", "--n", "32", "--trials", "2", "--lambda-points", "2"],
+    ["verify-theorem", "--n", "32", "--trials", "2"],
+    ["verify-theorem", "--n", "32", "--trials", "2", "--p", "8"],
+    ["verify-lemma", "--n", "40", "--trials", "20", "--p-list", "5,10", "--t-points", "3"],
+    ["cv", "--input", "data.csv", "--lambda-points", "3"],
+    ["fit", "--input", "rates.csv", "--value-column", "err_star"],
+):
+    assert cli.main(argv) == 0, argv
+namespace = {}
+for block in re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S):
+    exec(block, namespace)
+sys.setprofile(None)
+ours = {(Path(f).name, line) for f, line in entered if Path(f).resolve().parent == package}
+Path("entered.json").write_text(json.dumps(sorted(ours)))
+"""
 
 
 def load_tracer():
@@ -47,14 +119,72 @@ def test_every_exported_name_resolves():
     assert [name for name in nyridge.__all__ if not hasattr(nyridge, name)] == []
 
 
-def test_cli_import_leaves_sparse_linalg_unloaded():
-    # the Lanczos solver is imported inside the operator-norm sweep only, so
-    # that every command's start-up skips it
+def child_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + inherited if inherited else "")
+    return env
+
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    # the Lanczos solver is imported inside the operator-norm sweep only, so
+    # that every command's start-up skips it
     code = "import sys, nyridge.cli; print('scipy.sparse.linalg' in sys.modules)"
     res = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True
     )
     assert res.stdout.strip() == "False"
+
+
+def package_functions() -> dict[tuple[str, int], str]:
+    """(file name, first line) -> "<module>.<qualified name>" of every def in the package.
+
+    The first line is the one a code object reports: its first decorator's,
+    if it has any.
+    """
+    found = {}
+
+    def visit(node, prefix, file_name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                    found[(file_name, first)] = name
+                visit(child, name, file_name)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, path.name)
+    return found
+
+
+def acceptance_imports() -> set[str]:
+    """ "<module>.<name>" of every name tests/test_acceptance.py imports from the package."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    return {
+        f"{node.module.removeprefix('nyridge.')}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nyridge.")
+        for alias in node.names
+    }
+
+
+def test_every_function_is_reached_or_kept(tmp_path):
+    res = subprocess.run(
+        [sys.executable, "-c", REACH_SCRIPT, str(ROOT)],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    entered = {tuple(key) for key in json.loads((tmp_path / "entered.json").read_text())}
+    functions = package_functions()
+    exempt = acceptance_imports()
+    unreached = {name for key, name in functions.items() if key not in entered} - exempt
+    stale = set(KEEP) - unreached
+    assert stale == set(), f"KEEP entries that are reached or do not exist: {sorted(stale)}"
+    lines = {name: f"{file}:{line}" for (file, line), name in functions.items()}
+    orphans = [f"{name} ({lines[name]})" for name in sorted(unreached - set(KEEP))]
+    assert orphans == [], (
+        "no command, README example or acceptance import reaches these; "
+        f"delete them or give a reason in KEEP: {orphans}"
+    )

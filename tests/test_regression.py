@@ -206,7 +206,7 @@ class TestPredict:
     def test_exact_mode_reproduces_smoothed_values(self):
         rng = np.random.default_rng(29)
         pts = rng.random(30)
-        spec = KernelSpec.periodic_exp(1.0)
+        spec = KernelSpec.periodic_poly(1)
         K = gram(pts, spec)
         y = rng.normal(size=30)
         fit, zhat = krr_exact(K, y, 1e-2)

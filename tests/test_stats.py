@@ -18,10 +18,10 @@ from nyridge.stats import (
     fit_rate,
     lowrank_bias_variance,
     optimal_lambda,
+    lemma_deviations,
+    lemma_tail,
     problem_spectrum,
-    sufficient_rank,
     theorem_rank_bound,
-    verify_lemma_tail,
     verify_theorem,
 )
 from nyridge.synthetic import SpectrumSpec, draw_noise, eig_circulant, grid_problem
@@ -230,13 +230,13 @@ class TestVerifyLemma:
         rng = np.random.default_rng(3)
         psi = rng.normal(size=(60, 8))
         lam_max = np.linalg.eigvalsh(psi.T @ psi / 60)[-1]
-        rows = verify_lemma_tail(psi, p=10, t_grid=[1.01 * lam_max], trials=200, seed=4)
+        rows = lemma_tail(psi, 10, [1.01 * lam_max], lemma_deviations([psi], 10, 200, 4)[0])
         assert rows[0][1] == 0.0
 
     def test_full_subset_no_deviation(self):
         rng = np.random.default_rng(5)
         psi = rng.normal(size=(40, 6))
-        rows = verify_lemma_tail(psi, p=40, t_grid=[1e-10, 0.1], trials=50, seed=6)
+        rows = lemma_tail(psi, 40, [1e-10, 0.1], lemma_deviations([psi], 40, 50, 6)[0])
         assert all(emp == 0.0 for _, emp, _ in rows)
 
     def test_empirical_below_bound(self):
@@ -244,7 +244,7 @@ class TestVerifyLemma:
         psi = rng.normal(size=(120, 10))
         lam_max = np.linalg.eigvalsh(psi.T @ psi / 120)[-1]
         t_grid = lam_max * np.geomspace(0.05, 1.0, 8)
-        rows = verify_lemma_tail(psi, p=30, t_grid=t_grid, trials=2000, seed=8)
+        rows = lemma_tail(psi, 30, t_grid, lemma_deviations([psi], 30, 2000, 8)[0])
         for t, emp, bound in rows:
             assert emp <= bound + 1e-12
             assert 0 <= bound <= 1.0
@@ -253,19 +253,19 @@ class TestVerifyLemma:
 class TestSufficientRank:
     def test_huge_lambda_needs_rank_one(self):
         prob = grid_problem(36, SpectrumSpec.polynomial(1, 3.0), 0.5)
-        p = sufficient_rank(prob, lam=1e4, tol=0.01, trials=3, method="random", seed=0)
+        p = RankSweeper(prob, trials=3, seed=0).sufficient_rank(1e4, "random", tol=0.01)
         assert p == 1
 
     def test_huge_tolerance_needs_rank_one(self):
         prob = grid_problem(36, SpectrumSpec.polynomial(1, 3.0), 0.5)
-        p = sufficient_rank(prob, lam=1e-3, tol=1e9, trials=3, method="random", seed=1)
+        p = RankSweeper(prob, trials=3, seed=1).sufficient_rank(1e-3, "random", tol=1e9)
         assert p == 1
 
     def test_pivoted_deterministic_and_reasonable(self):
         prob = grid_problem(48, SpectrumSpec.polynomial(1, 3.0), 0.5)
         lams = optimal_lambda(prob)
-        p1 = sufficient_rank(prob, lams.lambda_star, method="pivoted", seed=0)
-        p2 = sufficient_rank(prob, lams.lambda_star, method="pivoted", seed=99)
+        p1 = RankSweeper(prob, seed=0).sufficient_rank(lams.lambda_star, "pivoted")
+        p2 = RankSweeper(prob, seed=99).sufficient_rank(lams.lambda_star, "pivoted")
         assert p1 == p2
         assert 1 <= p1 <= 48
 
@@ -485,7 +485,7 @@ class TestTrialsValidation:
     def test_verify_lemma_rejects_zero_trials(self):
         psi = np.random.default_rng(0).normal(size=(20, 3))
         with pytest.raises(ConfigError):
-            verify_lemma_tail(psi, p=5, t_grid=[0.1], trials=0, seed=0)
+            lemma_deviations([psi], 5, 0, 0)
 
 
 class TestLambdaValidation:

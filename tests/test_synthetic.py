@@ -1,11 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 from math import pi
+from scipy.special import zeta
 
 from nyridge.errors import ConfigError
-from nyridge.kernels import KernelSpec, gram
+from nyridge.kernels import KernelSpec, _periodic_poly_values, gram
 from nyridge.synthetic import (
     DecayLaw,
     FixedDesignProblem,
@@ -13,29 +12,36 @@ from nyridge.synthetic import (
     draw_noise,
     eig_circulant,
     grid_problem,
-    random_design_problem,
-    save_problem,
+    kernel_spec_for,
     signal_on_grid,
-    signal_values,
     sigma2_for_snr,
 )
 
 POLY = lambda r: DecayLaw("polynomial", r)
-EXPO = lambda r: DecayLaw("exponential", r)
+
+
+def cosine_series(delta, xs, terms=200_000):
+    i = np.arange(1, terms + 1, dtype=float)
+    return np.array([np.sum(2.0 * i ** (-delta) * np.cos(2 * np.pi * i * x)) for x in xs])
 
 
 class TestDecayLaws:
     def test_validation(self):
         with pytest.raises(ConfigError):
             DecayLaw("polynomial", 0.5)
-        with pytest.raises(ConfigError):
-            DecayLaw("exponential", 0.0)
+        with pytest.raises(ConfigError, match="unknown decay kind"):
+            DecayLaw("exponential", 1.0)
         with pytest.raises(ConfigError):
             DecayLaw("linear", 1.0)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite rate"):
+                DecayLaw("polynomial", rate)
 
-    def test_values(self):
-        assert np.allclose(POLY(1).values([1, 2, 4]), [1.0, 0.25, 0.0625])
-        assert np.allclose(EXPO(1.0).values([1, 2]), np.exp([-1.0, -2.0]))
+    def test_kernel_spec_needs_tabulated_integer_beta(self):
+        assert kernel_spec_for(POLY(3)) == KernelSpec.periodic_poly(3)
+        for beta in (2.5, 5):
+            with pytest.raises(ConfigError, match="grid problems need beta"):
+                kernel_spec_for(POLY(beta))
 
 
 class TestEigCirculant:
@@ -51,18 +57,12 @@ class TestEigCirculant:
         floor = 1e-12 * mine[-1]
         assert np.all(np.abs(dense - mine) <= np.maximum(1e-6 * mine, floor))
 
-    @pytest.mark.parametrize("n", [16, 32, 64])
-    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
-    def test_exponential_matches_dense(self, n, rho):
-        K = gram(np.arange(n) / n, KernelSpec.periodic_exp(rho)).entries
-        dense = np.sort(np.linalg.eigvalsh(K))
-        mine = np.sort(eig_circulant(EXPO(rho), n))
-        # tiny eigenvalues are below float resolution of the dense solve;
-        # compare relative to the largest
-        assert np.max(np.abs(dense - mine)) <= 1e-8 * mine[-1]
-        big = mine > 1e-6 * mine[-1]
-        dense_f = np.sort(np.linalg.eigvalsh(K))[big]
-        assert np.max(np.abs(dense_f - mine[big]) / mine[big]) <= 1e-8
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4, 8])
+    def test_eigenvalues_sum_to_trace(self, beta):
+        # sum_r eig_r = tr K = n k(x, x) = 2 n zeta(2 beta)
+        n = 37
+        total = np.sum(eig_circulant(POLY(beta), n))
+        assert total == pytest.approx(2 * n * zeta(2.0 * beta), rel=1e-12)
 
     def test_leading_eigenvalue_asymptotics(self):
         # leading eigenvalue approx n mu_1, within [1, 1.2] for beta = 1
@@ -133,83 +133,51 @@ class TestGridProblem:
         assert np.array_equal(K, K.T)
         assert np.array_equal(np.roll(K[3], -3), prob.row0)
 
-    def test_problem_needs_exactly_one_kernel_source(self):
+    @pytest.mark.parametrize("beta, delta", [(2, 4.0), (3, 3.0), (8, 6.0)])
+    def test_polynomial_spectrum_problem(self, beta, delta):
+        prob = grid_problem(24, SpectrumSpec.polynomial(beta, delta), 0.0)
+        dense = np.sort(np.linalg.eigvalsh(prob.K.entries))
+        mine = np.sort(eig_circulant(prob.spectrum.mu, 24))
+        assert np.max(np.abs(dense - mine)) <= 1e-8 * mine[-1]
+        # f(0) = 2 sum_i i^(-delta) = 2 zeta(delta)
+        assert prob.z[0] == pytest.approx(2 * zeta(delta), rel=1e-10)
+
+    def test_problem_needs_its_first_row(self):
+        # K is only ever a cache of the first row, never passed in
         prob = grid_problem(8, SpectrumSpec.polynomial(1, 2.0), 0.0)
-        with pytest.raises(ConfigError):
-            FixedDesignProblem(prob.points, prob.z, 0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError):
+            FixedDesignProblem(prob.points, prob.z, 0.0, prob.spectrum)
+        with pytest.raises(TypeError):
             FixedDesignProblem(
-                prob.points, prob.z, 0.0, row0=prob.row0, kernel_matrix=prob.K
+                prob.points, prob.z, 0.0, prob.spectrum, prob.row0, kernel_matrix=prob.K
             )
 
-    def test_exponential_spectrum_problem(self):
-        spec = SpectrumSpec(EXPO(1.0), EXPO(2.0))
-        prob = grid_problem(24, spec, 0.0)
-        dense = np.sort(np.linalg.eigvalsh(prob.K.entries))
-        mine = np.sort(eig_circulant(spec.mu, 24))
-        assert np.max(np.abs(dense - mine)) <= 1e-8 * mine[-1]
-        # f(0) = 2 sum e^{-kappa i / 2} = 2 e^{-1} / (1 - e^{-1})
-        f0 = 2 * np.exp(-1.0) / (1 - np.exp(-1.0))
-        assert prob.z[0] == pytest.approx(f0, rel=1e-10)
 
-
-class TestSignalValues:
-    def test_grid_fold_matches_pointwise_on_grid(self):
+class TestSignalOnGrid:
+    def test_grid_fold_matches_closed_form(self):
+        # for even delta, f(x) = sum_i 2 i^(-delta) cos(2 i pi x) is the
+        # periodic kernel with beta = delta / 2; for delta = 3 the oracle is
+        # the series itself, whose tail past N terms is below 1/N^2 = 2.5e-11
         n = 20
+        xs = np.arange(n) / n
         for delta in (2.0, 3.0, 8.0):
             z = signal_on_grid(POLY(delta), n)
-            direct = signal_values(POLY(delta), np.arange(n) / n)
+            if delta % 2 == 0:
+                direct = _periodic_poly_values(xs, int(delta) // 2)
+            else:
+                direct = cosine_series(delta, xs)
             assert np.max(np.abs(z - direct)) <= 1e-9
 
     def test_noninteger_delta_against_series(self):
-        delta = 1.7
-        xs = np.array([0.13, 0.37, 0.81])
-        i = np.arange(1, 200_001, dtype=float)
-        series = np.array(
-            [np.sum(2.0 * i ** (-delta) * np.cos(2 * np.pi * i * x)) for x in xs]
-        )
-        vals = signal_values(POLY(delta), xs)
-        assert np.max(np.abs(vals - series)) <= 1e-6
-
-    def test_exponential_closed_form(self):
-        kappa = 2.0
-        xs = np.array([0.0, 0.25, 0.5])
-        i = np.arange(1, 400, dtype=float)
-        series = np.array(
-            [np.sum(2.0 * np.exp(-kappa * i / 2) * np.cos(2 * np.pi * i * x)) for x in xs]
-        )
-        assert np.allclose(signal_values(EXPO(kappa), xs), series, atol=1e-12)
+        # grid points away from 0, where the truncated series converges
+        n = 20
+        j = np.array([3, 7, 16])
+        vals = signal_on_grid(POLY(1.7), n)[j]
+        assert np.max(np.abs(vals - cosine_series(1.7, j / n))) <= 1e-6
 
     def test_divergent_delta_rejected(self):
         with pytest.raises(ConfigError):
-            signal_values(POLY(0.9), [0.1])
-
-
-class TestRandomDesign:
-    def test_determinism(self):
-        spec = SpectrumSpec.polynomial(1, 2.0)
-        a = random_design_problem(30, spec, 0.1, seed=5)
-        b = random_design_problem(30, spec, 0.1, seed=5)
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.K.entries, b.K.entries)
-
-    def test_trace_is_n_times_diagonal(self):
-        prob = random_design_problem(50, SpectrumSpec.polynomial(1, 2.0), 0.0, seed=1)
-        assert prob.K.trace() == pytest.approx(50 * pi**2 / 3, rel=1e-10)
-        assert prob.row0 is None
-
-    def test_eigenvalue_decay_tracks_law(self):
-        # top eigenvalues within a [1/3, 3] band of n mu_i for beta = 1
-        n = 400
-        prob = random_design_problem(n, SpectrumSpec.polynomial(1, 2.0), 0.0, seed=2)
-        ev = np.sort(np.linalg.eigvalsh(prob.K.entries))[::-1]
-        # eigenvalues come in cosine/sine pairs; compare pair maxima
-        for i in range(1, 11):
-            # i-th frequency corresponds to eigenvalues 2i-1, 2i in rank order
-            target = n * i ** (-2.0)
-            got = ev[2 * i - 1]
-            assert target / 3 <= got <= 3 * target
+            signal_on_grid(POLY(0.9), 20)
 
 
 class TestDrawNoise:
@@ -233,17 +201,3 @@ def test_sigma2_for_snr():
     with pytest.raises(ConfigError):
         sigma2_for_snr(z, 0.0)
 
-
-def test_save_problem_round_trip(tmp_path):
-    prob = grid_problem(12, SpectrumSpec.polynomial(1, 2.0), 0.3)
-    path = tmp_path / "problem.csv"
-    save_problem(prob, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "point,z"
-    pts = np.array([float(r.split(",")[0]) for r in rows[1:]])
-    zs = np.array([float(r.split(",")[1]) for r in rows[1:]])
-    assert np.array_equal(pts, prob.points)
-    assert np.array_equal(zs, prob.z)
-    meta = json.loads((tmp_path / "problem.csv.meta.json").read_text())
-    assert meta["sigma2"] == 0.3
-    assert meta["mu"] == {"kind": "polynomial", "rate": 1}
