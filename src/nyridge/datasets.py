@@ -126,8 +126,7 @@ def load_dataset(
 
 
 def _fold_slices(n: int, folds: int, seed) -> list[np.ndarray]:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 

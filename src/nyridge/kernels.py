@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, pi
+from math import comb, factorial, inf, pi
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 # Degrees 2*beta with tabulated Bernoulli polynomial coefficients.
 SUPPORTED_BETAS = (1, 2, 3, 4, 8)
@@ -164,8 +164,13 @@ def cross_gram(points_a, points_b, spec: KernelSpec) -> np.ndarray:
         return _periodic_poly_values(pa[:, None] - pb[None, :], int(spec.param))
     if pa.shape[1] != pb.shape[1]:
         raise ConfigError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]} features")
+    # 2 bw^2 overflows for any bw > 1e154; a float ** that overflows raises
+    scale = inf if spec.param > 1e154 else 2.0 * spec.param ** 2
+    if not 0.0 < scale < inf:
+        raise NumericalError(f"bandwidth {spec.param!r} is out of range: 2 bandwidth^2 = {scale!r}")
     sq = cdist(pa, pb, "sqeuclidean")
-    return np.exp(-sq / (2.0 * spec.param ** 2))
+    with np.errstate(over="ignore"):  # sq / scale -> inf gives exp(-inf) = 0, the exact limit
+        return np.exp(-sq / scale)
 
 
 def gram(points, spec: KernelSpec) -> KernelMatrix:

@@ -1,20 +1,20 @@
 """Column-sampled low-rank factorizations of PSD kernel matrices.
 
-Given a subset I of columns, the approximation is
+Given an ordered subset I of columns, the approximation is
 L = K(V, I) K(I, I)^+ K(V, I)^T, represented by a factor Phi with
-Phi Phi^T = L. Every factor carries a p x p whitener W with
-Phi = K(V, I) W, which maps kernel evaluations (k(x_i, x))_{i in I} onto
-Phi's basis and so extends the factor to unseen points. ``nystrom`` uses
-the symmetric pseudo-root W = K(I, I)^(+1/2); ``pivoted_ichol`` uses
-W = L_I^(-T), where L_I = Phi[I] is the lower-triangular Cholesky factor of
-K(I, I) in pivot order. Both give the same L, but their Phi differ by an
-orthogonal rotation, so a factor's coefficients only make sense with its
-own whitener.
+Phi Phi^T = L. One pivoted Cholesky loop, ``_cholesky_rows``, builds every
+factor: ``pivoted_ichol`` (greedy pivots; stops at a rank, a trace
+tolerance or a collapse floor), ``nested_factor`` (a fixed order, or greedy
+pivots to the collapse floor), whose every prefix is a factor, and
+``nystrom`` (the fixed order of a selection), so that a factor is its
+ordered index set: ``nystrom(K, F.selection)`` is F, bit for bit.
 
-One pivoted Cholesky loop, ``_cholesky_rows``, builds both triangular
-factors: ``pivoted_ichol`` (greedy pivots; stops at a rank, a trace
-tolerance or a collapse floor) and ``nested_factor`` (a fixed order, or
-greedy pivots to the collapse floor), whose every prefix is a factor.
+Every factor carries a p x p whitener W = L_I^(-T), where L_I = Phi[I] is
+the lower-triangular Cholesky factor of K(I, I) in pivot order, so that
+Phi = K(V, I) W. It maps kernel evaluations (k(x_i, x))_{i in I} onto
+Phi's basis and so extends the factor to unseen points. A pivot whose
+residual has collapsed leaves a zero column of Phi and a zero row and
+column of W.
 
 Factorizations are sequential internally (pivot order is a data
 dependence); factors are immutable after construction and safe to share
@@ -33,8 +33,9 @@ from . import csvio
 from .errors import ConfigError, NumericalError, ParseError
 from .kernels import KernelMatrix, KernelSpec, cross_gram
 
-# Relative eigenvalue cutoff for pseudo-inverting K(I, I); kernel submatrices
-# are routinely numerically singular.
+# Collapse floor, relative to max(diag K): a pivot whose residual diagonal is
+# at or below it adds nothing to the factor, since kernel submatrices are
+# routinely numerically singular and rounding would dominate such a pivot.
 PINV_RTOL = 1e-12
 
 # Residual diagonals below -BREAKDOWN_RTOL * max(diag) indicate breakdown.
@@ -73,11 +74,11 @@ class LowRankFactor:
 
     ``whitener`` (p x p) maps raw kernel evaluations (k(x_i, x))_{i in I}
     onto Phi's basis: ``feature_matrix(spec, X[I], whitener, X) == phi`` on
-    the points X that built the factor. It is the symmetric pseudo inverse
-    square root of K(I, I) for ``nystrom`` and L_I^(-T), the inverse
-    transpose of the pivoted Cholesky factor of K(I, I), for
-    ``pivoted_ichol``. ``trace_residual_trail`` (pivoted path only) holds
-    tr(K - L_k) after each of the k = 1..p pivot steps.
+    the points X that built the factor. It is L_I^(-T), the inverse
+    transpose of the pivoted Cholesky factor L_I = Phi[I] of K(I, I), with
+    a zero row and column at each collapsed pivot. ``trace_residual_trail``
+    (pivoted path only) holds tr(K - L_k) after each of the k = 1..p pivot
+    steps.
     """
 
     phi: np.ndarray
@@ -101,35 +102,8 @@ def sample_columns(n: int, p: int, seed) -> ColumnSelection:
     """
     if p < 1 or p > n:
         raise ConfigError(f"need 1 <= p <= n, got p={p}, n={n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    idx = rng.choice(n, size=p, replace=False)
+    idx = np.random.default_rng(seed).choice(n, size=p, replace=False)
     return ColumnSelection(indices=idx, method="uniform-random", n=n)
-
-
-def _pseudo_root_inv(w: np.ndarray) -> np.ndarray:
-    """Symmetric pseudo inverse square root of a PSD matrix."""
-    s, u = np.linalg.eigh(w)
-    cut = PINV_RTOL * max(s[-1], 0.0)
-    keep = s > cut
-    if not np.any(keep):
-        return np.zeros_like(w)
-    uk = u[:, keep]
-    return (uk / np.sqrt(s[keep])) @ uk.T
-
-
-def nystrom(K, selection: ColumnSelection) -> LowRankFactor:
-    """Column approximation L = K(V, I) K(I, I)^+ K(I, V) as a factor.
-
-    Eigenvalues of K(I, I) below ``PINV_RTOL`` times the largest are treated
-    as zero. Cost O(p^2 n) given the p columns.
-    """
-    A = np.asarray(K, dtype=float)
-    idx = selection.indices
-    cols = A[:, idx]
-    w = A[np.ix_(idx, idx)]
-    whitener = _pseudo_root_inv(w)
-    phi = cols @ whitener
-    return LowRankFactor(phi=phi, selection=selection, whitener=whitener)
 
 
 def _cholesky_rows(column, diag, pmax: int, order=None, trace_tol=None, floor=0.0):
@@ -175,6 +149,20 @@ def _cholesky_rows(column, diag, pmax: int, order=None, trace_tol=None, floor=0.
     return rows, pivots, trail[: len(pivots)].copy()
 
 
+def _whitener(phi: np.ndarray, pivots) -> np.ndarray:
+    """W = L_I^(-T) for the triangular L_I = phi[pivots], so K(V, I) W = phi.
+
+    A collapsed pivot (zero diagonal in L_I) gets a zero row and column.
+    """
+    upper = phi[pivots].T
+    keep = np.flatnonzero(np.diag(upper) > 0.0)
+    w = np.zeros_like(upper)
+    w[np.ix_(keep, keep)] = scipy.linalg.solve_triangular(
+        upper[np.ix_(keep, keep)], np.eye(keep.size), lower=False, check_finite=False
+    )
+    return w
+
+
 def pivoted_ichol(
     column_oracle: Callable[[int], np.ndarray],
     diag: np.ndarray,
@@ -209,13 +197,10 @@ def pivoted_ichol(
     )
     if not pivots:
         raise NumericalError("pivoted Cholesky made no progress (zero diagonal)")
-    whitener = scipy.linalg.solve_triangular(
-        rows[:, pivots], np.eye(len(pivots)), lower=False, check_finite=False
-    )
     return LowRankFactor(
         phi=rows.T,
         selection=ColumnSelection(np.array(pivots), "greedy-pivoted", n),
-        whitener=whitener,
+        whitener=_whitener(rows.T, pivots),
         trace_residual_trail=trail,
     )
 
@@ -227,16 +212,27 @@ def nested_factor(K, order: Sequence[int] | None) -> np.ndarray:
     prefix phi[:, :p] is itself a factor of the column approximation built
     from them. With a fixed ``order``, columns whose residual diagonal has
     collapsed below ``PINV_RTOL * max(diag)`` are left at zero (the
-    pseudo-inverse drops them too, so prefixes still match ``nystrom`` on
-    the same index set). With ``order`` None the pivots are greedy, as in
-    ``pivoted_ichol``, and the factor ends where the largest residual
-    collapses, so it can have fewer than n columns.
+    pseudo-inverse drops them too, so every prefix is the column
+    approximation of its index set). With ``order`` None the pivots are
+    greedy, as in ``pivoted_ichol``, and the factor ends where the largest
+    residual collapses, so it can have fewer than n columns.
     """
     A = np.asarray(K, dtype=float)
     diag = np.diag(A)
     pmax = A.shape[0] if order is None else len(order)
     floor = PINV_RTOL * float(np.max(diag))
     return _cholesky_rows(make_column_oracle(A), diag, pmax, order=order, floor=floor)[0].T
+
+
+def nystrom(K, selection: ColumnSelection) -> LowRankFactor:
+    """Column approximation L = K(V, I) K(I, I)^+ K(I, V) as a factor.
+
+    The fixed-order :func:`nested_factor` on ``selection.indices`` and its
+    whitener; a pivot collapsed to ``PINV_RTOL * max(diag)`` gives a zero
+    column. Cost O(p^2 n) given the p columns.
+    """
+    phi = nested_factor(K, selection.indices)
+    return LowRankFactor(phi=phi, selection=selection, whitener=_whitener(phi, selection.indices))
 
 
 def feature_matrix(spec: KernelSpec, landmarks, whitener: np.ndarray, points) -> np.ndarray:

@@ -20,6 +20,7 @@ from . import csvio
 from .errors import ConfigError, DataError, NumericalError, ParseError
 from .kernels import KernelSpec, cross_gram
 from .lowrank import LowRankFactor, feature_matrix
+from .stats import _check_lambda
 
 LOSSES = ("square", "logistic")
 
@@ -62,8 +63,7 @@ def krr_exact(K, y, lam: float):
 
     Returns (fit, zhat); O(n^3).
     """
-    if not lam > 0:
-        raise ConfigError(f"lambda must be > 0, got {lam!r}")
+    _check_lambda(lam)
     A = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     n = A.shape[0]
@@ -79,8 +79,7 @@ def krr_lowrank(factor: LowRankFactor, y, lam: float):
     L = Phi Phi^T; cost O(p^2 n + p^3). Non-finite features or targets
     raise DataError.
     """
-    if not lam > 0:
-        raise ConfigError(f"lambda must be > 0, got {lam!r}")
+    _check_lambda(lam)
     phi = factor.phi
     y = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
@@ -127,8 +126,7 @@ def newton_solve(
     that only accepts descent steps. Labels must be in {-1, +1} for the
     logistic loss.
     """
-    if not lam > 0:
-        raise ConfigError(f"lambda must be > 0, got {lam!r}")
+    _check_lambda(lam)
     if loss not in LOSSES:
         raise ConfigError(f"loss must be one of {LOSSES}, got {loss!r}")
     phi = factor.phi

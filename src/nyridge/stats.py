@@ -31,23 +31,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError, VacuousBoundError
-from .lowrank import nested_factor, nystrom, sample_columns
+from .lowrank import nested_factor, sample_columns
 from .synthetic import FixedDesignProblem, check_sigma2
 
 
 def _rng_for(seed, *key) -> np.random.Generator:
     """Deterministic per-work-item generator: (master seed, row key)."""
-    if isinstance(seed, np.random.SeedSequence):
-        base = seed
-    else:
-        base = np.random.SeedSequence(seed)
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=base.entropy, spawn_key=tuple(int(k) for k in key))
+        np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
     )
 
 
@@ -134,9 +131,16 @@ class Spectrum:
             resid2 = max(float(z @ z - uz @ uz), 0.0)
         return replace(self, coef2=uz * uz, resid2=resid2)
 
+    @cached_property
+    def _max_eig(self) -> float:
+        return float(np.max(self.eigs))
+
     def bias(self, lam: float) -> float:
         _check_lambda(lam)
         nl = self.n * lam
+        top = self._max_eig + nl  # numpy overflows only for a finite nl
+        if math.isfinite(nl) and not top * top < math.inf:
+            raise NumericalError(f"(eig + n lambda)^2 at lambda={lam!r} is not finite")
         fitted = float(np.sum(self.coef2 / (self.eigs + nl) ** 2))
         return self.n * lam * lam * fitted + self.resid2 / self.n
 
@@ -175,13 +179,11 @@ def problem_spectrum(problem: FixedDesignProblem) -> Spectrum:
 
 def dof(K, lam: float) -> tuple[float, float, float]:
     """(d_max, d_trace, d_ave) from one symmetric eigendecomposition."""
-    _check_lambda(lam)
     return Spectrum.dense(K).dof(lam)
 
 
 def bias_variance(K, z, sigma2: float, lam: float) -> tuple[float, float]:
     """Closed-form expected in-sample error terms for the exact smoother."""
-    _check_lambda(lam)
     sigma2 = check_sigma2(sigma2)
     return Spectrum.dense(K, z).bias_variance(sigma2, lam)
 
@@ -256,9 +258,8 @@ def verify_theorem(
     A = problem.K.entries
     ratios = np.empty(trials)
     for t in range(trials):
-        sel = sample_columns(n, p, _rng_for(seed, t))
-        factor = nystrom(A, sel)
-        bl, vl = lowrank_bias_variance(factor.phi, problem.z, problem.sigma2, lam)
+        phi = nested_factor(A, sample_columns(n, p, _rng_for(seed, t)).indices)
+        bl, vl = lowrank_bias_variance(phi, problem.z, problem.sigma2, lam)
         ratios[t] = (bl + vl) / err_full
     d_max, _, _ = spec.dof(lam)
     thresh = (1.0 - delta / 2.0) ** -2

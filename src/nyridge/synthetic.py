@@ -172,10 +172,9 @@ def grid_problem(n: int, spectrum: SpectrumSpec, sigma2: float) -> FixedDesignPr
 def draw_noise(n: int, sigma2: float, trials: int, seed) -> np.ndarray:
     """trials x n matrix of i.i.d. centered Gaussian noise, seeded."""
     sigma2 = check_sigma2(sigma2)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if sigma2 == 0.0:
         return np.zeros((trials, n))
-    return np.sqrt(sigma2) * rng.standard_normal((trials, n))
+    return np.sqrt(sigma2) * np.random.default_rng(seed).standard_normal((trials, n))
 
 
 def sigma2_for_snr(z, snr: float) -> float:

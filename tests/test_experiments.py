@@ -93,10 +93,12 @@ BAD_CONFIGS = [
 
 # Runs whose config is valid but whose numbers are not: each must exit 2 or
 # 3 with the given message and write no CSV. The first two once wrote NaN
-# CSVs with exit 0, the last two ended in ZeroDivisionError tracebacks.
+# CSVs with exit 0; the third ended in an OverflowError traceback and the
+# two after it in ZeroDivisionError tracebacks.
 BAD_RUNS = [
     (["fig1", "--n", "16", "--trials", "1", "--lam", "1e308"], 3, "err_full is not finite"),
-    (["cv", "--input", "toy.csv", "--bandwidth", "1e-300"], 3, "cv_error is not finite"),
+    (["cv", "--input", "toy.csv", "--bandwidth", "1e-300"], 3, "bandwidth 1e-300"),
+    (["cv", "--input", "toy.csv", "--bandwidth", "1e200"], 3, "bandwidth 1e+200"),
     (["fig1", "--n", "16", "--trials", "1", "--snr", "1e-200"], 2, "sigma2 must be"),
     (["rank-ratio", "--n", "16", "--trials", "1", "--lambda-hi", "1e300"], 2, "lambda="),
     # the full error overflows to NaN, which no rank can meet

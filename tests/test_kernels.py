@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from math import comb, pi
 from scipy.special import zeta
 
-from nyridge.errors import ConfigError
+from nyridge.errors import ConfigError, NumericalError
 from nyridge.kernels import (
     BERNOULLI_POLY_COEFFS,
     SUPPORTED_BETAS,
@@ -126,6 +126,18 @@ class TestGaussianKernel:
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             gaussian_kernel([1.0, 2.0], [1.0], 1.0)
+
+    @pytest.mark.parametrize("bandwidth", [1e-300, 1e-170, 1e154, 1e200])
+    def test_bandwidth_outside_float_range(self, bandwidth):
+        # 2 bandwidth^2 underflows to 0 (0 / 0 on the diagonal) or overflows
+        with pytest.raises(NumericalError, match="bandwidth"):
+            gaussian_kernel([0.0], [1.0], bandwidth)
+
+    def test_tiny_bandwidth_reaches_exact_limit(self):
+        # 2 bandwidth^2 is subnormal, so d^2 / (2 bandwidth^2) overflows to
+        # inf, and exp(-inf) = 0 is the kernel's limit; no warning escapes
+        K = gram([0.0, 0.5, 1.0], KernelSpec.gaussian(1e-160)).entries
+        assert np.array_equal(K, np.eye(3))
 
 
 # A computed Gram matrix may fall short of PSD only by rounding: its smallest

@@ -23,6 +23,13 @@ from nyridge.lowrank import (
 from nyridge.stats import Spectrum
 
 
+def direct_nystrom(K, idx):
+    """L = K(V, I) K(I, I)^+ K(I, V) straight from the formula, as an oracle
+    independent of the Cholesky loop."""
+    cols = K[:, idx]
+    return cols @ np.linalg.pinv(K[np.ix_(idx, idx)], rcond=1e-12, hermitian=True) @ cols.T
+
+
 def random_psd(n, seed, cond_floor=1e-6):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -136,7 +143,7 @@ class TestPivotedIchol:
     def test_matches_nystrom_on_pivot_set(self):
         K = random_psd(40, 10)
         F = pivoted_ichol(make_column_oracle(K), materialized_diag(K), max_rank=13)
-        direct = nystrom(K, F.selection).gram()
+        direct = direct_nystrom(K, F.selection.indices)
         assert np.linalg.norm(F.gram() - direct) <= 1e-8 * np.linalg.norm(direct)
 
     def test_trail_is_exact_trace_residual(self):
@@ -317,11 +324,15 @@ class TestSharedCholeskyLoop:
     def test_three_factors_agree_on_one_index_set(self, p, n, rank, seed):
         K = low_rank_psd(n, min(rank, n), seed)
         F = pivoted_ichol(make_column_oracle(K), materialized_diag(K), max_rank=min(p, n))
-        direct = nystrom(K, F.selection).gram()
+        direct = direct_nystrom(K, F.selection.indices)
         nested = nested_factor(K, F.selection.indices)
         scale = np.linalg.norm(direct)
         assert np.linalg.norm(F.gram() - direct) <= 1e-8 * scale
         assert np.linalg.norm(nested @ nested.T - direct) <= 1e-8 * scale
+        # a factor is its ordered index set: the same loop rebuilds it exactly
+        rebuilt = nystrom(K, F.selection)
+        assert np.array_equal(rebuilt.phi, F.phi)
+        assert np.array_equal(rebuilt.whitener, F.whitener)
 
     @FACTOR_SETTINGS
     @given(**instances)
@@ -444,8 +455,7 @@ class TestNestedFactor:
         order = np.random.default_rng(1).permutation(30)
         phi = nested_factor(K, order)
         for p in (1, 4, 11, 30):
-            sel = ColumnSelection(order[:p], "uniform-random", 30)
-            direct = nystrom(K, sel).gram()
+            direct = direct_nystrom(K, order[:p])
             assert np.linalg.norm(phi[:, :p] @ phi[:, :p].T - direct) <= 1e-8 * (
                 np.linalg.norm(direct) + 1.0
             )
@@ -459,6 +469,16 @@ class TestNestedFactor:
         # columns beyond the rank collapse to zero
         norms = np.linalg.norm(phi, axis=0)
         assert np.sum(norms > 1e-8) == 5
+        # a selection past the rank: collapsed pivots get a zero column of
+        # Phi and a zero row of the whitener, which still reproduces Phi
+        idx = rng.permutation(20)[:8]
+        F = nystrom(K, ColumnSelection(idx, "uniform-random", 20))
+        collapsed = ~np.any(F.phi, axis=0)
+        assert np.sum(collapsed) == 3
+        assert not np.any(F.whitener[collapsed]) and not np.any(F.whitener[:, collapsed])
+        assert np.max(np.abs(K[:, idx] @ F.whitener - F.phi)) <= 1e-12 * np.max(np.abs(F.phi))
+        direct = direct_nystrom(K, idx)
+        assert np.linalg.norm(F.gram() - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
 class TestFeatureMap:

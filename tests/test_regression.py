@@ -55,8 +55,15 @@ class TestKrrExact:
         assert np.linalg.norm(A @ fit.coef - y) <= 1e-8 * np.linalg.norm(y)
 
     def test_lambda_validation(self):
-        with pytest.raises(ConfigError):
-            krr_exact(np.eye(3), np.ones(3), 0.0)
+        # one rule for every solver: lambda must be finite and > 0
+        F = nystrom(np.eye(3), sample_columns(3, 2, 0))
+        for lam in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError):
+                krr_exact(np.eye(3), np.ones(3), lam)
+            with pytest.raises(ConfigError):
+                krr_lowrank(F, np.ones(3), lam)
+            with pytest.raises(ConfigError):
+                newton_solve(F, np.ones(3), lam)
 
     def test_non_psd_beyond_tolerance_fails(self):
         with pytest.raises(NumericalError):
@@ -123,8 +130,9 @@ class TestKrrLowrank:
         phi_bad[0, 0] = np.nan
         with pytest.raises(DataError):
             krr_lowrank(type(F)(phi_bad, F.selection, F.whitener), y, 1e-3)
-        with pytest.raises(ConfigError):
-            krr_lowrank(F, y, float("nan"))
+        for lam in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                krr_lowrank(F, y, lam)
 
 
 class TestNewton:

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import circulant
 
-from nyridge.errors import ConfigError, VacuousBoundError
+from nyridge.errors import ConfigError, NumericalError, VacuousBoundError
 from nyridge.experiments import resolve_config, run_rate_check
 from nyridge.lowrank import nystrom, sample_columns
 from nyridge.stats import (
     RankSweeper,
+    _rng_for,
     Spectrum,
     bias_variance,
     default_lambda_grid,
@@ -25,6 +26,12 @@ from nyridge.stats import (
     verify_theorem,
 )
 from nyridge.synthetic import SpectrumSpec, draw_noise, eig_circulant, grid_problem
+
+
+def direct_nystrom(K, idx):
+    """L = K(V, I) K(I, I)^+ K(I, V) straight from the formula."""
+    cols = K[:, idx]
+    return cols @ np.linalg.pinv(K[np.ix_(idx, idx)], rcond=1e-12, hermitian=True) @ cols.T
 
 
 def random_psd(n, seed, cond_floor=1e-4):
@@ -223,6 +230,13 @@ class TestVerifyTheorem:
         assert 0.0 <= check.frac_above_threshold <= 1.0
         assert check.high_prob_threshold == pytest.approx((1 - 0.125) ** -2)
         assert check.trials == 25 and check.p == 10
+        # each ratio is the closed-form error ratio of the direct L on its draw
+        K = prob.K.entries
+        err_full = sum(bias_variance(K, prob.z, prob.sigma2, 5e-3))
+        for t, ratio in enumerate(check.ratios):
+            L = direct_nystrom(K, sample_columns(36, 10, _rng_for(2, t)).indices)
+            want = sum(bias_variance(L, prob.z, prob.sigma2, 5e-3)) / err_full
+            assert abs(ratio - want) <= 1e-10
 
 
 class TestVerifyLemma:
@@ -273,17 +287,13 @@ class TestSufficientRank:
         prob = grid_problem(30, SpectrumSpec.polynomial(1, 3.0), 0.4)
         sw = RankSweeper(prob, trials=4, seed=5)
         lam = 1e-2
-        # recompute the mean closed-form error with independent nystrom calls
-        from nyridge.lowrank import ColumnSelection, nystrom as ny
-        from nyridge.stats import _rng_for
-
+        # recompute the mean closed-form error from the direct formula for L
         p = 7
         direct = []
         for t in range(4):
             order = _rng_for(5, t).permutation(30)
-            sel = ColumnSelection(order[:p], "uniform-random", 30)
-            F = ny(prob.K.entries, sel)
-            b, v = lowrank_bias_variance(F.phi, prob.z, prob.sigma2, lam)
+            L = direct_nystrom(prob.K.entries, order[:p])
+            b, v = bias_variance(L, prob.z, prob.sigma2, lam)
             direct.append(b + v)
         assert sw.error("random", p, lam) == pytest.approx(np.mean(direct), rel=1e-8)
 
@@ -489,12 +499,18 @@ class TestTrialsValidation:
 
 
 class TestLambdaValidation:
-    @pytest.mark.parametrize("lam", [0.0, -1e-3, float("nan")])
+    @pytest.mark.parametrize("lam", [0.0, -1e-3, float("nan"), float("inf")])
     def test_spectrum_rejects_nonpositive_lambda(self, lam):
         spec = problem_spectrum(grid_problem(20, SpectrumSpec.polynomial(1, 3.0), 0.5))
         for call in (spec.bias, spec.dof, lambda l: spec.variance(0.5, l)):
             with pytest.raises(ConfigError):
                 call(lam)
+
+    def test_bias_overflow_raises_before_numpy(self):
+        # (eig + n lambda)^2 would overflow to inf in numpy at this lambda
+        spec = problem_spectrum(grid_problem(20, SpectrumSpec.polynomial(1, 3.0), 0.5))
+        with pytest.raises(NumericalError, match="is not finite"):
+            spec.bias(1e160)
 
     def test_rank_bound_rejects_nan_lambda(self):
         with pytest.raises(ConfigError):
