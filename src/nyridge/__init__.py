@@ -34,7 +34,6 @@ from .stats import (
     verify_theorem,
 )
 from .synthetic import (
-    DecayLaw,
     FixedDesignProblem,
     SpectrumSpec,
     draw_noise,
@@ -48,7 +47,6 @@ __all__ = [
     "ColumnSelection",
     "ConfigError",
     "DataError",
-    "DecayLaw",
     "FixedDesignProblem",
     "KernelMatrix",
     "KernelSpec",

@@ -22,6 +22,7 @@ from .errors import (
     DataError,
     MissingValueError,
     NonNumericError,
+    NumericalError,
     ParseError,
 )
 from .kernels import KernelSpec, cross_gram
@@ -170,6 +171,8 @@ def cross_validate_lambda(
     n = data.n
     if n // folds < 2:
         raise ConfigError(f"fold size {n // folds} too small (need >= 2)")
+    if not n * float(np.max(grid)) < math.inf:  # bounds n_train lambda in every fold
+        raise NumericalError(f"n lambda at lambda={float(np.max(grid))!r} is not finite")
     X, y = data.features, data.targets
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise DataError(f"{data.name}: features and targets must be finite")

@@ -19,12 +19,13 @@ import numpy as np
 
 from . import csvio
 from .datasets import cross_validate_lambda, load_dataset
-from .errors import ConfigError, VacuousBoundError
-from .kernels import KernelSpec, median_distance_bandwidth
+from .errors import ConfigError, NumericalError, VacuousBoundError
+from .kernels import SUPPORTED_BETAS, KernelSpec, median_distance_bandwidth
 from .lowrank import prefix_errors
 from .stats import (
     RankSweeper,
     Spectrum,
+    _check_err_full,
     _rng_for,
     fit_rate,
     lemma_deviations,
@@ -64,7 +65,6 @@ BOUNDS = {
     ">= 1": lambda x: x >= 1,
     ">= 2": lambda x: x >= 2,
     "> 0": lambda x: x > 0,
-    "> 0.5": lambda x: x > 0.5,
     "in (0, 1)": lambda x: 0 < x < 1,
 }
 
@@ -72,8 +72,8 @@ BOUNDS = {
 # experiment gives its own default
 _SHARED = {
     "n": (int, ">= 1", "number of design points"),
-    "beta": (int, ">= 1", "kernel eigenvalue decay i^(-2 beta)"),
-    "delta": (float, "> 0.5", "signal coefficient decay i^(-2 delta)"),
+    "beta": (int, "", f"kernel eigenvalue decay i^(-2 beta), beta in {SUPPORTED_BETAS}"),
+    "delta": (float, "", "signal coefficient decay i^(-2 delta), delta > 1"),
     "snr": (float, "> 0", "signal-to-noise ratio that sets sigma2 when sigma2 is absent"),
     "sigma2": (float, ">= 0", "noise variance; derived from snr when absent"),
     "trials": (int, ">= 1", "random draws averaged over"),
@@ -252,7 +252,7 @@ def run_fig1(cfg: dict):
     if lam is None:
         lam = optimal_lambda(prob).lambda_star
     spec = problem_spectrum(prob)
-    err_full = spec.error(prob.sigma2, lam)
+    err_full = _check_err_full(spec.error(prob.sigma2, lam), lam)
     tr_full = prob.K.trace()
     op_full = float(np.max(spec.eigs))
     ranks = _default_p_grid(prob.n)
@@ -267,8 +267,12 @@ def run_fig1(cfg: dict):
             op_errs.append(op_err / op_full)
             prefix = Spectrum.prefixes(phi, prob.z)
             errs = [prefix(p).error(prob.sigma2, lam) for p in ranks]
-            excess.append((np.array(errs) - err_full) / err_full)
-        curves[method] = [np.mean(c, axis=0) for c in (tr_errs, op_errs, excess)]
+            excess.append(np.array(errs) - err_full)
+        with np.errstate(over="ignore"):  # a relative excess past the float range is refused below
+            rel = np.mean([e / err_full for e in excess], axis=0)
+        if not np.all(np.isfinite(rel)):
+            raise NumericalError(f"the relative excess over err_full={err_full!r} overflows")
+        curves[method] = [np.mean(tr_errs, axis=0), np.mean(op_errs, axis=0), rel]
     rows = [
         (p, float(tr[i]), float(op[i]), float(ex[i]), method)
         for i, p in enumerate(ranks)
@@ -299,7 +303,7 @@ def run_rate_check(cfg: dict):
     if len(n_list) < 5:
         raise ConfigError(f"rates needs at least 5 sizes in n_list (got {n_list!r})")
     spectrum = SpectrumSpec.polynomial(cfg["beta"], cfg["delta"])
-    sigma2 = _sigma2(cfg, signal_on_grid(spectrum.nu, n_list[len(n_list) // 2]))
+    sigma2 = _sigma2(cfg, signal_on_grid(spectrum.delta, n_list[len(n_list) // 2]))
 
     rows = []
     any_saturated = False
@@ -340,7 +344,11 @@ def run_rate_check(cfg: dict):
 def run_rank_ratio(cfg: dict):
     """Sufficient rank over degrees of freedom across a lambda grid."""
     prob = _synthetic_problem(cfg)
-    lams = prob.mean_diag * np.geomspace(cfg["lambda_lo"], cfg["lambda_hi"], cfg["lambda_points"])
+    scale = np.geomspace(cfg["lambda_lo"], cfg["lambda_hi"], cfg["lambda_points"])
+    top = float(np.max(scale))
+    if not prob.mean_diag * top < math.inf:
+        raise ConfigError(f"lambda={top!r} times tr(K)/n={prob.mean_diag!r} is not finite")
+    lams = prob.mean_diag * scale
     spec = problem_spectrum(prob)
     sweeper = RankSweeper(prob, trials=cfg["trials"], seed=cfg["seed"])
     rows = []

@@ -68,12 +68,7 @@ def _folded(delta):
 
 
 def _periodic_poly_values(delta, beta: int):
-    """Vectorized closed form of the polynomial-decay periodic kernel."""
-    if beta not in SUPPORTED_BETAS:
-        raise ConfigError(
-            f"beta must be one of {SUPPORTED_BETAS} (got {beta!r}); "
-            "only these have tabulated Bernoulli polynomials"
-        )
+    """Vectorized closed form of the polynomial-decay periodic kernel, beta in SUPPORTED_BETAS."""
     m = 2 * beta
     u = _folded(delta)
     scale = (-1.0) ** (beta + 1) * (2.0 * pi) ** m / factorial(m)
@@ -95,7 +90,7 @@ class KernelSpec:
         if self.kind == "periodic-polynomial":
             if not self.param > 0.5:
                 raise ConfigError(f"beta must be > 1/2 for a summable series (got {self.param!r})")
-            if int(self.param) != self.param or int(self.param) not in SUPPORTED_BETAS:
+            if not float(self.param).is_integer() or int(self.param) not in SUPPORTED_BETAS:
                 raise ConfigError(
                     f"beta must be an integer in {SUPPORTED_BETAS} (got {self.param!r})"
                 )

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -131,18 +130,14 @@ class Spectrum:
             resid2 = max(float(z @ z - uz @ uz), 0.0)
         return replace(self, coef2=uz * uz, resid2=resid2)
 
-    @cached_property
-    def _max_eig(self) -> float:
-        return float(np.max(self.eigs))
-
     def bias(self, lam: float) -> float:
+        """(sum_i coef2_i s_i^2 + resid2) / n, with s_i = n lambda / (eig_i + n lambda) in [0, 1]."""
         _check_lambda(lam)
         nl = self.n * lam
-        top = self._max_eig + nl  # numpy overflows only for a finite nl
-        if math.isfinite(nl) and not top * top < math.inf:
-            raise NumericalError(f"(eig + n lambda)^2 at lambda={lam!r} is not finite")
-        fitted = float(np.sum(self.coef2 / (self.eigs + nl) ** 2))
-        return self.n * lam * lam * fitted + self.resid2 / self.n
+        if not math.isfinite(nl):
+            raise NumericalError(f"n lambda at lambda={lam!r} is not finite")
+        shrink = nl / (self.eigs + nl)
+        return (float(np.sum(self.coef2 * (shrink * shrink))) + self.resid2) / self.n
 
     def variance(self, sigma2: float, lam: float) -> float:
         _check_lambda(lam)
@@ -175,6 +170,13 @@ def problem_spectrum(problem: FixedDesignProblem) -> Spectrum:
     One FFT of the first row; K is never assembled.
     """
     return Spectrum.circulant(problem.row0, problem.z)
+
+
+def _check_err_full(err_full: float, lam: float) -> float:
+    """The full-matrix error that ratios divide by; NumericalError unless finite and > 0."""
+    if not 0.0 < err_full < math.inf:
+        raise NumericalError(f"full-matrix error at lambda={lam!r} is {err_full!r}; no ratio to it")
+    return err_full
 
 
 def dof(K, lam: float) -> tuple[float, float, float]:
@@ -212,7 +214,10 @@ def theorem_rank_bound(d_max: float, delta: float, n: int, r2: float, lam: float
         raise VacuousBoundError(
             f"rank bound vacuous: n R^2 / (delta lambda) = {arg:.3e} <= 1"
         )
-    return int(math.ceil((32.0 * d_max / delta + 2.0) * math.log(arg)))
+    bound = (32.0 * d_max / delta + 2.0) * math.log(arg)
+    if not bound < math.inf:
+        raise NumericalError(f"rank bound at lambda={lam!r} is not finite")
+    return int(math.ceil(bound))
 
 
 @dataclass
@@ -254,7 +259,7 @@ def verify_theorem(
     if trials < 1:
         raise ConfigError(f"need trials >= 1, got {trials}")
     spec = problem_spectrum(problem)
-    err_full = spec.error(problem.sigma2, lam)
+    err_full = _check_err_full(spec.error(problem.sigma2, lam), lam)
     A = problem.K.entries
     ratios = np.empty(trials)
     for t in range(trials):

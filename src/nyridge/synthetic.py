@@ -21,35 +21,29 @@ from scipy.linalg import circulant
 from scipy.special import zeta as hurwitz_zeta
 
 from .errors import ConfigError
-from .kernels import SUPPORTED_BETAS, KernelMatrix, KernelSpec, cross_gram
-
-POLYNOMIAL = "polynomial"
-
-
-@dataclass(frozen=True)
-class DecayLaw:
-    """Eigenvalue or signal-coefficient decay i^(-2 rate); ``kind`` is ``"polynomial"``."""
-
-    kind: str
-    rate: float
-
-    def __post_init__(self):
-        if self.kind != POLYNOMIAL:
-            raise ConfigError(f"unknown decay kind {self.kind!r}")
-        if not 0.5 < self.rate < inf:
-            raise ConfigError(f"polynomial decay needs a finite rate > 1/2 (got {self.rate!r})")
+from .kernels import KernelMatrix, KernelSpec, cross_gram
 
 
 @dataclass(frozen=True)
 class SpectrumSpec:
-    """Decay laws for kernel eigenvalues (mu) and signal coefficients (nu)."""
+    """The grid family: eigenvalues mu_i = i^(-2 beta), signal coefficients nu_i = i^(-2 delta).
 
-    mu: DecayLaw
-    nu: DecayLaw
+    This is the one statement of the family's domain: beta must name a
+    tabulated periodic kernel (:class:`KernelSpec` checks it) and the signal
+    series sum_i 2 sqrt(nu_i) = 2 sum_i i^(-delta) must converge, so delta > 1.
+    """
+
+    beta: int
+    delta: float
+
+    def __post_init__(self):
+        KernelSpec.periodic_poly(self.beta)
+        if not 1.0 < self.delta < inf:
+            raise ConfigError(f"delta must be finite and > 1 (got {self.delta!r})")
 
     @classmethod
-    def polynomial(cls, beta: float, delta: float) -> "SpectrumSpec":
-        return cls(DecayLaw(POLYNOMIAL, beta), DecayLaw(POLYNOMIAL, delta))
+    def polynomial(cls, beta: int, delta: float) -> "SpectrumSpec":
+        return cls(beta, delta)
 
 
 @dataclass
@@ -93,48 +87,43 @@ def check_sigma2(sigma2) -> float:
     return value
 
 
-def kernel_spec_for(mu: DecayLaw) -> KernelSpec:
-    """The closed-form periodic kernel whose Fourier coefficients are 2 mu_i."""
-    beta = mu.rate
-    if int(beta) != beta or int(beta) not in SUPPORTED_BETAS:
-        raise ConfigError(f"grid problems need beta in {SUPPORTED_BETAS} (got {beta!r})")
-    return KernelSpec.periodic_poly(int(beta))
+def _residue_fold(s: float, n: int) -> np.ndarray:
+    """a_r = sum_{i>=1, i = r (mod n)} i^(-s) for r = 0..n-1, exactly.
 
-
-def _residue_fold(law: DecayLaw, scale: float, n: int) -> np.ndarray:
-    """a_r = sum_{i>=1, i = r (mod n)} law_i^scale for r = 0..n-1, exactly.
-
-    ``scale`` = 1 folds mu_i (eigenvalues), 1/2 folds sqrt(nu_i) (signal).
+    s = 2 beta folds the eigenvalues mu_i, s = delta the signal amplitudes
+    sqrt(nu_i). Each class is its leading term plus a Hurwitz zeta tail,
+    r^(-s) + n^(-s) zeta(s, 1 + r/n). That tail factor is at most zeta(s), so
+    at a large s the product is n^(-s) underflowing to 0, where
+    n^(-s) zeta(s, r/n) would be 0 times an overflowing zeta, a NaN.
     """
-    s = 2.0 * law.rate * scale
     if not s > 1.0:
         raise ConfigError(f"series sum_i i^(-{s:g}) diverges; decay rate too small")
     r = np.arange(n, dtype=float)
     out = np.empty(n)
-    out[1:] = n ** (-s) * hurwitz_zeta(s, r[1:] / n)
+    out[1:] = r[1:] ** (-s) + n ** (-s) * hurwitz_zeta(s, 1.0 + r[1:] / n)
     out[0] = n ** (-s) * hurwitz_zeta(s, 1.0)
     return out
 
 
-def eig_circulant(mu: DecayLaw, n: int) -> np.ndarray:
-    """Exact eigenvalues of the grid kernel matrix, in frequency order.
+def eig_circulant(beta: float, n: int) -> np.ndarray:
+    """Exact eigenvalues of the grid kernel matrix with mu_i = i^(-2 beta), in frequency order.
 
     eig_r = n (a_r + a_{(n-r) mod n}) where a is the residue fold of mu;
     wrap-around tails are Hurwitz zeta closed forms.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    a = _residue_fold(mu, 1.0, n)
+    a = _residue_fold(2.0 * beta, n)
     return n * (a + a[(-np.arange(n)) % n])
 
 
-def signal_on_grid(nu: DecayLaw, n: int) -> np.ndarray:
-    """z_j = f((j-1)/n) for f(x) = sum_i 2 sqrt(nu_i) cos(2 i pi x), exactly.
+def signal_on_grid(delta: float, n: int) -> np.ndarray:
+    """z_j = f((j-1)/n) for f(x) = sum_i 2 i^(-delta) cos(2 i pi x), exactly.
 
     The series is folded over residues mod n and evaluated with one inverse
     FFT; all wrap-around tails are closed forms.
     """
-    amp = 2.0 * _residue_fold(nu, 0.5, n)
+    amp = 2.0 * _residue_fold(delta, n)
     return n * np.real(np.fft.ifft(amp))
 
 
@@ -154,15 +143,15 @@ def grid_problem(n: int, spectrum: SpectrumSpec, sigma2: float) -> FixedDesignPr
     """Uniform-grid problem: x_i = (i-1)/n, circulant K.
 
     K itself is assembled from its first row on first access to ``.K``; its
-    exact eigenvalues are ``eig_circulant(spectrum.mu, n)``.
+    exact eigenvalues are ``eig_circulant(spectrum.beta, n)``.
     """
     if n < 2:
         raise ConfigError("n must be >= 2")
     sigma2 = check_sigma2(sigma2)
-    spec = kernel_spec_for(spectrum.mu)
+    spec = KernelSpec.periodic_poly(spectrum.beta)
     return FixedDesignProblem(
         points=np.arange(n, dtype=float) / n,
-        z=signal_on_grid(spectrum.nu, n),
+        z=signal_on_grid(spectrum.delta, n),
         sigma2=sigma2,
         spectrum=spectrum,
         row0=_circulant_row(spec, n),

@@ -89,21 +89,38 @@ BAD_CONFIGS = [
     (["cv"], {"input": 5}, "input"),
     (["cv"], {"lambda_max": math.inf}, "lambda_max"),
     (["verify-theorem", "--n", "32", "--trials", "2", "--slack", "nan"], None, "slack"),
+    (["fig1", "--delta", "0.8"], None, "delta"),
+    (["rates", "--delta", "1"], None, "delta"),
+    (["rates", "--beta", "5"], None, "beta"),
 ]
 
 # Runs whose config is valid but whose numbers are not: each must exit 2 or
 # 3 with the given message and write no CSV. The first two once wrote NaN
 # CSVs with exit 0; the third ended in an OverflowError traceback and the
-# two after it in ZeroDivisionError tracebacks.
+# two after it in ZeroDivisionError tracebacks. The next three have a full
+# error of 0, or one so small that the relative excess overflows: the
+# verify-theorem run ended in a ZeroDivisionError traceback, the fig1 runs
+# printed numpy warnings before the writer refused their CSV. The whole-
+# experiment fuzz found the last three: an overflow warning from n lambda in
+# cv and from lambda_hi tr(K)/n in rank-ratio, and an OverflowError
+# traceback from an infinite rank bound.
 BAD_RUNS = [
-    (["fig1", "--n", "16", "--trials", "1", "--lam", "1e308"], 3, "err_full is not finite"),
+    (["fig1", "--n", "16", "--trials", "1", "--lam", "1e308"], 3, "n lambda at lambda=1e+308"),
     (["cv", "--input", "toy.csv", "--bandwidth", "1e-300"], 3, "bandwidth 1e-300"),
     (["cv", "--input", "toy.csv", "--bandwidth", "1e200"], 3, "bandwidth 1e+200"),
     (["fig1", "--n", "16", "--trials", "1", "--snr", "1e-200"], 2, "sigma2 must be"),
     (["rank-ratio", "--n", "16", "--trials", "1", "--lambda-hi", "1e300"], 2, "lambda="),
-    # the full error overflows to NaN, which no rank can meet
-    (["rank-ratio", "--n", "16", "--trials", "1", "--lambda-lo", "1e155", "--lambda-hi", "1e155",
-      "--lambda-points", "1"], 3, "is not finite"),
+    (["verify-theorem", "--n", "15", "--trials", "2", "--sigma2", "0", "--lam", "1e-300",
+      "--p", "4"], 3, "full-matrix error at lambda=1e-300 is 0.0"),
+    (["fig1", "--n", "16", "--trials", "1", "--sigma2", "0", "--lam", "1e-300"],
+     3, "full-matrix error at lambda=1e-300 is 0.0"),
+    (["fig1", "--n", "17", "--trials", "1", "--beta", "2", "--delta", "4.016285629714771",
+      "--sigma2", "0", "--lam", "3.58e-162"], 3, "relative excess over err_full="),
+    (["cv", "--input", "toy.csv", "--lambda-min", "1e307", "--lambda-max", "1e307",
+      "--lambda-points", "1"], 3, "n lambda at lambda=1e+307"),
+    (["rank-ratio", "--n", "16", "--trials", "1", "--lambda-hi", "1e308"], 2, "times tr(K)/n="),
+    (["verify-theorem", "--n", "14", "--trials", "2", "--sigma2", "1", "--lam", "5e-316"],
+     3, "rank bound at lambda=5e-316"),
 ]
 
 CONFIG_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -220,6 +237,95 @@ class TestConfigTable:
         assert all(conforms(cfg[k], key) for k, key in keys.items())
         if value is not None:  # an int for a float key is rounded to a float
             assert cfg[name] == (float(value) if keys[name].kind is float else value)
+
+
+# Whole experiments on drawn configs at small sizes. Floats that scale the
+# problem are drawn evenly over their decimal exponent across the whole float
+# range (10^-324 rounds to 0, which the config table refuses).
+POSITIVE = st.floats(-324.0, 308.25).map(lambda e: 10.0**e)
+SYNTHETIC = dict(
+    beta=st.sampled_from([1, 2, 3, 4, 8]),
+    delta=st.floats(-0.05, 2.6).map(lambda e: 10.0**e),
+    snr=st.one_of(st.none(), POSITIVE),
+    sigma2=st.one_of(st.none(), st.just(0.0), POSITIVE),
+    seed=st.integers(0, 3),
+)
+SIZES = dict(n=st.integers(1, 24), trials=st.integers(1, 2))
+FUZZ = {
+    "fig1": dict(SYNTHETIC, **SIZES, lam=st.one_of(st.none(), POSITIVE)),
+    "rates": dict(
+        SYNTHETIC,
+        n_list=st.lists(st.integers(1, 80), min_size=5, max_size=5),
+        drop_smallest=st.integers(0, 5),
+    ),
+    "rank-ratio": dict(
+        SYNTHETIC, **SIZES, lambda_points=st.integers(1, 3),
+        tol=POSITIVE, lambda_lo=POSITIVE, lambda_hi=POSITIVE,
+    ),
+    "verify-theorem": dict(
+        SYNTHETIC, **SIZES, lam=st.one_of(st.none(), POSITIVE),
+        slack=st.floats(0.001, 0.999), p=st.one_of(st.none(), st.integers(1, 24)),
+    ),
+    "verify-lemma": dict(
+        n=st.integers(1, 24), trials=st.integers(1, 20), r=st.integers(1, 6),
+        p_list=st.lists(st.integers(1, 24), min_size=1, max_size=3), t_points=st.integers(1, 4),
+        seed=st.integers(0, 3),
+    ),
+    "cv": dict(
+        folds=st.integers(2, 6), lambda_points=st.integers(1, 4),
+        lambda_min=POSITIVE, lambda_max=POSITIVE, bandwidth=st.one_of(st.none(), POSITIVE),
+        trace_rtol=st.one_of(st.just(0.0), POSITIVE), n_cap=st.integers(1, 80),
+        seed=st.integers(0, 3),
+    ),
+}
+FUZZ_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+def flags(cfg: dict) -> list[str]:
+    """CLI flags for the non-None values of ``cfg``; a list is joined with commas."""
+    argv = []
+    for name, value in cfg.items():
+        if value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else repr(value)
+            argv += ["--" + name.replace("_", "-"), text]
+    return argv
+
+
+def assert_all_finite(text: str) -> None:
+    """Every cell of a tagged CSV that reads as a number is finite (the hex hash aside)."""
+    for line in text.splitlines():
+        if line.startswith("# config_hash="):  # "4240e520" reads as inf
+            continue
+        for cell in (line.split("=", 1)[1] if line.startswith("# ") else line).split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), line
+
+
+class TestWholeExperiments:
+    @pytest.mark.parametrize("experiment", sorted(FUZZ))
+    def test_every_run_keeps_the_exit_contract(self, experiment, tmp_path):
+        # exit 0 with a finite CSV, or exit 2 or 3 with none; anything that
+        # escapes cli.main fails, a RuntimeWarning included (pytest raises it)
+        toy = tmp_path / "toy.csv"
+        X = np.random.default_rng(1).normal(size=(60, 2))
+        write_dataset_csv(toy, X, X[:, 0] - X[:, 1])
+        out = tmp_path / "x.csv"
+        extra = ["--input", str(toy)] if experiment == "cv" else []
+
+        @FUZZ_SETTINGS
+        @given(cfg=st.fixed_dictionaries(FUZZ[experiment]))
+        def run(cfg):
+            out.unlink(missing_ok=True)
+            code = cli.main([experiment, *flags(cfg), *extra, "--out", str(out)])
+            assert code in (0, 2, 3)
+            assert out.exists() == (code == 0)
+            if code == 0:
+                assert_all_finite(out.read_text())
+
+        run()
 
 
 class TestCsv:
@@ -340,6 +446,18 @@ class TestRankRatio:
             assert row["ratio_random"] == pytest.approx(
                 row["p_star_random"] / row["d_max"], rel=1e-12
             )
+
+
+    def test_huge_lambda_needs_rank_one(self, tmp_path, monkeypatch):
+        # every shrinkage n lambda / (eig + n lambda) is 1 at lambda = 1e155, so
+        # the bias is ||z||^2 / n for any rank; it once overflowed to NaN
+        monkeypatch.chdir(tmp_path)
+        argv = ["rank-ratio", "--n", "16", "--trials", "1", "--lambda-lo", "1e155",
+                "--lambda-hi", "1e155", "--lambda-points", "1", "--out", "rr.csv"]
+        assert cli.main(argv) == 0
+        header, row = (tmp_path / "rr.csv").read_text().splitlines()[-2:]
+        got = dict(zip(header.split(","), row.split(",")))
+        assert got["p_star_random"] == got["p_star_pivoted"] == "1"
 
 
 class TestVerifyTheorem:

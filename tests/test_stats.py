@@ -80,7 +80,7 @@ class TestDof:
         prob = grid_problem(36, SpectrumSpec.polynomial(1, 2.0), 0.0)
         lam = 1e-2
         dense = dof(prob.K.entries, lam)
-        spectral = Spectrum(eig_circulant(prob.spectrum.mu, 36), 36).dof(lam)
+        spectral = Spectrum(eig_circulant(prob.spectrum.beta, 36), 36).dof(lam)
         assert dense[0] == pytest.approx(spectral[0], rel=1e-6)
         assert dense[1] == pytest.approx(spectral[1], rel=1e-8)
         assert dense[2] == pytest.approx(spectral[2], rel=1e-8)
@@ -155,7 +155,7 @@ class TestBiasVariance:
         prob = grid_problem(32, SpectrumSpec.polynomial(1, 3.0), 0.2)
         coef2 = np.abs(np.fft.fft(prob.z)) ** 2 / 32
         lam = 2e-3
-        spec = Spectrum(eig_circulant(prob.spectrum.mu, 32), 32, coef2=coef2)
+        spec = Spectrum(eig_circulant(prob.spectrum.beta, 32), 32, coef2=coef2)
         b1, v1 = spec.bias_variance(0.2, lam)
         b2, v2 = bias_variance(prob.K.entries, prob.z, 0.2, lam)
         assert b1 == pytest.approx(b2, rel=1e-8)
@@ -388,7 +388,7 @@ class TestCirculantSpectrum:
     def test_eigenvalues_match_exact(self, beta, delta, n):
         prob = grid_problem(n, SpectrumSpec.polynomial(beta, delta), 0.0)
         got = Spectrum.circulant(prob.row0).eigs
-        exact = eig_circulant(prob.spectrum.mu, n)
+        exact = eig_circulant(prob.spectrum.beta, n)
         big = exact > 1e-10 * exact.max()
         assert np.max(np.abs(got[big] - exact[big]) / exact[big]) <= 1e-6
 
@@ -507,10 +507,19 @@ class TestLambdaValidation:
                 call(lam)
 
     def test_bias_overflow_raises_before_numpy(self):
-        # (eig + n lambda)^2 would overflow to inf in numpy at this lambda
+        # at lambda = 1e160 every shrinkage n lambda / (eig + n lambda) is 1,
+        # so the bias is its limit ||z||^2 / n; n lambda itself overflows at 1e308
         spec = problem_spectrum(grid_problem(20, SpectrumSpec.polynomial(1, 3.0), 0.5))
+        assert spec.bias(1e160) == np.sum(spec.coef2) / spec.n
         with pytest.raises(NumericalError, match="is not finite"):
-            spec.bias(1e160)
+            spec.bias(1e308)
+
+    def test_bias_at_tiny_lambda_is_its_limit(self):
+        # (eig + n lambda)^2 underflowed to 0 here and the bias divided by it;
+        # as lambda -> 0 only the energy on the zero eigenvalue (the constant) stays
+        spec = problem_spectrum(grid_problem(13, SpectrumSpec.polynomial(8, 3.0), 0.5))
+        assert spec.eigs[0] == 0.0
+        assert spec.bias(9.3e-179) == pytest.approx(spec.coef2[0] / spec.n, rel=1e-12)
 
     def test_rank_bound_rejects_nan_lambda(self):
         with pytest.raises(ConfigError):

@@ -6,18 +6,14 @@ from scipy.special import zeta
 from nyridge.errors import ConfigError
 from nyridge.kernels import KernelSpec, _periodic_poly_values, gram
 from nyridge.synthetic import (
-    DecayLaw,
     FixedDesignProblem,
     SpectrumSpec,
     draw_noise,
     eig_circulant,
     grid_problem,
-    kernel_spec_for,
     signal_on_grid,
     sigma2_for_snr,
 )
-
-POLY = lambda r: DecayLaw("polynomial", r)
 
 
 def cosine_series(delta, xs, terms=200_000):
@@ -25,23 +21,17 @@ def cosine_series(delta, xs, terms=200_000):
     return np.array([np.sum(2.0 * i ** (-delta) * np.cos(2 * np.pi * i * x)) for x in xs])
 
 
-class TestDecayLaws:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            DecayLaw("polynomial", 0.5)
-        with pytest.raises(ConfigError, match="unknown decay kind"):
-            DecayLaw("exponential", 1.0)
-        with pytest.raises(ConfigError):
-            DecayLaw("linear", 1.0)
-        for rate in (float("nan"), float("inf")):
-            with pytest.raises(ConfigError, match="finite rate"):
-                DecayLaw("polynomial", rate)
+class TestSpectrumSpec:
+    def test_delta_must_be_finite_and_above_one(self):
+        for delta in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="delta must be finite and > 1"):
+                SpectrumSpec.polynomial(1, delta)
 
-    def test_kernel_spec_needs_tabulated_integer_beta(self):
-        assert kernel_spec_for(POLY(3)) == KernelSpec.periodic_poly(3)
-        for beta in (2.5, 5):
-            with pytest.raises(ConfigError, match="grid problems need beta"):
-                kernel_spec_for(POLY(beta))
+    def test_beta_must_be_a_tabulated_integer(self):
+        assert SpectrumSpec.polynomial(3, 2.0) == SpectrumSpec(beta=3, delta=2.0)
+        for beta in (2.5, 5, float("inf")):  # int(inf) once raised an OverflowError
+            with pytest.raises(ConfigError, match=r"beta must be an integer in \(1, 2, 3, 4, 8\)"):
+                SpectrumSpec.polynomial(beta, 2.0)
 
 
 class TestEigCirculant:
@@ -53,7 +43,7 @@ class TestEigCirculant:
         # agreement is meaningful
         prob_k = gram(np.arange(n) / n, KernelSpec.periodic_poly(beta)).entries
         dense = np.sort(np.linalg.eigvalsh(prob_k))
-        mine = np.sort(eig_circulant(POLY(beta), n))
+        mine = np.sort(eig_circulant(beta, n))
         floor = 1e-12 * mine[-1]
         assert np.all(np.abs(dense - mine) <= np.maximum(1e-6 * mine, floor))
 
@@ -61,13 +51,13 @@ class TestEigCirculant:
     def test_eigenvalues_sum_to_trace(self, beta):
         # sum_r eig_r = tr K = n k(x, x) = 2 n zeta(2 beta)
         n = 37
-        total = np.sum(eig_circulant(POLY(beta), n))
+        total = np.sum(eig_circulant(beta, n))
         assert total == pytest.approx(2 * n * zeta(2.0 * beta), rel=1e-12)
 
     def test_leading_eigenvalue_asymptotics(self):
         # leading eigenvalue approx n mu_1, within [1, 1.2] for beta = 1
         for n in (64, 128, 256):
-            lead = np.max(eig_circulant(POLY(1), n))
+            lead = np.max(eig_circulant(1, n))
             assert 1.0 <= lead / n <= 1.2
 
 
@@ -92,7 +82,7 @@ class TestGridProblem:
     def test_exact_eigs_match_dense(self):
         prob = grid_problem(48, SpectrumSpec.polynomial(1, 2.0), 0.0)
         dense = np.sort(np.linalg.eigvalsh(prob.K.entries))
-        exact = np.sort(eig_circulant(prob.spectrum.mu, 48))
+        exact = np.sort(eig_circulant(prob.spectrum.beta, 48))
         assert np.max(np.abs(dense - exact) / dense) <= 1e-6
 
     def test_fourier_coefficients_track_signal_law(self):
@@ -137,7 +127,7 @@ class TestGridProblem:
     def test_polynomial_spectrum_problem(self, beta, delta):
         prob = grid_problem(24, SpectrumSpec.polynomial(beta, delta), 0.0)
         dense = np.sort(np.linalg.eigvalsh(prob.K.entries))
-        mine = np.sort(eig_circulant(prob.spectrum.mu, 24))
+        mine = np.sort(eig_circulant(prob.spectrum.beta, 24))
         assert np.max(np.abs(dense - mine)) <= 1e-8 * mine[-1]
         # f(0) = 2 sum_i i^(-delta) = 2 zeta(delta)
         assert prob.z[0] == pytest.approx(2 * zeta(delta), rel=1e-10)
@@ -161,7 +151,7 @@ class TestSignalOnGrid:
         n = 20
         xs = np.arange(n) / n
         for delta in (2.0, 3.0, 8.0):
-            z = signal_on_grid(POLY(delta), n)
+            z = signal_on_grid(delta, n)
             if delta % 2 == 0:
                 direct = _periodic_poly_values(xs, int(delta) // 2)
             else:
@@ -172,12 +162,19 @@ class TestSignalOnGrid:
         # grid points away from 0, where the truncated series converges
         n = 20
         j = np.array([3, 7, 16])
-        vals = signal_on_grid(POLY(1.7), n)[j]
+        vals = signal_on_grid(1.7, n)[j]
         assert np.max(np.abs(vals - cosine_series(1.7, j / n))) <= 1e-6
+
+    def test_fast_decay_leaves_the_first_harmonic(self):
+        # n^(-delta) underflows to 0 here; the fold once multiplied it by an
+        # overflowing zeta(delta, r/n) and made the whole signal NaN
+        n = 20
+        z = signal_on_grid(300.0, n)
+        assert np.max(np.abs(z - 2.0 * np.cos(2 * np.pi * np.arange(n) / n))) <= 1e-15
 
     def test_divergent_delta_rejected(self):
         with pytest.raises(ConfigError):
-            signal_on_grid(POLY(0.9), 20)
+            signal_on_grid(0.9, 20)
 
 
 class TestDrawNoise:
