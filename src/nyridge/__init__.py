@@ -6,6 +6,13 @@ must be before nothing is lost: the answer scales with the ridge smoother's
 degrees of freedom rather than with any matrix-approximation error.
 """
 
+# numpy imports these on first use (np.median and np.unique import numpy.ma);
+# import them with the package, so that no command pays for an import while
+# it runs.
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .errors import (
     ConfigError,
     DataError,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  argparse's gettext imports it on first use
 import sys
 
 from .errors import ConfigError, NumericalError

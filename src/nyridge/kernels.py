@@ -20,9 +20,11 @@ from fractions import Fraction
 from math import comb, factorial, inf, pi
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, NumericalError
+
+# Output entries per block of rows in ``_sqdist`` (512 KB of doubles).
+SQDIST_BLOCK = 1 << 16
 
 # Degrees 2*beta with tabulated Bernoulli polynomial coefficients.
 SUPPORTED_BETAS = (1, 2, 3, 4, 8)
@@ -152,6 +154,29 @@ def _as_points(points, spec: KernelSpec) -> np.ndarray:
     return pts
 
 
+def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and of b.
+
+    Summed feature by feature from coordinate differences, in the order a
+    direct loop over the features takes, so the result is exactly 0 for equal
+    points and equals ``cdist(a, b, "sqeuclidean")`` bit for bit. The
+    expansion |a|^2 + |b|^2 - 2 a.b would cancel, and break k(x, x) = 1.
+    Rows of a are taken ``SQDIST_BLOCK`` output entries at a time, so that
+    the per-feature passes stay in cache.
+    """
+    out = np.zeros((a.shape[0], b.shape[0]))
+    rows = max(1, SQDIST_BLOCK // max(b.shape[0], 1))
+    diff = np.empty((min(rows, a.shape[0]), b.shape[0]))
+    for i in range(0, a.shape[0], rows):
+        block = out[i : i + rows]
+        d = diff[: block.shape[0]]
+        for ak, bk in zip(a[i : i + rows].T, b.T):
+            np.subtract(ak[:, None], bk, out=d)
+            np.square(d, out=d)
+            block += d
+    return out
+
+
 def cross_gram(points_a, points_b, spec: KernelSpec) -> np.ndarray:
     """Rectangular kernel matrix k(a_i, b_j)."""
     pa, pb = _as_points(points_a, spec), _as_points(points_b, spec)
@@ -163,7 +188,7 @@ def cross_gram(points_a, points_b, spec: KernelSpec) -> np.ndarray:
     scale = inf if spec.param > 1e154 else 2.0 * spec.param ** 2
     if not 0.0 < scale < inf:
         raise NumericalError(f"bandwidth {spec.param!r} is out of range: 2 bandwidth^2 = {scale!r}")
-    sq = cdist(pa, pb, "sqeuclidean")
+    sq = _sqdist(pa, pb)
     with np.errstate(over="ignore"):  # sq / scale -> inf gives exp(-inf) = 0, the exact limit
         return np.exp(-sq / scale)
 
@@ -194,7 +219,7 @@ def median_distance_bandwidth(features, subsample: int = 500, seed: int = 0) -> 
     if n > subsample:
         idx = np.random.default_rng(seed).choice(n, size=subsample, replace=False)
         X = X[np.sort(idx)]
-    d = cdist(X, X)
+    d = np.sqrt(_sqdist(X, X))
     off = d[np.triu_indices_from(d, k=1)]
     med = float(np.median(off)) if off.size else 1.0
     return med if med > 0 else 1.0

@@ -23,11 +23,11 @@ between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import csvio
 from .errors import ConfigError, NumericalError, ParseError
@@ -47,6 +47,10 @@ BREAKDOWN_RTOL = 1e-10
 LANCZOS_RTOL = 1e-10
 LANCZOS_MAXITER = 100
 LANCZOS_MIX = 1e-2
+
+# ``_top_eig``: Krylov vectors per restart, and steps between convergence checks.
+LANCZOS_NCV = 60
+LANCZOS_CHECK = 6
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,25 @@ def _cholesky_rows(column, diag, pmax: int, order=None, trace_tol=None, floor=0.
     return rows, pivots, trail[: len(pivots)].copy()
 
 
+def _triu_inv(upper: np.ndarray) -> np.ndarray:
+    """Inverse of an upper-triangular matrix with a nonzero diagonal.
+
+    By 2 x 2 blocks, [[A, B], [0, D]]^(-1) = [[A^(-1), -A^(-1) B D^(-1)],
+    [0, D^(-1)]], so that most of the work is in matrix products; blocks of
+    at most 64 rows are solved directly.
+    """
+    p = upper.shape[0]
+    if p <= 64:
+        return np.linalg.solve(upper, np.eye(p))
+    h = p // 2
+    a_inv, d_inv = _triu_inv(upper[:h, :h]), _triu_inv(upper[h:, h:])
+    out = np.zeros_like(upper)
+    out[:h, :h] = a_inv
+    out[h:, h:] = d_inv
+    out[:h, h:] = -(a_inv @ upper[:h, h:]) @ d_inv
+    return out
+
+
 def _whitener(phi: np.ndarray, pivots) -> np.ndarray:
     """W = L_I^(-T) for the triangular L_I = phi[pivots], so K(V, I) W = phi.
 
@@ -157,9 +180,7 @@ def _whitener(phi: np.ndarray, pivots) -> np.ndarray:
     upper = phi[pivots].T
     keep = np.flatnonzero(np.diag(upper) > 0.0)
     w = np.zeros_like(upper)
-    w[np.ix_(keep, keep)] = scipy.linalg.solve_triangular(
-        upper[np.ix_(keep, keep)], np.eye(keep.size), lower=False, check_finite=False
-    )
+    w[np.ix_(keep, keep)] = _triu_inv(upper[np.ix_(keep, keep)])
     return w
 
 
@@ -265,25 +286,67 @@ def approx_error(K, factor, norm: str = "trace") -> float:
     raise ConfigError(f"unknown norm {norm!r}")
 
 
+def _top_eig(matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray):
+    """Largest eigenvalue and a unit eigenvector of a symmetric operator, or None.
+
+    Lanczos from ``v0`` with full reorthogonalization (two Gram-Schmidt
+    passes per step) on a Krylov space of at most ``LANCZOS_NCV`` vectors.
+    Every ``LANCZOS_CHECK`` steps, and when the space is full, the top Ritz
+    pair (theta, V s) of the tridiagonal T is accepted once its residual
+    |beta s_k| is at most eps max(theta, eps^(2/3)), ARPACK's test at full
+    precision; a space that fills all n dimensions or stops growing
+    (beta = 0) is exact. Otherwise Lanczos restarts from the top Ritz
+    vector, at most ``LANCZOS_MAXITER`` times, and then gives up with None.
+    """
+    n = v0.shape[0]
+    ncv = min(LANCZOS_NCV, n)
+    eps = np.finfo(float).eps
+    basis = np.empty((ncv, n))
+    alpha, beta = np.empty(ncv), np.empty(ncv)
+    v = v0 / math.sqrt(v0 @ v0)
+    for _ in range(LANCZOS_MAXITER):
+        basis[0] = v
+        for j in range(ncv):
+            m = j + 1
+            V = basis[:m]
+            w = matvec(basis[j])
+            h = V @ w
+            w -= h @ V
+            h2 = V @ w
+            w -= h2 @ V
+            alpha[j] = h[j] + h2[j]
+            beta[j] = math.sqrt(w @ w)
+            if m % LANCZOS_CHECK == 0 or m == ncv or beta[j] == 0.0:
+                T = np.zeros((m, m))  # eigh reads the lower triangle only
+                T.flat[:: m + 1] = alpha[:m]
+                T.flat[m :: m + 1] = beta[: m - 1]
+                theta, S = np.linalg.eigh(T)
+                top = S[:, -1] @ V
+                if m == n or abs(beta[j] * S[-1, -1]) <= eps * max(theta[-1], eps ** (2 / 3)):
+                    return float(theta[-1]), top
+            if m < ncv:
+                np.divide(w, beta[j], out=basis[m])
+        v = top / math.sqrt(top @ top)
+    return None
+
+
 def prefix_errors(K, phi, ranks) -> tuple[np.ndarray, np.ndarray]:
     """Trace- and operator-norm errors of K - Phi_p Phi_p^T for each p in ``ranks``.
 
     One pass serves every prefix of a nested factor. The trace error is
     tr K minus the running sum of squared column norms. The operator error
-    is the top eigenvalue of the PSD residual, found by Lanczos (``eigsh``,
-    full precision) on x -> K x - Phi_p (Phi_p^T x). The first rank starts
-    from a fixed unit vector g, each later rank from the previous rank's top
-    eigenvector plus ``LANCZOS_MIX * g``, which keeps a component along
-    every eigenvector: a pure warm start can be nearly orthogonal to the new
-    top eigenvector, and Lanczos then settles on a lower one. Restarts use a
-    fixed seed, so reruns are identical. Where the trace error is at most
-    ``LANCZOS_RTOL * tr K`` (it bounds the operator error), or Lanczos does
-    not converge in ``LANCZOS_MAXITER`` restarts, the dense
-    :func:`approx_error` is used instead. Ranks above the number of columns
-    are capped, as slicing phi[:, :p] would.
+    is the top eigenvalue of the PSD residual, found by Lanczos
+    (:func:`_top_eig`, full precision) on x -> K x - Phi_p (Phi_p^T x). The
+    first rank starts from a fixed unit vector g, each later rank from the
+    previous rank's top eigenvector plus ``LANCZOS_MIX * g``, which keeps a
+    component along every eigenvector: a pure warm start can be nearly
+    orthogonal to the new top eigenvector, and Lanczos then settles on a
+    lower one. g comes from a fixed seed, so reruns are identical. Where the
+    trace error is at most ``LANCZOS_RTOL * tr K`` (it bounds the operator
+    error), or Lanczos does not converge in ``LANCZOS_MAXITER`` restarts, the
+    dense :func:`approx_error` is used instead. Ranks above the number of
+    columns are capped, as slicing phi[:, :p] would.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
     A = np.asarray(K, dtype=float)
     phi = np.asarray(phi, dtype=float)
     n, m = phi.shape
@@ -299,16 +362,14 @@ def prefix_errors(K, phi, ranks) -> tuple[np.ndarray, np.ndarray]:
             op_errs[i] = op_errs[i - 1]
             continue
         phi_p = phi[:, :p]
+        top = None
         if n > 1 and trace_left[p] > LANCZOS_RTOL * tr:
-            op = LinearOperator((n, n), lambda x: A @ x - phi_p @ (phi_p.T @ x), dtype=float)
-            try:
-                vals, vecs = eigsh(op, k=1, which="LA", v0=v0, maxiter=LANCZOS_MAXITER, rng=0)
-                op_errs[i] = max(float(vals[0]), 0.0)
-                v0 = vecs[:, 0] + LANCZOS_MIX * g
-                continue
-            except ArpackNoConvergence:
-                pass
-        op_errs[i] = approx_error(A, phi_p, "operator")
+            top = _top_eig(lambda x: A @ x - phi_p @ (phi_p.T @ x), v0)
+        if top is None:
+            op_errs[i] = approx_error(A, phi_p, "operator")
+        else:
+            op_errs[i] = max(top[0], 0.0)
+            v0 = top[1] + LANCZOS_MIX * g
     return trace_left[caps], op_errs
 
 

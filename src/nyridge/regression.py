@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from . import csvio
 from .errors import ConfigError, DataError, NumericalError, ParseError
@@ -45,9 +43,9 @@ def _solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     rounding tolerance are a caller error and raise instead of being masked.
     """
     try:
-        c, low = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve((c, low), b, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError):
+        low = np.linalg.cholesky(A)
+        return np.linalg.solve(low.T, np.linalg.solve(low, b))
+    except np.linalg.LinAlgError:
         s, u = np.linalg.eigh(A)
         if s[0] < -1e-8 * max(abs(s[-1]), 1e-300):
             raise NumericalError(
@@ -101,7 +99,8 @@ def _loss_terms(loss: str, y: np.ndarray, u: np.ndarray):
     if loss == "logistic":
         m = y * u
         val = np.logaddexp(0.0, -m)
-        sig = scipy.special.expit(-m)  # sigma(-m)
+        e = np.exp(-np.abs(m))  # sigma(-m) = 1 / (1 + e^m), without overflow
+        sig = np.where(m > 0.0, e, 1.0) / (1.0 + e)
         return val, -y * sig, sig * (1.0 - sig)
     raise ConfigError(f"unsupported loss {loss!r}")
 

@@ -137,12 +137,12 @@ class Spectrum:
         if not math.isfinite(nl):
             raise NumericalError(f"n lambda at lambda={lam!r} is not finite")
         shrink = nl / (self.eigs + nl)
-        return (float(np.sum(self.coef2 * (shrink * shrink))) + self.resid2) / self.n
+        return (float((self.coef2 * (shrink * shrink)).sum()) + self.resid2) / self.n
 
     def variance(self, sigma2: float, lam: float) -> float:
         _check_lambda(lam)
         ratio = self.eigs / (self.eigs + self.n * lam)
-        return sigma2 / self.n * float(np.sum(ratio * ratio))
+        return sigma2 / self.n * float((ratio * ratio).sum())
 
     def bias_variance(self, sigma2: float, lam: float) -> tuple[float, float]:
         return self.bias(lam), self.variance(sigma2, lam)
@@ -155,13 +155,13 @@ class Spectrum:
         """(d_max, d_trace, d_ave); d_max = d_trace when the leverage is constant."""
         _check_lambda(lam)
         r = self.eigs / (self.eigs + self.n * lam)
-        d_trace = float(np.sum(r))
+        d_trace = float(r.sum())
         if self.basis is None:
             d_max = d_trace
         else:
             u = self.basis if self.frame is None else self.frame @ self.basis
             d_max = float(self.n * np.max(np.einsum("ji,i,ji->j", u, r, u)))
-        return d_max, d_trace, float(np.sum(r * r))
+        return d_max, d_trace, float((r * r).sum())
 
 
 def problem_spectrum(problem: FixedDesignProblem) -> Spectrum:

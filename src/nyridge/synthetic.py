@@ -7,7 +7,9 @@ follow from folding the kernel's Fourier coefficients over residues mod n:
     eig_r = n * sum_{i >= 1, i = +/- r (mod n)} mu_i,   r = 0..n-1.
 
 The tails are summed exactly through the Hurwitz zeta function, so no
-truncation error enters at all. Signals f(x) = sum_i 2 sqrt(nu_i)
+truncation error enters at all; :func:`hurwitz_zeta` evaluates it by
+Euler-Maclaurin summation (Johansson, arXiv:1309.2877), in the same steps
+as the Cephes library. Signals f(x) = sum_i 2 sqrt(nu_i)
 cos(2 i pi x) with nu_i = i^(-2 delta) are built the same way on the grid.
 """
 
@@ -17,8 +19,6 @@ from dataclasses import dataclass, field
 from math import inf, isfinite
 
 import numpy as np
-from scipy.linalg import circulant
-from scipy.special import zeta as hurwitz_zeta
 
 from .errors import ConfigError
 from .kernels import KernelMatrix, KernelSpec, cross_gram
@@ -70,7 +70,8 @@ class FixedDesignProblem:
     @property
     def K(self) -> KernelMatrix:
         if self.kernel_matrix is None:
-            self.kernel_matrix = KernelMatrix(circulant(self.row0))
+            r = np.arange(self.n)
+            self.kernel_matrix = KernelMatrix(self.row0[(r[None, :] - r[:, None]) % self.n])
         return self.kernel_matrix
 
     @property
@@ -87,6 +88,82 @@ def check_sigma2(sigma2) -> float:
     return value
 
 
+# Cephes' Euler-Maclaurin constants (2k)! / B_2k, k = 1..12, its stop
+# threshold, and the elements ``hurwitz_zeta`` takes at a time.
+EULER_MACLAURIN = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+MACHEP = 2.0**-53
+ZETA_BLOCK = 4096
+
+
+def _zeta_block(s: float, q: np.ndarray) -> np.ndarray:
+    """:func:`hurwitz_zeta` on one block of arguments, each row one step of every sum."""
+    m = q.size
+    a = np.empty((10, m))  # q, q + 1, ..., q + 9, adding 1 at a time
+    a[0] = q
+    for i in range(1, 10):
+        np.add(a[i - 1], 1.0, out=a[i])
+    terms = np.float_power(a, -s)
+    sums = np.empty((9, m))
+    np.add(terms[0], terms[1], out=sums[0])
+    for i in range(1, 9):
+        np.add(sums[i - 1], terms[i + 1], out=sums[i])
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 where every term underflowed
+        small = terms[1:] / sums < MACHEP
+    # A term below MACHEP relative to its sum ends the sum. The ratio falls
+    # along each column, so a column whose last ratio is not small has none.
+    out = sums[-1].copy()
+    live = ~small[-1]
+    if not live.all():
+        first = np.take_along_axis(sums, np.argmax(small, axis=0)[None], axis=0)[0]
+        out[~live] = first[~live]
+    tail = np.flatnonzero(live & (terms[9] > 0.0))  # an underflowed b makes every correction 0
+    if tail.size == 0:
+        return out
+    b, w = terms[9, tail], a[9, tail]
+    total = out[tail] + b * w / (s - 1.0) - 0.5 * b
+    live = np.ones(tail.size, dtype=bool)
+    t, ratio = np.empty(tail.size), np.empty(tail.size)
+    factor, k = 1.0, 0.0
+    for coeff in EULER_MACLAURIN:
+        factor *= s + k
+        np.divide(b, w, out=b)
+        np.multiply(factor, b, out=t)
+        np.divide(t, coeff, out=t)
+        np.add(total, t, out=total, where=live)
+        np.divide(t, total, out=ratio)
+        live &= np.abs(ratio, out=ratio) >= MACHEP
+        if not live.any():
+            break
+        k += 1.0
+        factor *= s + k
+        np.divide(b, w, out=b)
+        k += 1.0
+    out[tail] = total
+    return out
+
+
+def hurwitz_zeta(s: float, q: np.ndarray) -> np.ndarray:
+    """zeta(s, q) = sum_{k>=0} (k + q)^(-s) for real s > 1 and a 1-d array of q >= 1.
+
+    Euler-Maclaurin summation in Cephes' steps: 9 direct terms, the integral
+    of the tail, then up to 12 Bernoulli corrections; each element stops at
+    its first term below MACHEP relative to its sum. The sums run in
+    Cephes' order, ``ZETA_BLOCK`` elements at a time, and ``float_power``
+    calls the C library's pow, so the result matches Cephes bit for bit.
+    An element whose power term has underflowed to 0 takes no corrections:
+    they are 0, but at a huge s their rising factorial overflows, and Cephes
+    returns 0 * inf = NaN there.
+    """
+    q = np.asarray(q, dtype=float)
+    return np.concatenate(
+        [_zeta_block(s, q[i : i + ZETA_BLOCK]) for i in range(0, q.size, ZETA_BLOCK)]
+    )
+
+
 def _residue_fold(s: float, n: int) -> np.ndarray:
     """a_r = sum_{i>=1, i = r (mod n)} i^(-s) for r = 0..n-1, exactly.
 
@@ -99,9 +176,8 @@ def _residue_fold(s: float, n: int) -> np.ndarray:
     if not s > 1.0:
         raise ConfigError(f"series sum_i i^(-{s:g}) diverges; decay rate too small")
     r = np.arange(n, dtype=float)
-    out = np.empty(n)
-    out[1:] = r[1:] ** (-s) + n ** (-s) * hurwitz_zeta(s, 1.0 + r[1:] / n)
-    out[0] = n ** (-s) * hurwitz_zeta(s, 1.0)
+    out = n ** (-s) * hurwitz_zeta(s, 1.0 + r / n)
+    out[1:] += r[1:] ** (-s)
     return out
 
 

@@ -241,11 +241,12 @@ class TestConfigTable:
 
 # Whole experiments on drawn configs at small sizes. Floats that scale the
 # problem are drawn evenly over their decimal exponent across the whole float
-# range (10^-324 rounds to 0, which the config table refuses).
+# range (10^-324 rounds to 0, which the config table refuses); delta, which
+# must exceed 1, is 1 plus such a float.
 POSITIVE = st.floats(-324.0, 308.25).map(lambda e: 10.0**e)
 SYNTHETIC = dict(
     beta=st.sampled_from([1, 2, 3, 4, 8]),
-    delta=st.floats(-0.05, 2.6).map(lambda e: 10.0**e),
+    delta=st.floats(-15.0, 308.25).map(lambda e: 1.0 + 10.0**e),
     snr=st.one_of(st.none(), POSITIVE),
     sigma2=st.one_of(st.none(), st.just(0.0), POSITIVE),
     seed=st.integers(0, 3),
@@ -417,6 +418,13 @@ class TestRates:
     def test_too_few_sizes_rejected(self):
         with pytest.raises(ConfigError):
             run_rate_check(resolve_config("rates", None, {"n_list": [16, 32, 64]}))
+
+    def test_huge_delta_writes_a_finite_csv(self, tmp_path, monkeypatch):
+        # z = 2 cos(2 pi x) there; the fold once took a NaN from scipy's zeta
+        # and the command exited 3 with "err_star is not finite"
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["rates", "--delta", "1e300", "--sigma2", "0.1", "--out", "r.csv"]) == 0
+        assert_all_finite((tmp_path / "r.csv").read_text())
 
     def test_default_sizes_allocate_no_gram_matrix(self):
         # one 4096 x 4096 float64 matrix alone would be 134 MB

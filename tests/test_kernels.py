@@ -3,7 +3,9 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from math import comb, pi
+from scipy.spatial.distance import cdist
 from scipy.special import zeta
 
 from nyridge.errors import ConfigError, NumericalError
@@ -12,6 +14,7 @@ from nyridge.kernels import (
     SUPPORTED_BETAS,
     KernelMatrix,
     KernelSpec,
+    _sqdist,
     cross_gram,
     gram,
     median_distance_bandwidth,
@@ -132,6 +135,16 @@ class TestGaussianKernel:
         # 2 bandwidth^2 underflows to 0 (0 / 0 on the diagonal) or overflows
         with pytest.raises(NumericalError, match="bandwidth"):
             gaussian_kernel([0.0], [1.0], bandwidth)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), d=st.integers(1, 9))
+    def test_squared_distances_match_cdist_bit_for_bit(self, data, d):
+        # coordinates up to 1e150 keep every squared sum finite
+        coords = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+        a = data.draw(arrays(float, (data.draw(st.integers(1, 12)), d), elements=coords))
+        b = data.draw(arrays(float, (data.draw(st.integers(1, 12)), d), elements=coords))
+        assert np.array_equal(_sqdist(a, b), cdist(a, b, "sqeuclidean"))
+        assert np.array_equal(np.sqrt(_sqdist(a, a)), cdist(a, a, "euclidean"))
 
     def test_tiny_bandwidth_reaches_exact_limit(self):
         # 2 bandwidth^2 is subnormal, so d^2 / (2 bandwidth^2) overflows to

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+
+from nyridge import lowrank
 
 from nyridge.errors import ConfigError, NumericalError, ParseError
 from nyridge.kernels import KernelSpec, cross_gram, gram
 from nyridge.lowrank import (
     ColumnSelection,
     LowRankFactor,
+    _top_eig,
+    _triu_inv,
     approx_error,
     feature_matrix,
     load_factor,
@@ -447,6 +451,62 @@ class TestPrefixSweeps:
         assert d_max > 1.5 * d_trace
         want = Spectrum.lowrank(random_order[:, :6], z).dof(lam)
         assert d_max == pytest.approx(want[0], rel=1e-10)
+
+
+class TestTriangularInverse:
+    @FACTOR_SETTINGS
+    @given(p=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(p=63, seed=1)  # the direct base case, odd
+    @example(p=65, seed=2)  # one split into 32 + 33
+    @example(p=299, seed=3)  # three levels of odd splits
+    def test_inverse_within_rounding(self, p, seed):
+        # a Cholesky factor's transpose with column scales over 3 decades,
+        # the kind of matrix the whitener inverts
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(p + 3, p)) * 10.0 ** rng.uniform(-3, 0, size=p)
+        U = np.linalg.cholesky(B.T @ B).T
+        W = _triu_inv(U)
+        eps = np.finfo(float).eps
+        bound = 10 * p * eps * np.linalg.norm(W, 2) * np.linalg.norm(U, 2)
+        assert np.linalg.norm(W @ U - np.eye(p), 2) <= bound
+        assert not np.any(np.tril(W, -1))
+
+
+class TestTopEig:
+    @FACTOR_SETTINGS
+    @given(n=st.integers(2, 160), p=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    @example(n=150, p=3, seed=5)  # past the Krylov limit, so Lanczos restarts
+    def test_matches_dense_on_psd_residuals(self, n, p, seed):
+        K = random_psd(n, seed)
+        phi = nested_factor(K, np.random.default_rng(seed).permutation(n)[: min(p, n)])
+        R = K - phi @ phi.T
+        want = np.linalg.eigvalsh(R)[-1]
+        assume(want > 1e-10 * np.trace(K))  # prefix_errors takes the dense path below it
+        v0 = np.random.default_rng(seed + 1).normal(size=n)
+        theta, vec = _top_eig(lambda x: R @ x, v0)
+        assert abs(theta - want) <= 1e-12 * want
+        assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
+
+    def test_restart_cap_takes_the_dense_path(self, monkeypatch):
+        # two Krylov vectors and no restart never reach full precision, so
+        # every rank falls back to the dense operator norm
+        K = random_psd(120, 7)
+        phi = nested_factor(K, np.random.default_rng(7).permutation(120))
+        ranks = [1, 5, 20, 40]
+        want = prefix_errors(K, phi, ranks)
+        norms = []
+
+        def dense(A, factor, norm="trace"):
+            norms.append(norm)
+            return approx_error(A, factor, norm)
+
+        monkeypatch.setattr(lowrank, "approx_error", dense)
+        monkeypatch.setattr(lowrank, "LANCZOS_MAXITER", 1)
+        monkeypatch.setattr(lowrank, "LANCZOS_NCV", 2)
+        got = prefix_errors(K, phi, ranks)
+        assert norms == ["operator"] * len(ranks)
+        assert np.array_equal(got[0], want[0])
+        assert np.allclose(got[1], want[1], rtol=1e-12, atol=0.0)
 
 
 class TestNestedFactor:

@@ -5,7 +5,9 @@ name, so deleting or renaming one of them breaks every traced benchmark
 run; a test here makes such a deletion fail first. The reachability guard
 fails for any function or method in ``src/nyridge`` that no CLI command,
 no README example and no import of the acceptance suite reaches, unless
-``KEEP`` gives a reason to keep it.
+``KEEP`` gives a reason to keep it. The run-time guard runs every command
+with scipy blocked, and checks that no command imports a module while it
+runs: scipy is a test-only oracle.
 """
 
 import ast
@@ -16,6 +18,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import nyridge
 
@@ -42,12 +46,30 @@ KEEP = {
     "synthetic.eig_circulant": "the exact oracle of the FFT spectrum of grid problems",
 }
 
-# Runs every command in process at small sizes, then the README's python
-# blocks, under a profiler; writes the (file name, first line) of every
-# function of the package that was entered to entered.json.
-REACH_SCRIPT = r"""
-import json, math, re, sys
+# Every command at small sizes, in process; data.csv is written by DATA_SCRIPT.
+COMMANDS = [
+    ["fig1", "--n", "32", "--trials", "2"],
+    ["rates", "--n-list", "16,24,32,48,64", "--out", "rates.csv"],
+    ["rank-ratio", "--n", "32", "--trials", "2", "--lambda-points", "2"],
+    ["verify-theorem", "--n", "32", "--trials", "2"],
+    ["verify-theorem", "--n", "32", "--trials", "2", "--p", "8"],
+    ["verify-lemma", "--n", "40", "--trials", "20", "--p-list", "5,10", "--t-points", "3"],
+    ["cv", "--input", "data.csv", "--lambda-points", "3"],
+    ["fit", "--input", "rates.csv", "--value-column", "err_star"],
+]
+DATA_SCRIPT = r"""
+import math
 from pathlib import Path
+
+rows = [f"{math.sin(i)!r},{math.cos(3 * i)!r},{math.sin(i) - math.cos(3 * i)!r}" for i in range(60)]
+Path("data.csv").write_text("a,b,target\n" + "\n".join(rows) + "\n", encoding="utf-8")
+"""
+
+# Runs every command, then the README's python blocks, under a profiler;
+# writes the (file name, first line) of every function of the package that
+# was entered to entered.json.
+REACH_SCRIPT = DATA_SCRIPT + r"""
+import json, re, sys
 
 root = Path(sys.argv[1])
 entered = set()
@@ -68,18 +90,7 @@ for info in pkgutil.iter_modules(nyridge.__path__):
         importlib.import_module("nyridge." + info.name)
 from nyridge import cli
 
-rows = [f"{math.sin(i)!r},{math.cos(3 * i)!r},{math.sin(i) - math.cos(3 * i)!r}" for i in range(60)]
-Path("data.csv").write_text("a,b,target\n" + "\n".join(rows) + "\n")
-for argv in (
-    ["fig1", "--n", "32", "--trials", "2"],
-    ["rates", "--n-list", "16,24,32,48,64", "--out", "rates.csv"],
-    ["rank-ratio", "--n", "32", "--trials", "2", "--lambda-points", "2"],
-    ["verify-theorem", "--n", "32", "--trials", "2"],
-    ["verify-theorem", "--n", "32", "--trials", "2", "--p", "8"],
-    ["verify-lemma", "--n", "40", "--trials", "20", "--p-list", "5,10", "--t-points", "3"],
-    ["cv", "--input", "data.csv", "--lambda-points", "3"],
-    ["fit", "--input", "rates.csv", "--value-column", "err_star"],
-):
+for argv in json.loads(sys.argv[2]):
     assert cli.main(argv) == 0, argv
 namespace = {}
 for block in re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S):
@@ -127,14 +138,48 @@ def child_env() -> dict:
     return env
 
 
-def test_cli_import_leaves_sparse_linalg_unloaded():
-    # the Lanczos solver is imported inside the operator-norm sweep only, so
-    # that every command's start-up skips it
-    code = "import sys, nyridge.cli; print('scipy.sparse.linalg' in sys.modules)"
+# Blocks every scipy import, imports the CLI, then runs every command and
+# writes each exit code and the modules the commands imported to run.json.
+BLOCKED_SCRIPT = DATA_SCRIPT + r"""
+import importlib.abc, json, sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked at run time: {name}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from nyridge import cli
+
+loaded = set(sys.modules)
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+Path("run.json").write_text(json.dumps({"codes": codes, "new": sorted(set(sys.modules) - loaded)}))
+"""
+
+
+@pytest.fixture(scope="module")
+def blocked_run(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("blocked")
     res = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True
+        [sys.executable, "-c", BLOCKED_SCRIPT, json.dumps(COMMANDS)],
+        cwd=cwd, env=child_env(), capture_output=True, text=True,
     )
-    assert res.stdout.strip() == "False"
+    assert res.returncode == 0, res.stderr
+    return json.loads((cwd / "run.json").read_text())
+
+
+def test_every_command_runs_without_scipy(blocked_run):
+    # scipy is the tests' oracle only; pyproject lists it in the test extra
+    assert blocked_run["codes"] == [0] * len(COMMANDS)
+
+
+def test_no_command_imports_a_module_while_it_runs(blocked_run):
+    # an import inside cli.main (numpy loads numpy.ma on the first np.median,
+    # argparse's gettext loads locale) would count against every timed run
+    assert blocked_run["new"] == []
 
 
 def package_functions() -> dict[tuple[str, int], str]:
@@ -172,7 +217,7 @@ def acceptance_imports() -> set[str]:
 
 def test_every_function_is_reached_or_kept(tmp_path):
     res = subprocess.run(
-        [sys.executable, "-c", REACH_SCRIPT, str(ROOT)],
+        [sys.executable, "-c", REACH_SCRIPT, str(ROOT), json.dumps(COMMANDS)],
         cwd=tmp_path, env=child_env(), capture_output=True, text=True,
     )
     assert res.returncode == 0, res.stderr

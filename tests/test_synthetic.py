@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from math import pi
 from scipy.special import zeta
 
@@ -11,6 +13,7 @@ from nyridge.synthetic import (
     draw_noise,
     eig_circulant,
     grid_problem,
+    hurwitz_zeta,
     signal_on_grid,
     sigma2_for_snr,
 )
@@ -175,6 +178,54 @@ class TestSignalOnGrid:
     def test_divergent_delta_rejected(self):
         with pytest.raises(ConfigError):
             signal_on_grid(0.9, 20)
+
+    @pytest.mark.parametrize("delta", [1e20, 1e100, 1e300])
+    def test_huge_delta_leaves_the_first_harmonic(self, delta):
+        # scipy's zeta(s, a) is NaN for a > 1 once s >= 1e20, where the true
+        # value is 0; the fold once turned that into a NaN signal and exit 3
+        n = 20
+        z = signal_on_grid(delta, n)
+        assert np.max(np.abs(z - 2.0 * np.cos(2 * np.pi * np.arange(n) / n))) <= 1e-15
+
+
+def fold_grid(n):
+    """The arguments 1 + r/n, r = 0..n-1, at which the residue fold takes zeta."""
+    return 1.0 + np.arange(n) / n
+
+
+class TestHurwitzZeta:
+    # scipy's zeta is the oracle; the generators take zeta(s, 1 + r/n) at
+    # s = 2 beta for the eigenvalues and s = delta for the signal
+    @pytest.mark.parametrize("s", [2.0, 4.0, 6.0, 8.0, 16.0])
+    def test_matches_scipy_at_kernel_rates(self, s):
+        for n in (1, 2, 7, 64, 1000, 4097, 2**16):
+            q = fold_grid(n)
+            want = zeta(s, q)
+            assert np.max(np.abs(hurwitz_zeta(s, q) - want) / want) <= 1e-15
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        delta=st.floats(1.0, 700.0, exclude_min=True),
+        log2_n=st.integers(0, 16),
+    )
+    def test_matches_scipy_at_drawn_delta(self, delta, log2_n):
+        q = fold_grid(2**log2_n)
+        want = zeta(delta, q)
+        got = hurwitz_zeta(delta, q)
+        assert np.max(np.abs(got - want) / want) <= 1e-15
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 8.0, 16.0, 40.0, 300.0])
+    def test_bit_for_bit_with_cephes(self, s):
+        # same steps, same stops and the same C library pow as scipy's
+        # Cephes zeta, which kept every rates CSV byte-identical
+        q = fold_grid(4097)
+        assert np.array_equal(hurwitz_zeta(s, q), zeta(s, q))
+
+    def test_huge_s_is_finite(self):
+        # the rising factorial of the corrections overflows there; every
+        # term past q = 1 underflows to 0
+        for s in (1e20, 1e300):
+            assert np.array_equal(hurwitz_zeta(s, fold_grid(8)), [1.0] + [0.0] * 7)
 
 
 class TestDrawNoise:
