@@ -6,11 +6,9 @@ must be before nothing is lost: the answer scales with the ridge smoother's
 degrees of freedom rather than with any matrix-approximation error.
 """
 
-# numpy imports these on first use (np.median and np.unique import numpy.ma);
-# import them with the package, so that no command pays for an import while
-# it runs.
+# numpy imports these on first use; import them with the package, so that no
+# command pays for an import while it runs.
 import numpy.fft  # noqa: F401
-import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .errors import (
@@ -20,7 +18,7 @@ from .errors import (
     NyridgeError,
     VacuousBoundError,
 )
-from .kernels import KernelMatrix, KernelSpec, gram
+from .kernels import KernelSpec, gram
 from .lowrank import (
     ColumnSelection,
     LowRankFactor,
@@ -55,7 +53,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "FixedDesignProblem",
-    "KernelMatrix",
     "KernelSpec",
     "LowRankFactor",
     "NumericalError",

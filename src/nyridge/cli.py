@@ -21,8 +21,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subcommand per experiment, with one flag per config key (``_`` read as ``-``)."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """One subcommand per experiment; ``command`` alone gets its flags.
+
+    Each of its config keys is a flag (``_`` read as ``-``). The other
+    subcommands stay flagless, which is all that ``nyridge --help`` shows
+    of them, so a call builds only the flags it can parse.
+    """
     parser = argparse.ArgumentParser(
         prog="nyridge",
         description="Column-sampled kernel ridge regression experiments",
@@ -30,6 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd, keys in CONFIG.items():
         p = sub.add_parser(cmd, help=f"run the {cmd} experiment")
+        if cmd != command:
+            continue
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=f"{cmd}.csv", help="output CSV path")
         for name, key in keys.items():
@@ -56,7 +63,9 @@ def _number(text: str):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option but -h, so a command comes first
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     cmd = args.command
     try:
         file_cfg = None

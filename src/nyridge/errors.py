@@ -12,34 +12,26 @@ class NyridgeError(Exception):
 class ConfigError(NyridgeError):
     """Invalid configuration, argument, or input file."""
 
-    code = "config-error"
-
 
 class DataError(ConfigError):
     """Problem with an input dataset."""
 
-    code = "data-error"
-
 
 class ParseError(DataError):
-    code = "parse-error"
+    """A file that does not parse as its format."""
 
 
 class MissingValueError(DataError):
-    code = "missing-value"
+    """A dataset cell that is absent, empty or a missing-value marker such as NA."""
 
 
 class NonNumericError(DataError):
-    code = "non-numeric"
+    """A dataset cell that is not a finite number."""
 
 
 class NumericalError(NyridgeError):
     """A numerical routine broke down (non-convergence, breakdown, ...)."""
 
-    code = "numerical-error"
-
 
 class VacuousBoundError(NumericalError):
     """The rank bound is vacuous because n * R^2 <= delta * lambda."""
-
-    code = "vacuous-bound"

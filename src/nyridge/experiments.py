@@ -220,7 +220,7 @@ def _sigma2(cfg: dict, z) -> float:
 
 
 def _synthetic_problem(cfg: dict):
-    spectrum = SpectrumSpec.polynomial(cfg["beta"], cfg["delta"])
+    spectrum = SpectrumSpec(cfg["beta"], cfg["delta"])
     prob = grid_problem(cfg["n"], spectrum, sigma2=0.0)
     prob.sigma2 = _sigma2(cfg, prob.z)
     return prob
@@ -229,7 +229,7 @@ def _synthetic_problem(cfg: dict):
 def _default_p_grid(n: int) -> list[int]:
     """Dense at low rank (where the crossings live), geometric above."""
     dense = range(1, min(64, n) + 1)
-    coarse = np.unique(np.geomspace(64, n, 16).astype(int)) if n > 64 else []
+    coarse = np.geomspace(64, n, 16).astype(int) if n > 64 else []
     return sorted(set(dense) | set(int(p) for p in coarse))
 
 
@@ -247,13 +247,12 @@ def run_fig1(cfg: dict):
     dense operator norm is the fallback.
     """
     prob = _synthetic_problem(cfg)
-    A = prob.K.entries
     lam = cfg.get("lam")
     if lam is None:
         lam = optimal_lambda(prob).lambda_star
     spec = problem_spectrum(prob)
     err_full = _check_err_full(spec.error(prob.sigma2, lam), lam)
-    tr_full = prob.K.trace()
+    tr_full = float(np.trace(prob.K))
     op_full = float(np.max(spec.eigs))
     ranks = _default_p_grid(prob.n)
 
@@ -262,7 +261,7 @@ def run_fig1(cfg: dict):
     for method in ("random", "pivoted"):
         tr_errs, op_errs, excess = [], [], []
         for phi in sweeper.factors(method):
-            tr_err, op_err = prefix_errors(A, phi, ranks)
+            tr_err, op_err = prefix_errors(prob.K, phi, ranks)
             tr_errs.append(tr_err / tr_full)
             op_errs.append(op_err / op_full)
             prefix = Spectrum.prefixes(phi, prob.z)
@@ -302,7 +301,7 @@ def run_rate_check(cfg: dict):
     n_list = sorted(cfg["n_list"])
     if len(n_list) < 5:
         raise ConfigError(f"rates needs at least 5 sizes in n_list (got {n_list!r})")
-    spectrum = SpectrumSpec.polynomial(cfg["beta"], cfg["delta"])
+    spectrum = SpectrumSpec(cfg["beta"], cfg["delta"])
     sigma2 = _sigma2(cfg, signal_on_grid(spectrum.delta, n_list[len(n_list) // 2]))
 
     rows = []
@@ -377,7 +376,8 @@ def run_verify_theorem(cfg: dict):
     bound_p = None
     if p is None:
         try:
-            bound_p = theorem_rank_bound(d_max, cfg["slack"], prob.n, prob.K.max_diag, lam)
+            # R^2 = max_i K_ii is the constant diagonal of the circulant K
+            bound_p = theorem_rank_bound(d_max, cfg["slack"], prob.n, prob.mean_diag, lam)
             p = min(prob.n, bound_p)
         except VacuousBoundError:
             p = prob.n

@@ -15,7 +15,7 @@ All functions are pure; concurrent calls are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf, pi
 
@@ -115,36 +115,6 @@ class KernelSpec:
         return self.kind == "periodic-polynomial"
 
 
-@dataclass
-class KernelMatrix:
-    """Symmetric PSD Gram matrix with a cached diagonal."""
-
-    entries: np.ndarray
-    diag: np.ndarray = field(repr=False, default=None)
-    n: int = 0
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ConfigError(f"kernel matrix must be square, got {self.entries.shape}")
-        self.n = self.entries.shape[0]
-        if self.diag is None:
-            self.diag = np.ascontiguousarray(np.diag(self.entries))
-
-    @property
-    def max_diag(self) -> float:
-        """R^2 = max_i K_ii, the squared feature-norm bound."""
-        return float(np.max(self.diag))
-
-    def trace(self) -> float:
-        return float(np.sum(self.diag))
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
-
-
 def _as_points(points, spec: KernelSpec) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if spec.is_periodic:
@@ -193,7 +163,7 @@ def cross_gram(points_a, points_b, spec: KernelSpec) -> np.ndarray:
         return np.exp(-sq / scale)
 
 
-def gram(points, spec: KernelSpec) -> KernelMatrix:
+def gram(points, spec: KernelSpec) -> np.ndarray:
     """Assemble the n x n Gram matrix K_ij = k(x_i, x_j).
 
     The output is symmetric by construction: the periodic kernel is evaluated
@@ -204,10 +174,10 @@ def gram(points, spec: KernelSpec) -> KernelMatrix:
     n = pts.shape[0]
     if n < 1:
         raise ConfigError("gram needs at least one point")
-    entries = cross_gram(pts, pts, spec)
+    K = cross_gram(pts, pts, spec)
     if spec.kind == "gaussian":
-        np.fill_diagonal(entries, 1.0)
-    return KernelMatrix(entries)
+        np.fill_diagonal(K, 1.0)
+    return K
 
 
 def median_distance_bandwidth(features, subsample: int = 500, seed: int = 0) -> float:
@@ -221,5 +191,10 @@ def median_distance_bandwidth(features, subsample: int = 500, seed: int = 0) -> 
         X = X[np.sort(idx)]
     d = np.sqrt(_sqdist(X, X))
     off = d[np.triu_indices_from(d, k=1)]
-    med = float(np.median(off)) if off.size else 1.0
+    m = off.size
+    if m == 0:
+        return 1.0
+    # the median as np.median takes it, without np.median's import of numpy.ma
+    part = np.partition(off, ((m - 1) // 2, m // 2))
+    med = float((part[(m - 1) // 2] + part[m // 2]) / 2)
     return med if med > 0 else 1.0

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import csvio
 from .errors import ConfigError, NumericalError, ParseError
-from .kernels import KernelMatrix, KernelSpec, cross_gram
+from .kernels import KernelSpec, cross_gram
 
 # Collapse floor, relative to max(diag K): a pivot whose residual diagonal is
 # at or below it adds nothing to the factor, since kernel submatrices are
@@ -66,7 +66,8 @@ class ColumnSelection:
         object.__setattr__(self, "indices", idx)
         if idx.ndim != 1 or idx.size == 0:
             raise ConfigError("selection must contain at least one index")
-        if np.unique(idx).size != idx.size:
+        ordered = np.sort(idx)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ConfigError("selection indices must be distinct")
         if idx.min() < 0 or idx.max() >= self.n:
             raise ConfigError("selection indices out of range")
@@ -429,6 +430,4 @@ def make_column_oracle(K) -> Callable[[int], np.ndarray]:
 
 
 def materialized_diag(K) -> np.ndarray:
-    if isinstance(K, KernelMatrix):
-        return K.diag.copy()
     return np.diag(np.asarray(K, dtype=float)).copy()

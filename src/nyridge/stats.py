@@ -21,10 +21,10 @@ All of them are functions of the spectrum of K and of the coefficients of z
 on its eigenbasis. :class:`Spectrum` is the single home of these closed
 forms. It is built by one FFT of the first row (the circulant K of a grid
 problem), by a dense eigendecomposition (any K: the reference behind
-:func:`dof` and :func:`bias_variance`), by a thin SVD of a factor Phi
-(low-rank smoothers L = Phi Phi^T), or, for every prefix Phi[:, :p] of a
-nested factor at once, by one thin QR of Phi. The error and d.o.f.
-functions here are thin wrappers over it.
+:func:`dof` and :func:`bias_variance`), by one thin QR of a factor Phi
+for the low-rank smoothers L = Phi_p Phi_p^T of every prefix Phi[:, :p] at
+once, or by a thin SVD of Phi (the reference the QR path is tested
+against). The error and d.o.f. functions here are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -191,13 +191,13 @@ def bias_variance(K, z, sigma2: float, lam: float) -> tuple[float, float]:
 
 
 def lowrank_bias_variance(phi, z, sigma2: float, lam: float) -> tuple[float, float]:
-    """Bias/variance of the smoother built on L = Phi Phi^T, via thin SVD.
+    """Bias/variance of the smoother built on L = Phi Phi^T, via one thin QR of Phi.
 
     O(n p^2) instead of a dense n x n eigendecomposition: directions
     orthogonal to the column space carry eigenvalue zero, so their bias
     contribution is ||z_perp||^2 / n.
     """
-    return Spectrum.lowrank(phi, z).bias_variance(sigma2, lam)
+    return Spectrum.prefixes(phi, z)(phi.shape[1]).bias_variance(sigma2, lam)
 
 
 def theorem_rank_bound(d_max: float, delta: float, n: int, r2: float, lam: float) -> int:
@@ -232,7 +232,6 @@ class TheoremCheck:
     high_prob_bound: float  # n exp(-p / (32 d / delta + 2))
     p: int
     trials: int
-    err_full: float
     ratios: np.ndarray
 
 
@@ -260,7 +259,7 @@ def verify_theorem(
         raise ConfigError(f"need trials >= 1, got {trials}")
     spec = problem_spectrum(problem)
     err_full = _check_err_full(spec.error(problem.sigma2, lam), lam)
-    A = problem.K.entries
+    A = problem.K
     ratios = np.empty(trials)
     for t in range(trials):
         phi = nested_factor(A, sample_columns(n, p, _rng_for(seed, t)).indices)
@@ -277,7 +276,6 @@ def verify_theorem(
         high_prob_bound=float(min(1.0, n * math.exp(-p / (32.0 * d_max / delta + 2.0)))),
         p=p,
         trials=trials,
-        err_full=err_full,
         ratios=ratios,
     )
 
@@ -351,7 +349,7 @@ class RankSweeper:
         self._spectra: dict = {}
 
     def factors(self, method: str) -> list[np.ndarray]:
-        A = self.problem.K.entries
+        A = self.problem.K
         n = self.problem.n
         if method == "random":
             if self._perm_factors is None:
@@ -431,7 +429,6 @@ class LambdaChoice:
     lambda_star: float
     error_star: float
     saturated: bool
-    grid_index: int
 
 
 def default_lambda_grid(trace_over_n: float, num: int = 40) -> np.ndarray:
@@ -469,7 +466,6 @@ def optimal_lambda(problem: FixedDesignProblem, grid=None) -> LambdaChoice:
         lambda_star=lam_star,
         error_star=err_star,
         saturated=bool(i == 0 or lam_star < 1e-15),
-        grid_index=i,
     )
 
 
@@ -478,7 +474,6 @@ class RateFit:
     exponent: float
     intercept: float
     r_squared: float
-    inputs: tuple
 
 
 def fit_rate(pairs) -> RateFit:
@@ -496,9 +491,4 @@ def fit_rate(pairs) -> RateFit:
     ss_res = float(np.sum(resid * resid))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot <= 1e-300 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return RateFit(
-        exponent=float(coef[0]),
-        intercept=float(coef[1]),
-        r_squared=r2,
-        inputs=tuple(pts),
-    )
+    return RateFit(exponent=float(coef[0]), intercept=float(coef[1]), r_squared=r2)

@@ -15,13 +15,14 @@ cos(2 i pi x) with nu_i = i^(-2 delta) are built the same way on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import inf, isfinite
 
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import KernelMatrix, KernelSpec, cross_gram
+from .kernels import KernelSpec, cross_gram
 
 
 @dataclass(frozen=True)
@@ -41,38 +42,28 @@ class SpectrumSpec:
         if not 1.0 < self.delta < inf:
             raise ConfigError(f"delta must be finite and > 1 (got {self.delta!r})")
 
-    @classmethod
-    def polynomial(cls, beta: int, delta: float) -> "SpectrumSpec":
-        return cls(beta, delta)
-
 
 @dataclass
 class FixedDesignProblem:
-    """Grid points, the first row of the kernel matrix, noiseless target, noise level.
+    """The first row of a circulant kernel matrix, the noiseless target and the noise level.
 
-    The problem keeps the mirrored first row ``row0`` of its circulant
-    kernel matrix and assembles the n x n ``K`` only on first access (then
-    cached in ``kernel_matrix``), so that spectral computations (FFT of
-    ``row0``) never allocate it.
+    The problem keeps the mirrored first row ``row0`` of its kernel matrix
+    and assembles the n x n ``K`` only on first access (then cached), so
+    that spectral computations (FFT of ``row0``) never allocate it.
     """
 
-    points: np.ndarray
+    row0: np.ndarray
     z: np.ndarray
     sigma2: float
-    spectrum: SpectrumSpec
-    row0: np.ndarray
-    kernel_matrix: KernelMatrix | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return self.row0.shape[0]
 
-    @property
-    def K(self) -> KernelMatrix:
-        if self.kernel_matrix is None:
-            r = np.arange(self.n)
-            self.kernel_matrix = KernelMatrix(self.row0[(r[None, :] - r[:, None]) % self.n])
-        return self.kernel_matrix
+    @cached_property
+    def K(self) -> np.ndarray:
+        r = np.arange(self.n)
+        return self.row0[(r[None, :] - r[:, None]) % self.n]
 
     @property
     def mean_diag(self) -> float:
@@ -225,13 +216,7 @@ def grid_problem(n: int, spectrum: SpectrumSpec, sigma2: float) -> FixedDesignPr
         raise ConfigError("n must be >= 2")
     sigma2 = check_sigma2(sigma2)
     spec = KernelSpec.periodic_poly(spectrum.beta)
-    return FixedDesignProblem(
-        points=np.arange(n, dtype=float) / n,
-        z=signal_on_grid(spectrum.delta, n),
-        sigma2=sigma2,
-        spectrum=spectrum,
-        row0=_circulant_row(spec, n),
-    )
+    return FixedDesignProblem(_circulant_row(spec, n), signal_on_grid(spectrum.delta, n), sigma2)
 
 
 def draw_noise(n: int, sigma2: float, trials: int, seed) -> np.ndarray:

@@ -79,7 +79,7 @@ def suite2_instances():
 def shared_problem():
     # the n = 400, beta = 1 configuration shared by criteria 5, 6, and 10
     cfg = resolve_config("fig1")
-    prob = grid_problem(cfg["n"], SpectrumSpec.polynomial(cfg["beta"], cfg["delta"]), 0.0)
+    prob = grid_problem(cfg["n"], SpectrumSpec(cfg["beta"], cfg["delta"]), 0.0)
     prob.sigma2 = sigma2_for_snr(prob.z, cfg["snr"])
     lam = optimal_lambda(prob).lambda_star
     return prob, lam
@@ -148,10 +148,10 @@ def test_criterion_3_dof_chain(suite1_instances, suite2_instances):
 def test_criterion_4_bias_variance_monte_carlo():
     t0 = time.time()
     n, trials = 100, 2000
-    prob = grid_problem(n, SpectrumSpec.polynomial(1, 3.0), 0.0)
+    prob = grid_problem(n, SpectrumSpec(1, 3.0), 0.0)
     prob.sigma2 = sigma2_for_snr(prob.z, 1.0)
     lam_star = optimal_lambda(prob).lambda_star
-    K, z = prob.K.entries, prob.z
+    K, z = prob.K, prob.z
     details = []
     ok = True
     for j, lam in enumerate((lam_star / 10, lam_star, lam_star * 10)):
@@ -203,9 +203,9 @@ def test_criterion_6_theorem_bound(shared_problem):
     prob, lam = shared_problem
     n = prob.n
     delta = 0.25
-    d_max, _, _ = dof(prob.K.entries, lam)
+    d_max, _, _ = dof(prob.K, lam)
     try:
-        bound = theorem_rank_bound(d_max, delta, n, prob.K.max_diag, lam)
+        bound = theorem_rank_bound(d_max, delta, n, np.max(np.diag(prob.K)), lam)
     except VacuousBoundError:
         bound = n
     p_bound = min(n, bound)

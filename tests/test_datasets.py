@@ -113,9 +113,6 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match=r"ln\.csv:6: "):
             load_dataset(path, "target")
 
-    def test_error_codes_distinct(self):
-        assert ParseError.code != MissingValueError.code != NonNumericError.code
-
 
 def make_dataset(n, noise, seed):
     rng = np.random.default_rng(seed)

@@ -210,8 +210,8 @@ class TestConfigTable:
         assert '"delta": 8.0' in (tmp_path / "file.csv").read_text()
 
     def test_every_key_has_a_flag(self):
-        parser = cli.build_parser()
         for cmd, keys in CONFIG.items():
+            parser = cli.build_parser(cmd)
             for name in keys:
                 args = parser.parse_args([cmd, "--" + name.replace("_", "-"), "7"])
                 assert getattr(args, name) == "7"
@@ -368,8 +368,8 @@ class TestFig1:
         md = dict(meta)
         lam = float(md["lambda"])
         sigma2 = float(md["sigma2"])
-        prob = grid_problem(48, SpectrumSpec.polynomial(cfg["beta"], cfg["delta"]), sigma2)
-        b, v = bias_variance(prob.K.entries, prob.z, sigma2, lam)
+        prob = grid_problem(48, SpectrumSpec(cfg["beta"], cfg["delta"]), sigma2)
+        b, v = bias_variance(prob.K, prob.z, sigma2, lam)
         err_full = b + v
         assert err_full == pytest.approx(float(md["err_full"]), rel=1e-10)
         from nyridge.stats import RankSweeper

@@ -12,7 +12,6 @@ from nyridge.errors import ConfigError, NumericalError
 from nyridge.kernels import (
     BERNOULLI_POLY_COEFFS,
     SUPPORTED_BETAS,
-    KernelMatrix,
     KernelSpec,
     _sqdist,
     cross_gram,
@@ -149,7 +148,7 @@ class TestGaussianKernel:
     def test_tiny_bandwidth_reaches_exact_limit(self):
         # 2 bandwidth^2 is subnormal, so d^2 / (2 bandwidth^2) overflows to
         # inf, and exp(-inf) = 0 is the kernel's limit; no warning escapes
-        K = gram([0.0, 0.5, 1.0], KernelSpec.gaussian(1e-160)).entries
+        K = gram([0.0, 0.5, 1.0], KernelSpec.gaussian(1e-160))
         assert np.array_equal(K, np.eye(3))
 
 
@@ -159,18 +158,17 @@ class TestGaussianKernel:
 PSD_SLACK = 10.0
 
 
-def assert_symmetric_psd(km):
-    K = km.entries
+def assert_symmetric_psd(K):
     assert np.array_equal(K, K.T)
-    floor = -PSD_SLACK * km.n * np.finfo(float).eps * km.max_diag
+    floor = -PSD_SLACK * K.shape[0] * np.finfo(float).eps * np.max(np.diag(K))
     assert np.linalg.eigvalsh(K)[0] >= floor
 
 
 class TestGram:
     def test_single_point(self):
         km = gram([0.37], KernelSpec.periodic_poly(1))
-        assert km.entries.shape == (1, 1)
-        assert km.entries[0, 0] == pytest.approx(pi**2 / 3)
+        assert type(km) is np.ndarray and km.shape == (1, 1)
+        assert km[0, 0] == pytest.approx(pi**2 / 3)
 
     def test_uniform_grid_periodic_is_circulant(self):
         # dyadic n: grid coordinates are exact, so the matrix is exactly
@@ -179,16 +177,16 @@ class TestGram:
         pts = np.arange(n) / n
         km = gram(pts, KernelSpec.periodic_poly(1))
         for i in range(0, n, 7):
-            assert np.array_equal(km.entries[i], np.roll(km.entries[0], i))
+            assert np.array_equal(km[i], np.roll(km[0], i))
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(3)
         pts = rng.random(40)
         km = gram(pts, KernelSpec.periodic_poly(2))
-        assert np.array_equal(km.entries, km.entries.T)
+        assert np.array_equal(km, km.T)
         X = rng.normal(size=(40, 3))
         km = gram(X, KernelSpec.gaussian(1.3))
-        assert np.array_equal(km.entries, km.entries.T)
+        assert np.array_equal(km, km.T)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -214,14 +212,13 @@ class TestGram:
     def test_psd_up_to_tolerance(self, n):
         rng = np.random.default_rng(n)
         km = gram(rng.random(n), KernelSpec.periodic_poly(1))
-        ev = np.linalg.eigvalsh(km.entries)
+        ev = np.linalg.eigvalsh(km)
         assert ev[0] >= -1e-8 * ev[-1]
 
-    def test_diag_cached(self):
+    def test_diag_is_the_kernel_at_zero(self):
         rng = np.random.default_rng(5)
         km = gram(rng.random(9), KernelSpec.periodic_poly(1))
-        assert np.array_equal(km.diag, np.diag(km.entries))
-        assert km.max_diag == pytest.approx(pi**2 / 3)
+        assert np.max(np.diag(km)) == pytest.approx(pi**2 / 3)
 
     def test_kernel_column_matches_gram(self):
         rng = np.random.default_rng(11)
@@ -229,12 +226,12 @@ class TestGram:
         spec = KernelSpec.periodic_poly(2)
         km = gram(pts, spec)
         column = cross_gram(pts, pts[5:6], spec).reshape(-1)
-        assert np.allclose(column, km.entries[:, 5], atol=1e-15)
+        assert np.allclose(column, km[:, 5], atol=1e-15)
 
     def test_gaussian_gram_unit_diag(self):
         rng = np.random.default_rng(1)
         km = gram(rng.normal(size=(15, 2)), KernelSpec.gaussian(0.8))
-        assert np.array_equal(km.diag, np.ones(15))
+        assert np.array_equal(np.diag(km), np.ones(15))
 
 
 class TestKernelSpec:
@@ -281,6 +278,9 @@ def test_median_distance_bandwidth():
     assert bw == median_distance_bandwidth(X, subsample=200, seed=0)
 
 
-def test_kernel_matrix_rejects_non_square():
-    with pytest.raises(ConfigError):
-        KernelMatrix(np.zeros((3, 4)))
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 30])
+def test_median_distance_bandwidth_is_the_numpy_median(n):
+    # an odd and an even number of pairs among the sizes
+    X = np.random.default_rng(n).normal(size=(n, 2))
+    d = np.sqrt(_sqdist(X, X))[np.triu_indices(n, k=1)]
+    assert median_distance_bandwidth(X) == float(np.median(d))

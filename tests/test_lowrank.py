@@ -551,7 +551,7 @@ class TestFeatureMap:
         F = nystrom(K, sel)
         i = sel.indices[2]
         phi_x = feature_matrix(spec, pts[sel.indices], F.whitener, [pts[i]])[0]
-        assert phi_x @ phi_x == pytest.approx(K.entries[i, i], rel=1e-8)
+        assert phi_x @ phi_x == pytest.approx(K[i, i], rel=1e-8)
 
     def test_feature_gram_equals_factor_gram(self):
         rng = np.random.default_rng(5)
@@ -572,7 +572,7 @@ class TestFeatureMap:
         F = nystrom(K, sel)
         x = 0.77
         phi_x = feature_matrix(spec, pts[sel.indices], F.whitener, [x])[0]
-        expected = K.entries[4, 4] ** -0.5 * cross_gram([pts[4]], [x], spec)[0, 0]
+        expected = K[4, 4] ** -0.5 * cross_gram([pts[4]], [x], spec)[0, 0]
         assert phi_x.shape == (1,)
         assert phi_x[0] == pytest.approx(expected, rel=1e-12)
 
@@ -632,8 +632,9 @@ def test_factor_file_layout(tmp_path):
 
 
 def test_selection_validation():
-    with pytest.raises(ConfigError):
-        ColumnSelection(np.array([0, 0]), "uniform-random", 5)
+    for idx in ([0, 0], [3, 1, 4, 1]):
+        with pytest.raises(ConfigError, match="distinct"):
+            ColumnSelection(np.array(idx), "uniform-random", 5)
     with pytest.raises(ConfigError):
         ColumnSelection(np.array([5]), "uniform-random", 5)
     with pytest.raises(ConfigError):

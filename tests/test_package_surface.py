@@ -7,7 +7,8 @@ fails for any function or method in ``src/nyridge`` that no CLI command,
 no README example and no import of the acceptance suite reaches, unless
 ``KEEP`` gives a reason to keep it. The run-time guard runs every command
 with scipy blocked, and checks that no command imports a module while it
-runs: scipy is a test-only oracle.
+runs (scipy is a test-only oracle), loads ``numpy.ma`` or calls
+``np.linalg.svd``.
 """
 
 import ast
@@ -43,6 +44,7 @@ KEEP = {
     "regression.save_fit": "README File formats: fit files",
     "regression.load_fit": "README File formats: fit files",
     "stats.Spectrum.dense": "the dense reference behind dof and bias_variance (acceptance imports)",
+    "stats.Spectrum.lowrank": "the thin-SVD oracle the prefix spectra from one QR are tested against",
     "synthetic.eig_circulant": "the exact oracle of the FFT spectrum of grid problems",
 }
 
@@ -138,8 +140,9 @@ def child_env() -> dict:
     return env
 
 
-# Blocks every scipy import, imports the CLI, then runs every command and
-# writes each exit code and the modules the commands imported to run.json.
+# Blocks every scipy import, imports the CLI, counts np.linalg.svd calls, then
+# runs every command and writes each exit code, the modules the commands
+# imported, whether numpy.ma is loaded and the svd count to run.json.
 BLOCKED_SCRIPT = DATA_SCRIPT + r"""
 import importlib.abc, json, sys
 
@@ -153,10 +156,26 @@ class NoScipy(importlib.abc.MetaPathFinder):
 
 sys.meta_path.insert(0, NoScipy())
 from nyridge import cli
+import numpy
 
+svd_calls = []
+svd = numpy.linalg.svd
+
+
+def counted_svd(*args, **kwargs):
+    svd_calls.append(1)
+    return svd(*args, **kwargs)
+
+
+numpy.linalg.svd = counted_svd
 loaded = set(sys.modules)
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-Path("run.json").write_text(json.dumps({"codes": codes, "new": sorted(set(sys.modules) - loaded)}))
+Path("run.json").write_text(json.dumps({
+    "codes": codes,
+    "new": sorted(set(sys.modules) - loaded),
+    "ma": "numpy.ma" in sys.modules,
+    "svd": len(svd_calls),
+}))
 """
 
 
@@ -177,9 +196,19 @@ def test_every_command_runs_without_scipy(blocked_run):
 
 
 def test_no_command_imports_a_module_while_it_runs(blocked_run):
-    # an import inside cli.main (numpy loads numpy.ma on the first np.median,
-    # argparse's gettext loads locale) would count against every timed run
+    # an import inside cli.main (argparse's gettext loads locale on first
+    # use) would count against every timed run
     assert blocked_run["new"] == []
+
+
+def test_no_command_needs_numpy_ma(blocked_run):
+    # np.median and np.unique import numpy.ma, 14 ms of every command's import
+    assert blocked_run["ma"] is False
+
+
+def test_no_command_runs_a_thin_svd(blocked_run):
+    # low-rank spectra come from one thin QR (Spectrum.prefixes)
+    assert blocked_run["svd"] == 0
 
 
 def package_functions() -> dict[tuple[str, int], str]:

@@ -104,8 +104,8 @@ class TestKrrLowrank:
     def test_tiny_lambda_on_smooth_kernel(self):
         # beta = 8 grid kernel, lambda at 1e-14: the p x p solve must still
         # return a finite solution with small backward error
-        prob = grid_problem(64, SpectrumSpec.polynomial(8, 8.0), 0.0)
-        F = nystrom(prob.K.entries, sample_columns(64, 12, 0))
+        prob = grid_problem(64, SpectrumSpec(8, 8.0), 0.0)
+        F = nystrom(prob.K, sample_columns(64, 12, 0))
         y = prob.z
         lam = 1e-14
         fit, zhat = krr_lowrank(F, y, lam)
@@ -166,7 +166,7 @@ class TestNewton:
         pts = rng.random(40)
         K = gram(pts, KernelSpec.periodic_poly(1))
         y = np.ones(40)
-        F = nystrom(K.entries, sample_columns(40, 10, 23))
+        F = nystrom(K, sample_columns(40, 10, 23))
         norms, objs = [], []
         for lam in (1e-3, 1e-2, 1e-1, 1.0):
             fit = newton_solve(F, y, lam, loss="logistic")
@@ -228,7 +228,7 @@ class TestPredict:
         K = gram(pts, spec)
         y = rng.normal(size=25)
         sel = sample_columns(25, 8, 31)
-        F = nystrom(K.entries, sel)
+        F = nystrom(K, sel)
         fit, zhat = krr_lowrank(F, y, 5e-3)
         preds = predict(
             fit, pts, spec, landmarks=pts[sel.indices], whitener=F.whitener
@@ -244,7 +244,7 @@ class TestPredict:
         lam = 1e-2
         exact_fit, _ = krr_exact(K, y, lam)
         sel = sample_columns(40, 40, 33)
-        F = nystrom(K.entries, sel)
+        F = nystrom(K, sel)
         low_fit, _ = krr_lowrank(F, y, lam)
         test = rng.random(15)
         pe = predict(exact_fit, test, spec, train_points=pts)

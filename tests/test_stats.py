@@ -77,10 +77,10 @@ class TestDof:
             assert d_ave >= 0
 
     def test_exact_circulant_eigs_match_dense(self):
-        prob = grid_problem(36, SpectrumSpec.polynomial(1, 2.0), 0.0)
+        prob = grid_problem(36, SpectrumSpec(1, 2.0), 0.0)
         lam = 1e-2
-        dense = dof(prob.K.entries, lam)
-        spectral = Spectrum(eig_circulant(prob.spectrum.beta, 36), 36).dof(lam)
+        dense = dof(prob.K, lam)
+        spectral = Spectrum(eig_circulant(1, 36), 36).dof(lam)
         assert dense[0] == pytest.approx(spectral[0], rel=1e-6)
         assert dense[1] == pytest.approx(spectral[1], rel=1e-8)
         assert dense[2] == pytest.approx(spectral[2], rel=1e-8)
@@ -111,8 +111,8 @@ class TestBiasVariance:
     def test_monte_carlo_oracle(self):
         # closed form within 3 standard errors of a simulated mean
         n, trials = 40, 800
-        prob = grid_problem(n, SpectrumSpec.polynomial(1, 2.0), 0.0)
-        K = prob.K.entries
+        prob = grid_problem(n, SpectrumSpec(1, 2.0), 0.0)
+        K = prob.K
         z = prob.z
         sigma2 = 0.25
         lam = 5e-3
@@ -152,12 +152,12 @@ class TestBiasVariance:
             assert v_low <= v_full + 1e-12
 
     def test_spectral_path_matches_dense_on_grid(self):
-        prob = grid_problem(32, SpectrumSpec.polynomial(1, 3.0), 0.2)
+        prob = grid_problem(32, SpectrumSpec(1, 3.0), 0.2)
         coef2 = np.abs(np.fft.fft(prob.z)) ** 2 / 32
         lam = 2e-3
-        spec = Spectrum(eig_circulant(prob.spectrum.beta, 32), 32, coef2=coef2)
+        spec = Spectrum(eig_circulant(1, 32), 32, coef2=coef2)
         b1, v1 = spec.bias_variance(0.2, lam)
-        b2, v2 = bias_variance(prob.K.entries, prob.z, 0.2, lam)
+        b2, v2 = bias_variance(prob.K, prob.z, 0.2, lam)
         assert b1 == pytest.approx(b2, rel=1e-8)
         assert v1 == pytest.approx(v2, rel=1e-8)
 
@@ -213,25 +213,25 @@ class TestTheoremRankBound:
 
 class TestVerifyTheorem:
     def test_full_rank_ratio_is_one(self):
-        prob = grid_problem(40, SpectrumSpec.polynomial(1, 3.0), 0.5)
+        prob = grid_problem(40, SpectrumSpec(1, 3.0), 0.5)
         check = verify_theorem(prob, lam=1e-2, delta=0.25, p=40, trials=5, seed=0)
         assert check.ratio_mean == pytest.approx(1.0, abs=1e-8)
         assert check.holds
 
     def test_zero_signal_ratio_below_one(self):
-        prob = grid_problem(30, SpectrumSpec.polynomial(1, 3.0), 0.5)
+        prob = grid_problem(30, SpectrumSpec(1, 3.0), 0.5)
         prob.z = np.zeros(30)
         check = verify_theorem(prob, lam=1e-3, delta=0.25, p=6, trials=20, seed=1)
         assert np.all(check.ratios <= 1.0 + 1e-12)
 
     def test_reports_high_probability_quantile(self):
-        prob = grid_problem(36, SpectrumSpec.polynomial(1, 3.0), 0.3)
+        prob = grid_problem(36, SpectrumSpec(1, 3.0), 0.3)
         check = verify_theorem(prob, lam=5e-3, delta=0.25, p=10, trials=25, seed=2)
         assert 0.0 <= check.frac_above_threshold <= 1.0
         assert check.high_prob_threshold == pytest.approx((1 - 0.125) ** -2)
         assert check.trials == 25 and check.p == 10
         # each ratio is the closed-form error ratio of the direct L on its draw
-        K = prob.K.entries
+        K = prob.K
         err_full = sum(bias_variance(K, prob.z, prob.sigma2, 5e-3))
         for t, ratio in enumerate(check.ratios):
             L = direct_nystrom(K, sample_columns(36, 10, _rng_for(2, t)).indices)
@@ -266,17 +266,17 @@ class TestVerifyLemma:
 
 class TestSufficientRank:
     def test_huge_lambda_needs_rank_one(self):
-        prob = grid_problem(36, SpectrumSpec.polynomial(1, 3.0), 0.5)
+        prob = grid_problem(36, SpectrumSpec(1, 3.0), 0.5)
         p = RankSweeper(prob, trials=3, seed=0).sufficient_rank(1e4, "random", tol=0.01)
         assert p == 1
 
     def test_huge_tolerance_needs_rank_one(self):
-        prob = grid_problem(36, SpectrumSpec.polynomial(1, 3.0), 0.5)
+        prob = grid_problem(36, SpectrumSpec(1, 3.0), 0.5)
         p = RankSweeper(prob, trials=3, seed=1).sufficient_rank(1e-3, "random", tol=1e9)
         assert p == 1
 
     def test_pivoted_deterministic_and_reasonable(self):
-        prob = grid_problem(48, SpectrumSpec.polynomial(1, 3.0), 0.5)
+        prob = grid_problem(48, SpectrumSpec(1, 3.0), 0.5)
         lams = optimal_lambda(prob)
         p1 = RankSweeper(prob, seed=0).sufficient_rank(lams.lambda_star, "pivoted")
         p2 = RankSweeper(prob, seed=99).sufficient_rank(lams.lambda_star, "pivoted")
@@ -284,7 +284,7 @@ class TestSufficientRank:
         assert 1 <= p1 <= 48
 
     def test_sweeper_error_matches_direct_nystrom(self):
-        prob = grid_problem(30, SpectrumSpec.polynomial(1, 3.0), 0.4)
+        prob = grid_problem(30, SpectrumSpec(1, 3.0), 0.4)
         sw = RankSweeper(prob, trials=4, seed=5)
         lam = 1e-2
         # recompute the mean closed-form error from the direct formula for L
@@ -292,7 +292,7 @@ class TestSufficientRank:
         direct = []
         for t in range(4):
             order = _rng_for(5, t).permutation(30)
-            L = direct_nystrom(prob.K.entries, order[:p])
+            L = direct_nystrom(prob.K, order[:p])
             b, v = bias_variance(L, prob.z, prob.sigma2, lam)
             direct.append(b + v)
         assert sw.error("random", p, lam) == pytest.approx(np.mean(direct), rel=1e-8)
@@ -300,31 +300,31 @@ class TestSufficientRank:
 
 class TestOptimalLambda:
     def test_zero_signal_picks_largest(self):
-        prob = grid_problem(24, SpectrumSpec.polynomial(1, 2.0), 0.5)
+        prob = grid_problem(24, SpectrumSpec(1, 2.0), 0.5)
         prob.z = np.zeros(24)
         choice = optimal_lambda(prob)
-        grid = default_lambda_grid(prob.K.trace() / 24)
+        grid = default_lambda_grid(np.trace(prob.K) / 24)
         assert choice.lambda_star == pytest.approx(grid[-1])
         assert not choice.saturated
 
     def test_zero_noise_picks_smallest_and_flags(self):
-        prob = grid_problem(24, SpectrumSpec.polynomial(1, 2.0), 0.0)
+        prob = grid_problem(24, SpectrumSpec(1, 2.0), 0.0)
         choice = optimal_lambda(prob)
         assert choice.saturated
-        grid = default_lambda_grid(prob.K.trace() / 24)
+        grid = default_lambda_grid(np.trace(prob.K) / 24)
         assert choice.lambda_star <= grid[1]
 
     def test_refinement_improves_or_matches_grid(self):
-        prob = grid_problem(40, SpectrumSpec.polynomial(1, 3.0), 0.3)
+        prob = grid_problem(40, SpectrumSpec(1, 3.0), 0.3)
         choice = optimal_lambda(prob)
-        grid = default_lambda_grid(prob.K.trace() / 40)
+        grid = default_lambda_grid(np.trace(prob.K) / 40)
         from nyridge.stats import bias_variance as bv
 
-        grid_best = min(sum(bv(prob.K.entries, prob.z, prob.sigma2, l)) for l in grid)
+        grid_best = min(sum(bv(prob.K, prob.z, prob.sigma2, l)) for l in grid)
         assert choice.error_star <= grid_best + 1e-15
 
     def test_rejects_bad_grid(self):
-        prob = grid_problem(16, SpectrumSpec.polynomial(1, 2.0), 0.1)
+        prob = grid_problem(16, SpectrumSpec(1, 2.0), 0.1)
         with pytest.raises(ConfigError):
             optimal_lambda(prob, grid=[1e-3, 1e-4])
 
@@ -372,7 +372,7 @@ class TestCirculantSpectrum:
 
     @pytest.mark.parametrize("beta,delta,n", GRID_CASES)
     def test_matches_dense_reference(self, beta, delta, n):
-        prob = grid_problem(n, SpectrumSpec.polynomial(beta, delta), 0.3)
+        prob = grid_problem(n, SpectrumSpec(beta, delta), 0.3)
         fast = Spectrum.circulant(prob.row0, prob.z)
         dense = Spectrum.dense(prob.K, prob.z)
         lams = prob.mean_diag * np.logspace(-6, 0, 7)
@@ -386,18 +386,18 @@ class TestCirculantSpectrum:
 
     @pytest.mark.parametrize("beta,delta,n", GRID_CASES)
     def test_eigenvalues_match_exact(self, beta, delta, n):
-        prob = grid_problem(n, SpectrumSpec.polynomial(beta, delta), 0.0)
+        prob = grid_problem(n, SpectrumSpec(beta, delta), 0.0)
         got = Spectrum.circulant(prob.row0).eigs
-        exact = eig_circulant(prob.spectrum.beta, n)
+        exact = eig_circulant(beta, n)
         big = exact > 1e-10 * exact.max()
         assert np.max(np.abs(got[big] - exact[big]) / exact[big]) <= 1e-6
 
     def test_problem_spectrum_follows_reassigned_signal(self):
-        prob = grid_problem(40, SpectrumSpec.polynomial(1, 3.0), 0.2)
+        prob = grid_problem(40, SpectrumSpec(1, 3.0), 0.2)
         before = problem_spectrum(prob).bias(1e-3)
         prob.z = 2.0 * prob.z
         assert problem_spectrum(prob).bias(1e-3) == pytest.approx(4.0 * before, rel=1e-12)
-        assert prob.kernel_matrix is None  # the FFT path never assembled K
+        assert "K" not in vars(prob)  # the FFT path never assembled K
 
     @pytest.mark.parametrize("beta,delta", [(1, 2.0), (4, 8.0)])
     def test_rate_check_rows_match_dense_path(self, beta, delta, monkeypatch):
@@ -478,7 +478,7 @@ class TestSpectrumProperties:
         sigma2=st.floats(0, 10),
     )
     def test_grid_chain_and_signs(self, beta, delta, n, log_lam, sigma2):
-        prob = grid_problem(n, SpectrumSpec.polynomial(beta, delta), sigma2)
+        prob = grid_problem(n, SpectrumSpec(beta, delta), sigma2)
         spec = problem_spectrum(prob)
         lam = prob.mean_diag * 10.0**log_lam
         _check_dof_chain(spec, lam)
@@ -488,7 +488,7 @@ class TestSpectrumProperties:
 
 class TestTrialsValidation:
     def test_verify_theorem_rejects_zero_trials(self):
-        prob = grid_problem(20, SpectrumSpec.polynomial(1, 3.0), 0.5)
+        prob = grid_problem(20, SpectrumSpec(1, 3.0), 0.5)
         with pytest.raises(ConfigError):
             verify_theorem(prob, lam=1e-2, delta=0.25, p=5, trials=0, seed=0)
 
@@ -501,7 +501,7 @@ class TestTrialsValidation:
 class TestLambdaValidation:
     @pytest.mark.parametrize("lam", [0.0, -1e-3, float("nan"), float("inf")])
     def test_spectrum_rejects_nonpositive_lambda(self, lam):
-        spec = problem_spectrum(grid_problem(20, SpectrumSpec.polynomial(1, 3.0), 0.5))
+        spec = problem_spectrum(grid_problem(20, SpectrumSpec(1, 3.0), 0.5))
         for call in (spec.bias, spec.dof, lambda l: spec.variance(0.5, l)):
             with pytest.raises(ConfigError):
                 call(lam)
@@ -509,7 +509,7 @@ class TestLambdaValidation:
     def test_bias_overflow_raises_before_numpy(self):
         # at lambda = 1e160 every shrinkage n lambda / (eig + n lambda) is 1,
         # so the bias is its limit ||z||^2 / n; n lambda itself overflows at 1e308
-        spec = problem_spectrum(grid_problem(20, SpectrumSpec.polynomial(1, 3.0), 0.5))
+        spec = problem_spectrum(grid_problem(20, SpectrumSpec(1, 3.0), 0.5))
         assert spec.bias(1e160) == np.sum(spec.coef2) / spec.n
         with pytest.raises(NumericalError, match="is not finite"):
             spec.bias(1e308)
@@ -517,7 +517,7 @@ class TestLambdaValidation:
     def test_bias_at_tiny_lambda_is_its_limit(self):
         # (eig + n lambda)^2 underflowed to 0 here and the bias divided by it;
         # as lambda -> 0 only the energy on the zero eigenvalue (the constant) stays
-        spec = problem_spectrum(grid_problem(13, SpectrumSpec.polynomial(8, 3.0), 0.5))
+        spec = problem_spectrum(grid_problem(13, SpectrumSpec(8, 3.0), 0.5))
         assert spec.eigs[0] == 0.0
         assert spec.bias(9.3e-179) == pytest.approx(spec.coef2[0] / spec.n, rel=1e-12)
 

@@ -28,13 +28,13 @@ class TestSpectrumSpec:
     def test_delta_must_be_finite_and_above_one(self):
         for delta in (0.5, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="delta must be finite and > 1"):
-                SpectrumSpec.polynomial(1, delta)
+                SpectrumSpec(1, delta)
 
     def test_beta_must_be_a_tabulated_integer(self):
-        assert SpectrumSpec.polynomial(3, 2.0) == SpectrumSpec(beta=3, delta=2.0)
+        assert SpectrumSpec(3, 2.0) == SpectrumSpec(beta=3, delta=2.0)
         for beta in (2.5, 5, float("inf")):  # int(inf) once raised an OverflowError
             with pytest.raises(ConfigError, match=r"beta must be an integer in \(1, 2, 3, 4, 8\)"):
-                SpectrumSpec.polynomial(beta, 2.0)
+                SpectrumSpec(beta, 2.0)
 
 
 class TestEigCirculant:
@@ -44,7 +44,7 @@ class TestEigCirculant:
         # 1e-6 relative agreement on every eigenvalue the dense solver can
         # resolve; below its eps * lambda_max noise floor only absolute
         # agreement is meaningful
-        prob_k = gram(np.arange(n) / n, KernelSpec.periodic_poly(beta)).entries
+        prob_k = gram(np.arange(n) / n, KernelSpec.periodic_poly(beta))
         dense = np.sort(np.linalg.eigvalsh(prob_k))
         mine = np.sort(eig_circulant(beta, n))
         floor = 1e-12 * mine[-1]
@@ -66,33 +66,33 @@ class TestEigCirculant:
 
 class TestGridProblem:
     def test_exactly_circulant_and_symmetric(self):
-        prob = grid_problem(50, SpectrumSpec.polynomial(1, 2.0), 0.1)
-        K = prob.K.entries
+        prob = grid_problem(50, SpectrumSpec(1, 2.0), 0.1)
+        K = prob.K
         assert np.array_equal(K, K.T)
         for i in range(50):
             assert np.array_equal(K[i], np.roll(K[0], i))
 
     def test_signal_value_at_zero(self):
         # f(0) = 2 sum_i sqrt(nu_i) = 2 zeta(2) for delta = 2
-        prob = grid_problem(32, SpectrumSpec.polynomial(1, 2.0), 0.0)
+        prob = grid_problem(32, SpectrumSpec(1, 2.0), 0.0)
         assert prob.z[0] == pytest.approx(pi**2 / 3, rel=1e-10)
 
     def test_trace_over_n_is_diagonal_value(self):
-        prob = grid_problem(40, SpectrumSpec.polynomial(2, 3.0), 0.0)
-        kxx = prob.K.entries[0, 0]
-        assert prob.K.trace() / 40 == pytest.approx(kxx, rel=1e-12)
+        prob = grid_problem(40, SpectrumSpec(2, 3.0), 0.0)
+        kxx = prob.K[0, 0]
+        assert np.trace(prob.K) / 40 == pytest.approx(kxx, rel=1e-12)
 
     def test_exact_eigs_match_dense(self):
-        prob = grid_problem(48, SpectrumSpec.polynomial(1, 2.0), 0.0)
-        dense = np.sort(np.linalg.eigvalsh(prob.K.entries))
-        exact = np.sort(eig_circulant(prob.spectrum.beta, 48))
+        prob = grid_problem(48, SpectrumSpec(1, 2.0), 0.0)
+        dense = np.sort(np.linalg.eigvalsh(prob.K))
+        exact = np.sort(eig_circulant(1, 48))
         assert np.max(np.abs(dense - exact) / dense) <= 1e-6
 
     def test_fourier_coefficients_track_signal_law(self):
         # |<z, u_i>| approx sqrt(n nu_i), wrap-around tails allowed
         n = 64
         delta = 2.0
-        prob = grid_problem(n, SpectrumSpec.polynomial(1, delta), 0.0)
+        prob = grid_problem(n, SpectrumSpec(1, delta), 0.0)
         coefs = np.abs(np.fft.fft(prob.z)) / np.sqrt(n)
         for i in (1, 2, 3, 5):
             target = np.sqrt(n) * i ** (-delta)
@@ -100,50 +100,50 @@ class TestGridProblem:
 
     def test_signal_scale_is_order_one(self):
         for n in (32, 128, 512):
-            prob = grid_problem(n, SpectrumSpec.polynomial(1, 2.0), 0.0)
+            prob = grid_problem(n, SpectrumSpec(1, 2.0), 0.0)
             power = prob.z @ prob.z / n
             assert 0.5 < power < 20.0
 
     def test_small_n_rejected(self):
         with pytest.raises(ConfigError):
-            grid_problem(1, SpectrumSpec.polynomial(1, 2.0), 0.0)
+            grid_problem(1, SpectrumSpec(1, 2.0), 0.0)
 
     def test_unsupported_beta_rejected(self):
         with pytest.raises(ConfigError):
-            grid_problem(16, SpectrumSpec.polynomial(5, 2.0), 0.0)
+            grid_problem(16, SpectrumSpec(5, 2.0), 0.0)
 
     def test_nonfinite_or_negative_sigma2_rejected(self):
         for sigma2 in (float("nan"), float("inf"), -1e-3):
             with pytest.raises(ConfigError):
-                grid_problem(16, SpectrumSpec.polynomial(1, 2.0), sigma2)
+                grid_problem(16, SpectrumSpec(1, 2.0), sigma2)
 
     def test_gram_matrix_built_lazily_from_first_row(self):
-        prob = grid_problem(30, SpectrumSpec.polynomial(2, 3.0), 0.0)
-        assert prob.kernel_matrix is None
+        prob = grid_problem(30, SpectrumSpec(2, 3.0), 0.0)
+        assert "K" not in vars(prob)
         assert prob.mean_diag == prob.row0[0]
-        K = prob.K.entries
+        K = prob.K
+        assert type(K) is np.ndarray and "K" in vars(prob)
         assert np.array_equal(K[0], prob.row0)
         assert np.array_equal(K, K.T)
         assert np.array_equal(np.roll(K[3], -3), prob.row0)
 
     @pytest.mark.parametrize("beta, delta", [(2, 4.0), (3, 3.0), (8, 6.0)])
     def test_polynomial_spectrum_problem(self, beta, delta):
-        prob = grid_problem(24, SpectrumSpec.polynomial(beta, delta), 0.0)
-        dense = np.sort(np.linalg.eigvalsh(prob.K.entries))
-        mine = np.sort(eig_circulant(prob.spectrum.beta, 24))
+        prob = grid_problem(24, SpectrumSpec(beta, delta), 0.0)
+        dense = np.sort(np.linalg.eigvalsh(prob.K))
+        mine = np.sort(eig_circulant(beta, 24))
         assert np.max(np.abs(dense - mine)) <= 1e-8 * mine[-1]
         # f(0) = 2 sum_i i^(-delta) = 2 zeta(delta)
         assert prob.z[0] == pytest.approx(2 * zeta(delta), rel=1e-10)
 
     def test_problem_needs_its_first_row(self):
         # K is only ever a cache of the first row, never passed in
-        prob = grid_problem(8, SpectrumSpec.polynomial(1, 2.0), 0.0)
+        prob = grid_problem(8, SpectrumSpec(1, 2.0), 0.0)
         with pytest.raises(TypeError):
-            FixedDesignProblem(prob.points, prob.z, 0.0, prob.spectrum)
+            FixedDesignProblem(z=prob.z, sigma2=0.0)
         with pytest.raises(TypeError):
-            FixedDesignProblem(
-                prob.points, prob.z, 0.0, prob.spectrum, prob.row0, kernel_matrix=prob.K
-            )
+            FixedDesignProblem(prob.row0, prob.z, 0.0, K=prob.K)
+        assert FixedDesignProblem(prob.row0, prob.z, 0.0).n == 8
 
 
 class TestSignalOnGrid:
