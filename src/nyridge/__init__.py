@@ -28,7 +28,7 @@ from .lowrank import (
     pivoted_ichol,
     sample_columns,
 )
-from .regression import RidgeFit, krr_exact, krr_lowrank, newton_solve, predict
+from .regression import RidgeFit, krr_exact, krr_lowrank, predict
 from .stats import (
     RateFit,
     bias_variance,
@@ -72,7 +72,6 @@ __all__ = [
     "grid_problem",
     "krr_exact",
     "krr_lowrank",
-    "newton_solve",
     "nystrom",
     "optimal_lambda",
     "pivoted_ichol",

@@ -1,4 +1,4 @@
-"""Kernel ridge regression: exact smoother, reduced low-rank solver, Newton.
+"""Kernel ridge regression: exact smoother, reduced low-rank solver, fit files.
 
 All solvers use the (... + n lambda I) convention; callers always pass the
 per-sample regularization parameter lambda, never n * lambda.
@@ -20,8 +20,6 @@ from .kernels import KernelSpec, cross_gram
 from .lowrank import LowRankFactor, feature_matrix
 from .stats import _check_lambda
 
-LOSSES = ("square", "logistic")
-
 
 @dataclass
 class RidgeFit:
@@ -29,10 +27,8 @@ class RidgeFit:
 
     mode: str  # "exact" or "lowrank"
     lam: float
-    loss: str
     coef: np.ndarray
     indices: np.ndarray | None = None  # selected columns, low-rank mode
-    iterations: int = 1
 
 
 def _solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,7 +63,7 @@ def krr_exact(K, y, lam: float):
     n = A.shape[0]
     alpha = _solve_psd(A + n * lam * np.eye(n), y)
     zhat = A @ alpha
-    return RidgeFit(mode="exact", lam=lam, loss="square", coef=alpha), zhat
+    return RidgeFit(mode="exact", lam=lam, coef=alpha), zhat
 
 
 def krr_lowrank(factor: LowRankFactor, y, lam: float):
@@ -85,95 +81,8 @@ def krr_lowrank(factor: LowRankFactor, y, lam: float):
     n, p = phi.shape
     G = phi.T @ phi + n * lam * np.eye(p)
     w = _solve_psd(G, phi.T @ y)
-    fit = RidgeFit(
-        mode="lowrank", lam=lam, loss="square", coef=w, indices=factor.selection.indices
-    )
+    fit = RidgeFit(mode="lowrank", lam=lam, coef=w, indices=factor.selection.indices)
     return fit, phi @ w
-
-
-def _loss_terms(loss: str, y: np.ndarray, u: np.ndarray):
-    """Pointwise value, first and second derivative in the margin u."""
-    if loss == "square":
-        r = u - y
-        return 0.5 * r * r, r, np.ones_like(u)
-    if loss == "logistic":
-        m = y * u
-        val = np.logaddexp(0.0, -m)
-        e = np.exp(-np.abs(m))  # sigma(-m) = 1 / (1 + e^m), without overflow
-        sig = np.where(m > 0.0, e, 1.0) / (1.0 + e)
-        return val, -y * sig, sig * (1.0 - sig)
-    raise ConfigError(f"unsupported loss {loss!r}")
-
-
-def _objective(loss, phi, y, w, lam):
-    val, _, _ = _loss_terms(loss, y, phi @ w)
-    return float(np.mean(val) + 0.5 * lam * (w @ w))
-
-
-def newton_solve(
-    factor: LowRankFactor,
-    y,
-    lam: float,
-    loss: str = "square",
-    max_iter: int = 100,
-    grad_rtol: float = 1e-10,
-) -> RidgeFit:
-    """Damped Newton on (1/n) sum loss(y_i, (Phi w)_i) + (lambda/2) ||w||^2.
-
-    The square loss converges in exactly one step; the logistic loss uses
-    the exact Hessian Phi^T D Phi / n + lambda I and a halving line search
-    that only accepts descent steps. Labels must be in {-1, +1} for the
-    logistic loss.
-    """
-    _check_lambda(lam)
-    if loss not in LOSSES:
-        raise ConfigError(f"loss must be one of {LOSSES}, got {loss!r}")
-    phi = factor.phi
-    y = np.asarray(y, dtype=float)
-    n, p = phi.shape
-    if loss == "logistic" and not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ConfigError("logistic loss needs labels in {-1, +1}")
-
-    tol = grad_rtol * max(1.0, float(np.linalg.norm(phi.T @ y)) / n)
-    w = np.zeros(p)
-    obj = _objective(loss, phi, y, w, lam)
-    for it in range(1, max_iter + 1):
-        u = phi @ w
-        _, d1, d2 = _loss_terms(loss, y, u)
-        grad = phi.T @ d1 / n + lam * w
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
-            return RidgeFit(
-                mode="lowrank", lam=lam, loss=loss, coef=w,
-                indices=factor.selection.indices, iterations=it - 1,
-            )
-        H = (phi.T * d2) @ phi / n + lam * np.eye(p)
-        step = _solve_psd(H, -grad)
-        t = 1.0
-        for _ in range(60):
-            w_new = w + t * step
-            obj_new = _objective(loss, phi, y, w_new, lam)
-            if obj_new < obj:
-                break
-            t *= 0.5
-        else:
-            raise NumericalError(
-                f"Newton line search stalled at iteration {it} "
-                f"(|grad|={gnorm:.3e}, objective={obj:.6e})"
-            )
-        w, obj = w_new, obj_new
-    u = phi @ w
-    _, d1, _ = _loss_terms(loss, y, u)
-    gnorm = float(np.linalg.norm(phi.T @ d1 / n + lam * w))
-    if gnorm <= tol:
-        return RidgeFit(
-            mode="lowrank", lam=lam, loss=loss, coef=w,
-            indices=factor.selection.indices, iterations=max_iter,
-        )
-    raise NumericalError(
-        f"Newton failed to converge in {max_iter} iterations "
-        f"(|grad|={gnorm:.3e}, tolerance={tol:.3e})"
-    )
 
 
 def predict(
@@ -200,14 +109,14 @@ def predict(
     raise ConfigError(f"unknown fit mode {fit.mode!r}")
 
 
-FIT_FORMAT_VERSION = 1
+FIT_FORMAT_VERSION = 2
 FIT_MODES = ("exact", "lowrank")
-FIT_META = {"mode": str, "lambda": float, "loss": str, "indices": list[int]}
+FIT_META = {"mode": str, "lambda": float, "indices": list[int]}
 
 
 def save_fit(path, fit: RidgeFit) -> None:
-    """Write a ``nyridge-fit v1`` CSV: mode, lambda, loss, indices, then a coef column."""
-    meta = [("mode", fit.mode), ("lambda", float(fit.lam)), ("loss", fit.loss)]
+    """Write a ``nyridge-fit v2`` CSV: mode, lambda, indices, then a coef column."""
+    meta = [("mode", fit.mode), ("lambda", float(fit.lam))]
     if fit.indices is not None:
         meta.append(("indices", fit.indices))
     rows = [(c,) for c in fit.coef]
@@ -218,16 +127,26 @@ def load_fit(path) -> RidgeFit:
     """Inverse of :func:`save_fit`.
 
     Besides the format's own checks (:func:`nyridge.csvio.read`), a missing
-    ``mode``/``lambda``/``loss``, a mode other than exact or lowrank, a
-    lambda that is not > 0 or a loss not in ``LOSSES`` raise ParseError.
+    ``mode``/``lambda``, a mode other than exact or lowrank, a lambda that
+    is not > 0, no coefficients, ``indices`` on an exact fit, and a low-rank
+    fit without one distinct, non-negative index per coefficient raise
+    ParseError.
     """
-    required = ("mode", "lambda", "loss")
     version = ("fit", FIT_FORMAT_VERSION)
-    meta, rows = csvio.read(path, version, FIT_META, required=required, header=["coef"])
-    if meta["mode"] not in FIT_MODES:
-        raise ParseError(f"{path}: mode must be one of {FIT_MODES}, got {meta['mode']!r}")
+    meta, rows = csvio.read(path, version, FIT_META, required=("mode", "lambda"), header=["coef"])
+    mode, indices = meta["mode"], meta.get("indices")
+    if mode not in FIT_MODES:
+        raise ParseError(f"{path}: mode must be one of {FIT_MODES}, got {mode!r}")
     if not meta["lambda"] > 0:
         raise ParseError(f"{path}: lambda must be > 0, got {meta['lambda']!r}")
-    if meta["loss"] not in LOSSES:
-        raise ParseError(f"{path}: loss must be one of {LOSSES}, got {meta['loss']!r}")
-    return RidgeFit(meta["mode"], meta["lambda"], meta["loss"], rows[:, 0], meta.get("indices"))
+    if len(rows) == 0:
+        raise ParseError(f"{path}: no coefficients")
+    if mode == "exact" and indices is not None:
+        raise ParseError(f"{path}: an exact fit has no indices")
+    if mode == "lowrank" and (indices is None or indices.size != len(rows)):
+        raise ParseError(f"{path}: a low-rank fit needs one index per coefficient")
+    if mode == "lowrank":
+        ordered = np.sort(indices)
+        if ordered[0] < 0 or np.any(ordered[1:] == ordered[:-1]):
+            raise ParseError(f"{path}: indices must be distinct and >= 0")
+    return RidgeFit(mode, meta["lambda"], rows[:, 0], indices)

@@ -31,18 +31,9 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 # Functions kept although no command, README example or acceptance import
 # enters them: "<module>.<qualified name>" -> why it stays.
 KEEP = {
-    "csvio.read": "the reader behind load_factor and load_fit",
-    "csvio._value": "csvio.read's cell parser",
     "datasets.write_dataset_csv": "README File formats; perfbench writes its cv input with it",
     "lowrank.LowRankFactor.gram": "the dense L through which acceptance compares factors",
-    "lowrank.save_factor": "README File formats: factor files",
-    "lowrank.load_factor": "README File formats: factor files",
     "regression.krr_exact": "the exact reference smoother the low-rank solvers are tested against",
-    "regression.newton_solve": "README: damped Newton for smooth convex losses, logistic included",
-    "regression._loss_terms": "newton_solve's pointwise loss and derivatives",
-    "regression._objective": "newton_solve's line-search objective",
-    "regression.save_fit": "README File formats: fit files",
-    "regression.load_fit": "README File formats: fit files",
     "stats.Spectrum.dense": "the dense reference behind dof and bias_variance (acceptance imports)",
     "stats.Spectrum.lowrank": "the thin-SVD oracle the prefix spectra from one QR are tested against",
     "synthetic.eig_circulant": "the exact oracle of the FFT spectrum of grid problems",

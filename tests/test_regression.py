@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from nyridge.regression import (
     krr_exact,
     krr_lowrank,
     load_fit,
-    newton_solve,
     predict,
     save_fit,
 )
@@ -62,8 +63,6 @@ class TestKrrExact:
                 krr_exact(np.eye(3), np.ones(3), lam)
             with pytest.raises(ConfigError):
                 krr_lowrank(F, np.ones(3), lam)
-            with pytest.raises(ConfigError):
-                newton_solve(F, np.ones(3), lam)
 
     def test_non_psd_beyond_tolerance_fails(self):
         with pytest.raises(NumericalError):
@@ -117,6 +116,20 @@ class TestKrrLowrank:
         assert resid <= 1e-8 * scale
 
 
+    def test_coef_is_stationary(self):
+        # the reduced objective |Phi w - y|^2 / (2n) + lam |w|^2 / 2 has zero
+        # gradient at the solution, so a Newton step from it moves nothing
+        K = random_psd(20, 19)
+        y = np.random.default_rng(20).normal(size=20)
+        lam = 0.05
+        F = nystrom(K, sample_columns(20, 6, 21))
+        fit, _ = krr_lowrank(F, y, lam)
+        phi, w = F.phi, fit.coef
+        grad = phi.T @ (phi @ w - y) / 20 + lam * w
+        H = phi.T @ phi / 20 + lam * np.eye(6)
+        step = np.linalg.solve(H, -grad)
+        assert np.linalg.norm(step) <= 1e-12 * max(np.linalg.norm(w), 1.0)
+
     def test_non_finite_inputs_rejected(self):
         K = random_psd(10, 39)
         F = nystrom(K, sample_columns(10, 4, 40))
@@ -133,81 +146,6 @@ class TestKrrLowrank:
         for lam in (float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 krr_lowrank(F, y, lam)
-
-
-class TestNewton:
-    def test_square_loss_matches_reduced_solve(self):
-        K = random_psd(25, 16)
-        y = np.random.default_rng(17).normal(size=25)
-        lam = 1e-2
-        F = nystrom(K, sample_columns(25, 8, 18))
-        direct, _ = krr_lowrank(F, y, lam)
-        newton = newton_solve(F, y, lam, loss="square")
-        assert np.linalg.norm(newton.coef - direct.coef) <= 1e-10 * max(
-            np.linalg.norm(direct.coef), 1.0
-        )
-        assert newton.iterations == 1
-
-    def test_square_second_step_is_noop(self):
-        K = random_psd(20, 19)
-        y = np.random.default_rng(20).normal(size=20)
-        lam = 0.05
-        F = nystrom(K, sample_columns(20, 6, 21))
-        fit = newton_solve(F, y, lam, loss="square")
-        phi = F.phi
-        w = fit.coef
-        grad = phi.T @ (phi @ w - y) / 20 + lam * w
-        H = phi.T @ phi / 20 + lam * np.eye(6)
-        step = np.linalg.solve(H, -grad)
-        assert np.linalg.norm(step) <= 1e-12 * max(np.linalg.norm(w), 1.0)
-
-    def test_logistic_shrinks_with_lambda(self):
-        rng = np.random.default_rng(22)
-        pts = rng.random(40)
-        K = gram(pts, KernelSpec.periodic_poly(1))
-        y = np.ones(40)
-        F = nystrom(K, sample_columns(40, 10, 23))
-        norms, objs = [], []
-        for lam in (1e-3, 1e-2, 1e-1, 1.0):
-            fit = newton_solve(F, y, lam, loss="logistic")
-            norms.append(np.linalg.norm(fit.coef))
-            u = F.phi @ fit.coef
-            objs.append(np.mean(np.logaddexp(0.0, -y * u)) + 0.5 * lam * fit.coef @ fit.coef)
-        assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
-        # optimality sanity: each objective is below the w = 0 objective
-        assert all(o <= np.log(2.0) for o in objs)
-
-    def test_logistic_two_point_separable(self):
-        phi = np.array([[1.0, 0.2], [-0.9, 0.1]])
-        F_like = type("F", (), {})()
-
-        class Sel:
-            indices = np.array([0, 1])
-
-        F_like.phi = phi
-        F_like.selection = Sel()
-        y = np.array([1.0, -1.0])
-        lam = 0.05
-        fit = newton_solve(F_like, y, lam, loss="logistic")
-        u = phi @ fit.coef
-        grad = phi.T @ (-y / (1 + np.exp(y * u))) / 2 + lam * fit.coef
-        assert np.linalg.norm(grad) <= 1e-10 * max(1.0, np.linalg.norm(phi.T @ y) / 2)
-        obj0 = np.log(2.0)
-        obj = np.mean(np.logaddexp(0.0, -y * u)) + 0.5 * lam * fit.coef @ fit.coef
-        assert obj < obj0
-
-    def test_logistic_label_validation(self):
-        K = random_psd(10, 24)
-        F = nystrom(K, sample_columns(10, 3, 25))
-        with pytest.raises(ConfigError):
-            newton_solve(F, np.arange(10, dtype=float), 0.1, loss="logistic")
-
-    def test_nonconvergence_raises_with_diagnostics(self):
-        K = random_psd(10, 26)
-        F = nystrom(K, sample_columns(10, 3, 27))
-        y = np.random.default_rng(28).choice([-1.0, 1.0], size=10)
-        with pytest.raises(NumericalError, match="iterations"):
-            newton_solve(F, y, 1e-3, loss="logistic", max_iter=0)
 
 
 class TestPredict:
@@ -296,19 +234,26 @@ def test_fit_save_load_round_trip(tmp_path):
     K = random_psd(12, 35)
     y = np.random.default_rng(36).normal(size=12)
     F = nystrom(K, sample_columns(12, 4, 37))
-    fit, _ = krr_lowrank(F, y, 2e-3)
-    path = tmp_path / "fit.csv"
-    save_fit(path, fit)
-    back = load_fit(path)
-    assert back.mode == "lowrank"
-    assert back.lam == fit.lam
-    assert np.array_equal(back.coef, fit.coef)
-    assert np.array_equal(back.indices, fit.indices)
+    for fit, _ in (krr_lowrank(F, y, 2e-3), krr_exact(K, y, 2e-3)):
+        path = tmp_path / f"{fit.mode}.csv"
+        save_fit(path, fit)
+        back = load_fit(path)
+        assert (back.mode, back.lam) == (fit.mode, fit.lam)
+        assert np.array_equal(back.coef, fit.coef)
+        if fit.indices is None:
+            assert back.indices is None
+        else:
+            assert np.array_equal(back.indices, fit.indices)
+
+
+def test_ridge_fit_fields():
+    # one ridge model: no loss knob, no iteration count
+    assert [f.name for f in dataclasses.fields(RidgeFit)] == ["mode", "lam", "coef", "indices"]
 
 
 class TestLoadFitErrors:
     def saved(self, tmp_path):
-        fit = RidgeFit(mode="lowrank", lam=np.float64(2e-3), loss="square",
+        fit = RidgeFit(mode="lowrank", lam=np.float64(2e-3),
                        coef=np.array([0.5, -1.25]), indices=np.array([3, 1]))
         path = tmp_path / "fit.csv"
         save_fit(path, fit)
@@ -328,19 +273,20 @@ class TestLoadFitErrors:
 
     def test_header_and_mode_only(self, tmp_path):
         path, _ = self.saved(tmp_path)
-        lines = ["# nyridge-fit v1", "# mode=lowrank"]
-        self.assert_parse_error(self.rewrite(path, lines), r"missing metadata \['lambda', 'loss'\]")
+        lines = ["# nyridge-fit v2", "# mode=lowrank"]
+        self.assert_parse_error(self.rewrite(path, lines), r"missing metadata \['lambda'\]")
 
     def test_missing_or_wrong_header(self, tmp_path):
         path, lines = self.saved(tmp_path)
         self.assert_parse_error(self.rewrite(path, lines[1:]), "not a fit file")
-        wrong = ["# nyridge-fit v2"] + lines[1:]
-        self.assert_parse_error(self.rewrite(path, wrong), "not a fit file")
+        # a v1 file may hold a logistic fit: it must not load as a ridge fit
+        v1 = ["# nyridge-fit v1", "# loss=logistic"] + lines[1:]
+        self.assert_parse_error(self.rewrite(path, v1), "not a fit file")
         self.assert_parse_error(self.rewrite(path, []), "not a fit file")
 
     def test_missing_metadata(self, tmp_path):
         path, lines = self.saved(tmp_path)
-        for key in ("mode", "lambda", "loss"):
+        for key in ("mode", "lambda"):
             kept = [line for line in lines if not line.startswith(f"# {key}=")]
             self.assert_parse_error(self.rewrite(path, kept), f"missing metadata \\['{key}'\\]")
 
@@ -364,7 +310,6 @@ class TestLoadFitErrors:
             ("lambda", "inf", "not finite"),
             ("lambda", "0.0", "lambda must be > 0"),
             ("lambda", "-1e-3", "lambda must be > 0"),
-            ("loss", "hinge", "loss must be one of"),
         ):
             bad_lines = [l if not l.startswith(f"# {key}=") else f"# {key}={bad}" for l in lines]
             self.assert_parse_error(self.rewrite(path, bad_lines), match)
@@ -379,9 +324,29 @@ class TestLoadFitErrors:
     def test_file_layout(self, tmp_path):
         path, _ = self.saved(tmp_path)
         assert path.read_text() == (
-            "# nyridge-fit v1\n# mode=lowrank\n# lambda=0.002\n# loss=square\n"
+            "# nyridge-fit v2\n# mode=lowrank\n# lambda=0.002\n"
             "# indices=3;1\ncoef\n0.5\n-1.25\n"
         )
+
+    def test_no_coefficients(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        self.assert_parse_error(self.rewrite(path, lines[:-2]), "no coefficients")
+        exact = ["# nyridge-fit v2", "# mode=exact", "# lambda=0.002", "coef"]
+        self.assert_parse_error(self.rewrite(path, exact), "no coefficients")
+
+    def test_indices_must_match_mode_and_coefficients(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        exact = [line if not line.startswith("# mode=") else "# mode=exact" for line in lines]
+        self.assert_parse_error(self.rewrite(path, exact), "exact fit has no indices")
+        kept = [line for line in lines if not line.startswith("# indices=")]
+        self.assert_parse_error(self.rewrite(path, kept), "one index per coefficient")
+        self.assert_parse_error(self.rewrite(path, lines + ["2.0"]), "one index per coefficient")
+
+    def test_indices_distinct_and_non_negative(self, tmp_path):
+        path, lines = self.saved(tmp_path)
+        for bad in ("-4;-4", "1;1", "-1;2"):
+            bad_lines = [l if not l.startswith("# indices=") else f"# indices={bad}" for l in lines]
+            self.assert_parse_error(self.rewrite(path, bad_lines), "distinct and >= 0")
 
     def test_unreadable_file(self, tmp_path):
         self.assert_parse_error(tmp_path / "absent.csv", "cannot read")

@@ -218,6 +218,13 @@ class TestVerifyTheorem:
         assert check.ratio_mean == pytest.approx(1.0, abs=1e-8)
         assert check.holds
 
+    @pytest.mark.parametrize("delta", [0.1, 0.5])
+    def test_bound_is_one_plus_four_delta(self, delta):
+        prob = grid_problem(30, SpectrumSpec(1, 3.0), 0.5)
+        check = verify_theorem(prob, lam=1e-3, delta=delta, p=4, trials=5, seed=3)
+        assert check.bound == 1 + 4 * delta
+        assert check.holds == (check.ratio_mean <= check.bound)
+
     def test_zero_signal_ratio_below_one(self):
         prob = grid_problem(30, SpectrumSpec(1, 3.0), 0.5)
         prob.z = np.zeros(30)
@@ -250,8 +257,12 @@ class TestVerifyLemma:
     def test_full_subset_no_deviation(self):
         rng = np.random.default_rng(5)
         psi = rng.normal(size=(40, 6))
-        rows = lemma_tail(psi, 40, [1e-10, 0.1], lemma_deviations([psi], 40, 50, 6)[0])
+        devs = lemma_deviations([psi], 40, 50, 6)[0]
+        rows = lemma_tail(psi, 40, [1e-10, 0.1], devs)
         assert all(emp == 0.0 for _, emp, _ in rows)
+        # p = n draws every row, so Psi_I^T Psi_I / p is Psi^T Psi / n up to rounding
+        lam_max = np.linalg.eigvalsh(psi.T @ psi / 40)[-1]
+        assert np.all(np.abs(devs) <= 1e-12 * lam_max)
 
     def test_empirical_below_bound(self):
         rng = np.random.default_rng(7)
