@@ -2,8 +2,9 @@
 
 Real-data runs follow the low-rank path end to end: a pivoted incomplete
 Cholesky factor (rank chosen by a relative trace tolerance) on each
-training fold, one eigendecomposition of the reduced Gram matrix that
-serves the ridge solve for every lambda, and feature-map prediction on the
+training fold, one eigendecomposition of the reduced Gram matrix
+(:func:`nyridge.regression.ridge_basis`, the solve behind every ridge fit)
+that serves every lambda of the grid, and feature-map prediction on the
 held-out fold.
 """
 
@@ -27,6 +28,7 @@ from .errors import (
 )
 from .kernels import KernelSpec, cross_gram
 from .lowrank import feature_matrix, pivoted_ichol
+from .regression import ridge_basis
 
 logger = logging.getLogger(__name__)
 
@@ -194,9 +196,7 @@ def cross_validate_lambda(
         )
         ranks.append(factor.rank)
         phi = factor.phi
-        s, V = np.linalg.eigh(phi.T @ phi)
-        np.clip(s, 0.0, None, out=s)
-        b = V.T @ (phi.T @ ytr)
+        s, V, b = ridge_basis(phi.T @ phi, phi.T @ ytr)
         landmarks = Xtr[factor.selection.indices]
         val_feats = feature_matrix(spec, landmarks, factor.whitener, Xval) @ V
         pred = val_feats @ (b[:, None] / (s[:, None] + ntr * grid[None, :]))

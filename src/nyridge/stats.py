@@ -333,8 +333,9 @@ class RankSweeper:
     requested ranks. Spectra come from one thin QR of each factor's leading
     columns (:meth:`Spectrum.prefixes`), redone only when a search reaches
     past the next power of two; a rank-p spectrum then costs one p x p
-    ``eigh``, and per-(trial, p) spectra are cached, making repeated
-    sufficient-rank queries across a lambda grid cheap.
+    ``eigh``, and per-(trial, p) spectra are cached, as is the full
+    problem's spectrum, making repeated sufficient-rank queries across a
+    lambda grid cheap.
     """
 
     def __init__(self, problem: FixedDesignProblem, trials: int = 10, seed=0):
@@ -347,6 +348,7 @@ class RankSweeper:
         self._pivoted: np.ndarray | None = None
         self._prefixes: dict = {}
         self._spectra: dict = {}
+        self._full: Spectrum | None = None
 
     def factors(self, method: str) -> list[np.ndarray]:
         A = self.problem.K
@@ -386,9 +388,6 @@ class RankSweeper:
         total = sum(self._spectrum(method, t, p).error(sigma2, lam) for t in range(count))
         return total / count
 
-    def full_error(self, lam: float) -> float:
-        return problem_spectrum(self.problem).error(self.problem.sigma2, lam)
-
     def sufficient_rank(self, lam: float, method: str, tol: float = 0.01) -> int:
         """Smallest p with mean error <= (1 + tol) * full error; doubling + bisection.
 
@@ -403,7 +402,9 @@ class RankSweeper:
         def ok(p: int) -> bool:
             return self.error(method, p, lam) <= target
 
-        target = (1.0 + tol) * self.full_error(lam)
+        if self._full is None:
+            self._full = problem_spectrum(self.problem)
+        target = (1.0 + tol) * self._full.error(self.problem.sigma2, lam)
         if not math.isfinite(target):
             raise NumericalError(f"full-matrix error at lambda={lam!r} is not finite")
         p = 1

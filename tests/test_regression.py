@@ -24,6 +24,14 @@ def random_psd(n, seed, cond_floor=1e-4):
     return (q * ev) @ q.T
 
 
+def reduced_weights(F, fit):
+    """The reduced weights w of a low-rank fit, coef = W w.
+
+    The whitener W is Phi[I]^(-T), so w = Phi[I]^T coef needs no solve.
+    """
+    return F.phi[F.selection.indices].T @ fit.coef
+
+
 class TestKrrExact:
     def test_identity_kernel_shrinks_by_scalar(self):
         n = 8
@@ -87,7 +95,7 @@ class TestKrrLowrank:
         fit, zhat = krr_lowrank(F, y, lam)
         phi = F.phi[:, 0]
         w = (phi @ y) / (phi @ phi + 10 * lam)
-        assert fit.coef[0] == pytest.approx(w, rel=1e-12)
+        assert fit.coef[0] == pytest.approx(F.whitener[0, 0] * w, rel=1e-12)
         assert np.allclose(zhat, phi * w, atol=1e-12)
 
     def test_smoother_identity_dense_oracle(self):
@@ -109,10 +117,11 @@ class TestKrrLowrank:
         lam = 1e-14
         fit, zhat = krr_lowrank(F, y, lam)
         assert np.all(np.isfinite(fit.coef))
+        w = reduced_weights(F, fit)
         G = F.phi.T @ F.phi + 64 * lam * np.eye(12)
         b = F.phi.T @ y
-        resid = np.linalg.norm(G @ fit.coef - b)
-        scale = np.linalg.norm(G, 2) * np.linalg.norm(fit.coef) + np.linalg.norm(b)
+        resid = np.linalg.norm(G @ w - b)
+        scale = np.linalg.norm(G, 2) * np.linalg.norm(w) + np.linalg.norm(b)
         assert resid <= 1e-8 * scale
 
 
@@ -124,7 +133,7 @@ class TestKrrLowrank:
         lam = 0.05
         F = nystrom(K, sample_columns(20, 6, 21))
         fit, _ = krr_lowrank(F, y, lam)
-        phi, w = F.phi, fit.coef
+        phi, w = F.phi, reduced_weights(F, fit)
         grad = phi.T @ (phi @ w - y) / 20 + lam * w
         H = phi.T @ phi / 20 + lam * np.eye(6)
         step = np.linalg.solve(H, -grad)
@@ -147,16 +156,23 @@ class TestKrrLowrank:
             with pytest.raises(ConfigError):
                 krr_lowrank(F, y, lam)
 
+    def test_target_count_mismatch(self):
+        F = nystrom(random_psd(10, 41), sample_columns(10, 4, 42))
+        for y in (np.ones(9), np.ones(11), np.ones((10, 1))):
+            with pytest.raises(DataError, match="10 targets"):
+                krr_lowrank(F, y, 1e-3)
+
 
 class TestPredict:
-    def test_exact_mode_reproduces_smoothed_values(self):
+    def test_exact_fit_reproduces_smoothed_values(self):
         rng = np.random.default_rng(29)
         pts = rng.random(30)
         spec = KernelSpec.periodic_poly(1)
         K = gram(pts, spec)
         y = rng.normal(size=30)
         fit, zhat = krr_exact(K, y, 1e-2)
-        preds = predict(fit, pts, spec, train_points=pts)
+        assert fit.indices is None  # an exact fit expands over every training point
+        preds = predict(fit, pts, spec, pts)
         assert np.allclose(preds, zhat, atol=1e-10)
 
     def test_lowrank_train_predictions_equal_phi_w(self):
@@ -168,9 +184,9 @@ class TestPredict:
         sel = sample_columns(25, 8, 31)
         F = nystrom(K, sel)
         fit, zhat = krr_lowrank(F, y, 5e-3)
-        preds = predict(
-            fit, pts, spec, landmarks=pts[sel.indices], whitener=F.whitener
-        )
+        w_ref = np.linalg.solve(F.phi.T @ F.phi + 25 * 5e-3 * np.eye(8), F.phi.T @ y)
+        assert np.allclose(fit.coef, F.whitener @ w_ref, rtol=1e-8, atol=1e-12)
+        preds = predict(fit, pts, spec, pts[fit.indices])
         assert np.linalg.norm(preds - zhat) <= 1e-8 * np.linalg.norm(zhat)
 
     def test_full_rank_lowrank_matches_exact_on_test_grid(self):
@@ -185,12 +201,12 @@ class TestPredict:
         F = nystrom(K, sel)
         low_fit, _ = krr_lowrank(F, y, lam)
         test = rng.random(15)
-        pe = predict(exact_fit, test, spec, train_points=pts)
-        pl = predict(low_fit, test, spec, landmarks=pts[sel.indices], whitener=F.whitener)
+        pe = predict(exact_fit, test, spec, pts)
+        pl = predict(low_fit, test, spec, pts[sel.indices])
         assert np.max(np.abs(pe - pl)) <= 1e-6 * max(1.0, np.max(np.abs(pe)))
 
     def test_pivoted_factor_predicts_in_its_own_basis(self):
-        # a pivoted fit evaluated through its own whitener reproduces zhat on
+        # a pivoted fit, expanded over its own landmarks, reproduces zhat on
         # the training points and the Nystrom fit on the same columns elsewhere
         rng = np.random.default_rng(38)
         X = rng.standard_normal((300, 3))
@@ -200,19 +216,21 @@ class TestPredict:
         F = pivoted_ichol(oracle, np.ones(300), trace_tol=1e-3 * 300)
         landmarks = X[F.selection.indices]
         fit, zhat = krr_lowrank(F, y, 1e-4)
-        train = predict(fit, X, spec, landmarks=landmarks, whitener=F.whitener)
+        train = predict(fit, X, spec, landmarks)
         assert np.linalg.norm(train - zhat) <= 1e-8 * np.linalg.norm(zhat)
         N = nystrom(cross_gram(X, X, spec), F.selection)
         ref_fit, _ = krr_lowrank(N, y, 1e-4)
         test = rng.standard_normal((40, 3))
-        got = predict(fit, test, spec, landmarks=landmarks, whitener=F.whitener)
-        ref = predict(ref_fit, test, spec, landmarks=landmarks, whitener=N.whitener)
+        got = predict(fit, test, spec, landmarks)
+        ref = predict(ref_fit, test, spec, landmarks)
         assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
 
-    def test_context_mismatch(self):
+    def test_landmark_count_mismatch(self):
         fit, _ = krr_exact(np.eye(4), np.ones(4), 0.1)
-        with pytest.raises(ConfigError):
-            predict(fit, [0.1], KernelSpec.periodic_poly(1))
+        spec = KernelSpec.periodic_poly(1)
+        for landmarks in ([0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4, 0.5]):
+            with pytest.raises(ConfigError, match="4 coefficients"):
+                predict(fit, [0.1], spec, landmarks)
 
 
 class TestShrinkage:
@@ -234,11 +252,11 @@ def test_fit_save_load_round_trip(tmp_path):
     K = random_psd(12, 35)
     y = np.random.default_rng(36).normal(size=12)
     F = nystrom(K, sample_columns(12, 4, 37))
+    path = tmp_path / "fit.csv"
     for fit, _ in (krr_lowrank(F, y, 2e-3), krr_exact(K, y, 2e-3)):
-        path = tmp_path / f"{fit.mode}.csv"
         save_fit(path, fit)
         back = load_fit(path)
-        assert (back.mode, back.lam) == (fit.mode, fit.lam)
+        assert back.lam == fit.lam
         assert np.array_equal(back.coef, fit.coef)
         if fit.indices is None:
             assert back.indices is None
@@ -247,14 +265,13 @@ def test_fit_save_load_round_trip(tmp_path):
 
 
 def test_ridge_fit_fields():
-    # one ridge model: no loss knob, no iteration count
-    assert [f.name for f in dataclasses.fields(RidgeFit)] == ["mode", "lam", "coef", "indices"]
+    # one ridge model and one kind of fit: no loss knob, no iteration count, no mode
+    assert [f.name for f in dataclasses.fields(RidgeFit)] == ["lam", "coef", "indices"]
 
 
 class TestLoadFitErrors:
     def saved(self, tmp_path):
-        fit = RidgeFit(mode="lowrank", lam=np.float64(2e-3),
-                       coef=np.array([0.5, -1.25]), indices=np.array([3, 1]))
+        fit = RidgeFit(lam=np.float64(2e-3), coef=np.array([0.5, -1.25]), indices=np.array([3, 1]))
         path = tmp_path / "fit.csv"
         save_fit(path, fit)
         return path, path.read_text().splitlines()
@@ -271,9 +288,9 @@ class TestLoadFitErrors:
         path, _ = self.saved(tmp_path)
         assert load_fit(path).lam == 2e-3
 
-    def test_header_and_mode_only(self, tmp_path):
+    def test_header_and_indices_only(self, tmp_path):
         path, _ = self.saved(tmp_path)
-        lines = ["# nyridge-fit v2", "# mode=lowrank"]
+        lines = ["# nyridge-fit v3", "# indices=3;1"]
         self.assert_parse_error(self.rewrite(path, lines), r"missing metadata \['lambda'\]")
 
     def test_missing_or_wrong_header(self, tmp_path):
@@ -282,18 +299,15 @@ class TestLoadFitErrors:
         # a v1 file may hold a logistic fit: it must not load as a ridge fit
         v1 = ["# nyridge-fit v1", "# loss=logistic"] + lines[1:]
         self.assert_parse_error(self.rewrite(path, v1), "not a fit file")
+        # a v2 file holds whitened weights, not expansion coefficients
+        v2 = ["# nyridge-fit v2", "# mode=lowrank"] + lines[1:]
+        self.assert_parse_error(self.rewrite(path, v2), "not a fit file")
         self.assert_parse_error(self.rewrite(path, []), "not a fit file")
 
     def test_missing_metadata(self, tmp_path):
         path, lines = self.saved(tmp_path)
-        for key in ("mode", "lambda"):
-            kept = [line for line in lines if not line.startswith(f"# {key}=")]
-            self.assert_parse_error(self.rewrite(path, kept), f"missing metadata \\['{key}'\\]")
-
-    def test_unknown_mode(self, tmp_path):
-        path, lines = self.saved(tmp_path)
-        bad = [line if not line.startswith("# mode=") else "# mode=dense" for line in lines]
-        self.assert_parse_error(self.rewrite(path, bad), "mode must be one of")
+        kept = [line for line in lines if not line.startswith("# lambda=")]
+        self.assert_parse_error(self.rewrite(path, kept), r"missing metadata \['lambda'\]")
 
     def test_unparsable_numbers(self, tmp_path):
         path, lines = self.saved(tmp_path)
@@ -324,23 +338,23 @@ class TestLoadFitErrors:
     def test_file_layout(self, tmp_path):
         path, _ = self.saved(tmp_path)
         assert path.read_text() == (
-            "# nyridge-fit v2\n# mode=lowrank\n# lambda=0.002\n"
-            "# indices=3;1\ncoef\n0.5\n-1.25\n"
+            "# nyridge-fit v3\n# lambda=0.002\n# indices=3;1\ncoef\n0.5\n-1.25\n"
         )
 
     def test_no_coefficients(self, tmp_path):
         path, lines = self.saved(tmp_path)
         self.assert_parse_error(self.rewrite(path, lines[:-2]), "no coefficients")
-        exact = ["# nyridge-fit v2", "# mode=exact", "# lambda=0.002", "coef"]
-        self.assert_parse_error(self.rewrite(path, exact), "no coefficients")
+        no_indices = ["# nyridge-fit v3", "# lambda=0.002", "coef"]
+        self.assert_parse_error(self.rewrite(path, no_indices), "no coefficients")
 
-    def test_indices_must_match_mode_and_coefficients(self, tmp_path):
+    def test_indices_must_match_coefficients(self, tmp_path):
         path, lines = self.saved(tmp_path)
-        exact = [line if not line.startswith("# mode=") else "# mode=exact" for line in lines]
-        self.assert_parse_error(self.rewrite(path, exact), "exact fit has no indices")
-        kept = [line for line in lines if not line.startswith("# indices=")]
-        self.assert_parse_error(self.rewrite(path, kept), "one index per coefficient")
         self.assert_parse_error(self.rewrite(path, lines + ["2.0"]), "one index per coefficient")
+        self.assert_parse_error(self.rewrite(path, lines[:-1]), "one index per coefficient")
+        # without indices the fit expands over every training point
+        kept = [line for line in lines if not line.startswith("# indices=")]
+        back = load_fit(self.rewrite(path, kept))
+        assert back.indices is None and np.array_equal(back.coef, [0.5, -1.25])
 
     def test_indices_distinct_and_non_negative(self, tmp_path):
         path, lines = self.saved(tmp_path)
