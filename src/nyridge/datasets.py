@@ -187,9 +187,8 @@ def cross_validate_lambda(
         Xval, yval = X[val_idx], y[val_idx]
         ntr = Xtr.shape[0]
         diag = np.ones(ntr)  # gaussian: k(x, x) = 1
-        oracle = lambda j: cross_gram(Xtr, Xtr[j : j + 1], spec).reshape(-1)
         factor = pivoted_ichol(
-            oracle,
+            lambda idx: cross_gram(Xtr[idx], Xtr, spec),
             diag,
             max_rank=ntr,
             trace_tol=trace_rtol * float(np.sum(diag)),

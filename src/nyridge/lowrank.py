@@ -3,11 +3,13 @@
 Given an ordered subset I of columns, the approximation is
 L = K(V, I) K(I, I)^+ K(V, I)^T, represented by a factor Phi with
 Phi Phi^T = L. One pivoted Cholesky loop, ``_cholesky_rows``, builds every
-factor: ``pivoted_ichol`` (greedy pivots; stops at a rank, a trace
-tolerance or a collapse floor), ``nested_factor`` (a fixed order, or greedy
-pivots to the collapse floor), whose every prefix is a factor, and
-``nystrom`` (the fixed order of a selection), so that a factor is its
-ordered index set: ``nystrom(K, F.selection)`` is F, bit for bit.
+factor from a row oracle ``idx -> K[idx, :]``, updating candidate rows in
+panels so that most of its work is one GEMM per panel: ``pivoted_ichol``
+(greedy pivots; stops at a rank, a trace tolerance or a collapse floor),
+``nested_factor`` (a fixed order, or greedy pivots to the collapse floor),
+whose every prefix is a factor, and ``nystrom`` (the fixed order of a
+selection), so that a factor is its ordered index set:
+``nystrom(K, F.selection)`` is F, bit for bit.
 
 Every factor carries a p x p whitener W = L_I^(-T), where L_I = Phi[I] is
 the lower-triangular Cholesky factor of K(I, I) in pivot order, so that
@@ -51,6 +53,12 @@ LANCZOS_MIX = 1e-2
 # ``_top_eig``: Krylov vectors per restart, and steps between convergence checks.
 LANCZOS_NCV = 60
 LANCZOS_CHECK = 6
+
+# ``_cholesky_rows``: pivots per delayed-update panel, candidate rows
+# evaluated at each panel start, and the initial row reserve.
+PANEL = 32
+CANDIDATES = 40
+RESERVE = 256
 
 
 @dataclass(frozen=True)
@@ -111,30 +119,58 @@ def sample_columns(n: int, p: int, seed) -> ColumnSelection:
     return ColumnSelection(indices=idx, method="uniform-random", n=n)
 
 
-def _cholesky_rows(column, diag, pmax: int, order=None, trace_tol=None, floor=0.0):
+def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None, floor=0.0):
     """Pivoted Cholesky, row-major p x n: row k of the result is column k of Phi.
 
-    Pivot rule: greedy (``order`` None: the argmax of the online residual
-    diagonal d, ties to the smallest index) or the fixed ``order``. Stop
-    rule: ``pmax`` rows, sum(d) <= ``trace_tol``, or (greedy) max(d) <=
-    ``floor``; under a fixed order a pivot with d[j] <= ``floor`` leaves its
-    row zero. A greedy residual below -BREAKDOWN_RTOL * max(diag) raises
-    NumericalError. Returns (rows, pivots, trail), trail[k] = tr(K - L_{k+1});
-    the zeroed reserve is shrunk in place to the rows used, without a copy.
+    ``kernel_rows(idx)`` returns K[idx, :], shape (len(idx), n), for a 1-D
+    array of distinct indices. Pivot rule: greedy (``order`` None: the
+    argmax of the online residual diagonal d, ties to the smallest index) or
+    the fixed ``order``. Stop rule: ``pmax`` rows, sum(d) <= ``trace_tol``,
+    or (greedy) max(d) <= ``floor``; under a fixed order a pivot with d[j] <=
+    ``floor`` leaves its row zero. A greedy residual below -BREAKDOWN_RTOL *
+    max(diag) raises NumericalError. Returns (rows, pivots, trail), trail[k]
+    = tr(K - L_{k+1}).
+
+    Updates are delayed in panels (LAPACK ``dpstrf``'s scheme, restricted to
+    candidate rows): every ``PANEL`` pivots, the ``min(CANDIDATES, n)``
+    largest residual diagonals become candidates, whose rows are evaluated
+    in one oracle call and updated by all earlier rows in one GEMM. A pivot
+    among them then subtracts only the rows of the current panel; any other
+    pivot is a one-row oracle call and a GEMV over all earlier rows. So at
+    most p + ceil(p / PANEL) * min(CANDIDATES, n) rows are evaluated. The
+    candidates depend on d and k alone, so a fixed order replaying a greedy
+    one does the same arithmetic and rebuilds its rows bit for bit. The
+    zeroed reserve starts at ``RESERVE`` rows, grows in place by a quarter
+    whenever it fills, so that the rows past the rank stay few, and is
+    shrunk in place to the rows used, without a copy.
     """
     d = np.array(diag, dtype=float, copy=True)
     n = d.shape[0]
+    m = min(CANDIDATES, n)
     breakdown = -BREAKDOWN_RTOL * float(np.max(d))
-    rows = np.zeros((pmax, n))
+    rows = np.zeros((min(RESERVE, pmax), n))
     trail = np.empty(pmax)
     pivots: list[int] = []
     for k in range(pmax):
+        if k == rows.shape[0]:
+            rows.resize((min(k + k // 4, pmax), n), refcheck=False)
+        if k % PANEL == 0:
+            k0 = k
+            cand = np.argpartition(d, n - m)[n - m :]
+            slot = {int(c): i for i, c in enumerate(cand)}
+            panel = kernel_rows(cand)
+            panel -= rows[:k, cand].T @ rows[:k]
         j = int(np.argmax(d)) if order is None else int(order[k])
         pivot = d[j]
         if pivot > floor:
             row = rows[k]
-            row[:] = column(j)
-            row -= rows[:k, j] @ rows[:k]
+            i = slot.get(j)
+            if i is None:
+                row[:] = kernel_rows(np.array([j]))[0]
+                row -= rows[:k, j] @ rows[:k]
+            else:
+                row[:] = panel[i]
+                row -= rows[k0:k, j] @ rows[k0:k]
             row /= np.sqrt(pivot)
             d -= row * row
             d[j] = 0.0
@@ -186,21 +222,25 @@ def _whitener(phi: np.ndarray, pivots) -> np.ndarray:
 
 
 def pivoted_ichol(
-    column_oracle: Callable[[int], np.ndarray],
+    kernel_rows: Callable[[np.ndarray], np.ndarray],
     diag: np.ndarray,
     max_rank: int | None = None,
     trace_tol: float | None = None,
 ) -> LowRankFactor:
     """Incomplete Cholesky with greedy diagonal pivoting.
 
-    At each step the pivot is the argmax of the residual diagonal (ties go to
-    the smallest index). The residual diagonal is maintained online, so
-    ``trace_residual_trail[k]`` equals tr(K - L_{k+1}) exactly and at most
-    ``max_rank`` full kernel columns are ever evaluated; K itself is never
-    materialized (O(p^2 n) time, O(p n) memory). Phi is the transpose of the
-    row-major p x n factor, which holds exactly the p rows used. With
-    L = Phi[P] (lower triangular, positive diagonal) the whitener is L^(-T),
-    so the feature map reproduces Phi on the training points:
+    ``kernel_rows(idx)`` returns the kernel rows K[idx, :] as an array of
+    shape (len(idx), n), for a 1-D array of distinct indices. At each step
+    the pivot is the argmax of the residual diagonal (ties go to the
+    smallest index). The residual diagonal is maintained online, so
+    ``trace_residual_trail[k]`` equals tr(K - L_{k+1}) exactly; K itself is
+    never materialized (O(p^2 n) time, O(p n) memory). Updates are delayed
+    in panels of ``PANEL`` pivots over ``CANDIDATES`` candidate rows (see
+    ``_cholesky_rows``), so a rank-p factor evaluates at most
+    p + ceil(p / PANEL) * min(CANDIDATES, n) kernel rows. Phi is the
+    transpose of the row-major p x n factor, which holds exactly the p rows
+    used. With L = Phi[P] (lower triangular, positive diagonal) the whitener
+    is L^(-T), so the feature map reproduces Phi on the training points:
     K(V, P) L^(-T) = Phi.
 
     Stops after ``max_rank`` pivots, once the trace residual drops to
@@ -215,7 +255,7 @@ def pivoted_ichol(
     if pmax < 1:
         raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
     rows, pivots, trail = _cholesky_rows(
-        column_oracle, diag, pmax, trace_tol=trace_tol, floor=PINV_RTOL * float(np.max(diag))
+        kernel_rows, diag, pmax, trace_tol=trace_tol, floor=PINV_RTOL * float(np.max(diag))
     )
     if not pivots:
         raise NumericalError("pivoted Cholesky made no progress (zero diagonal)")
@@ -423,10 +463,14 @@ def load_factor(path) -> LowRankFactor:
     )
 
 
-def make_column_oracle(K) -> Callable[[int], np.ndarray]:
-    """Column oracle over an already-materialized matrix, for tests and demos."""
+def make_column_oracle(K) -> Callable[[np.ndarray], np.ndarray]:
+    """Row oracle ``idx -> K[idx, :]`` over an already-materialized matrix.
+
+    The rows are read as columns of K, transposed, so that a matrix that is
+    symmetric only up to rounding factors the same as from its columns.
+    """
     A = np.asarray(K, dtype=float)
-    return lambda j: A[:, j].copy()
+    return lambda idx: A[:, idx].T
 
 
 def materialized_diag(K) -> np.ndarray:

@@ -59,12 +59,18 @@ def ridge_basis(G: np.ndarray, rhs: np.ndarray):
 def krr_exact(K, y, lam: float):
     """Exact ridge smoother: alpha = (K + n lambda I)^(-1) y, zhat = K alpha.
 
-    Returns (fit, zhat); O(n^3).
+    Returns (fit, zhat); O(n^3). A target count other than K's row count,
+    and a non-finite K or target, raise DataError.
     """
     _check_lambda(lam)
     A = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
     n = A.shape[0]
-    s, V, b = ridge_basis(A, np.asarray(y, dtype=float))
+    if y.shape != (n,):
+        raise DataError(f"exact ridge needs {n} targets, one per row of K; got {y.size}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
+        raise DataError("exact ridge needs a finite kernel matrix and targets")
+    s, V, b = ridge_basis(A, y)
     alpha = V @ (b / (s + n * lam))
     return RidgeFit(lam=lam, coef=alpha), A @ alpha
 

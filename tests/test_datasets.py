@@ -183,7 +183,7 @@ class TestCrossValidateLambda:
             mask = np.ones(n, dtype=bool)
             mask[val_idx] = False
             Xtr, ytr = X[mask], y[mask]
-            oracle = lambda j: cross_gram(Xtr, Xtr[j : j + 1], spec).reshape(-1)
+            oracle = lambda idx: cross_gram(Xtr[idx], Xtr, spec)
             F = pivoted_ichol(oracle, np.ones(Xtr.shape[0]), trace_tol=rtol * Xtr.shape[0])
             ranks.append(F.rank)
             val_feats = feature_matrix(spec, Xtr[F.selection.indices], F.whitener, X[val_idx])

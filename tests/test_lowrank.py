@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -174,17 +176,20 @@ class TestPivotedIchol:
         assert F.trace_residual_trail[-1] <= tol
         assert F.rank < 40
 
-    def test_column_budget(self):
-        # exactly max_rank oracle calls, never materializes K
-        K = random_psd(25, 14)
-        calls = []
-
-        def oracle(j):
-            calls.append(j)
-            return K[:, j].copy()
-
-        F = pivoted_ichol(oracle, materialized_diag(K), max_rank=6)
-        assert len(calls) == 6 == F.rank
+    def test_row_budget(self):
+        # the oracle gets 1-D arrays of distinct indices, every pivot's row is
+        # among them, and a rank-p factor evaluates at most one row per pivot
+        # plus one candidate set per panel; K is never materialized
+        K = random_psd(100, 14)
+        for p in (6, 70):
+            oracle, calls = counting_oracle(K)
+            F = pivoted_ichol(oracle, materialized_diag(K), max_rank=p)
+            assert F.rank == p
+            for idx in calls:
+                assert idx.ndim == 1 and np.unique(idx).size == idx.size
+            assert set(F.selection.indices.tolist()) <= set(np.concatenate(calls).tolist())
+            budget = p + math.ceil(p / lowrank.PANEL) * min(lowrank.CANDIDATES, 100)
+            assert sum(idx.size for idx in calls) <= budget
 
     def test_breakdown_on_inconsistent_diag(self):
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
@@ -195,6 +200,17 @@ class TestPivotedIchol:
         K = np.eye(5)
         F = pivoted_ichol(make_column_oracle(K), np.ones(5), max_rank=3)
         assert F.selection.indices.tolist() == [0, 1, 2]
+
+
+def counting_oracle(K):
+    """Row oracle over K that records the index array of every call."""
+    rows, calls = make_column_oracle(K), []
+
+    def oracle(idx):
+        calls.append(np.array(idx))
+        return rows(idx)
+
+    return oracle, calls
 
 
 def reference_pivot_order(K, max_rank=None, trace_tol=None):
@@ -222,7 +238,7 @@ def reference_pivot_order(K, max_rank=None, trace_tol=None):
 def gaussian_instance(n=300, dim=3, seed=0, bandwidth=1.5):
     X = np.random.default_rng(seed).standard_normal((n, dim))
     spec = KernelSpec.gaussian(bandwidth)
-    oracle = lambda j: cross_gram(X, X[j : j + 1], spec).reshape(-1)
+    oracle = lambda idx: cross_gram(X[idx], X, spec)
     return X, spec, oracle
 
 
@@ -372,6 +388,43 @@ class TestSharedCholeskyLoop:
             else:
                 assert np.array_equal(F.trace_residual_trail, G.trace_residual_trail)
 
+    @pytest.mark.parametrize(
+        "kind, n, rank, seed",
+        [
+            ("low-rank", 60, 45, 1),
+            ("low-rank", 96, 70, 2),
+            ("low-rank", 120, 100, 3),
+            ("gaussian", 100, 70, 0),
+            ("gaussian", 90, 70, 2),
+        ],
+    )
+    def test_panels_keep_the_greedy_factor(self, kind, n, rank, seed):
+        # n > CANDIDATES and rank > PANEL, so pivots both hit and miss the
+        # candidate rows over several panels; the factor is still the
+        # reference loop's, and a fixed order still replays it bit for bit
+        K, max_rank = panel_instance(kind, n, rank, seed)
+        diag = materialized_diag(K)
+        oracle, calls = counting_oracle(K)
+        F = pivoted_ichol(oracle, diag, max_rank=max_rank or n)
+        p, panel = F.rank, lowrank.PANEL
+        assert p > panel
+        rebuilt = nystrom(K, F.selection)
+        assert np.array_equal(rebuilt.phi, F.phi)
+        assert np.array_equal(rebuilt.whitener, F.whitener)
+        sweep = nested_factor(K, None)
+        for q in (panel - 1, panel, panel + 1, p):
+            G = pivoted_ichol(make_column_oracle(K), diag, max_rank=q)
+            assert np.array_equal(sweep[:, :q], G.phi)
+        pivots = F.selection.indices.tolist()
+        assert pivots == reference_pivot_order(K, p)
+        _, reference = reference_greedy_nested(K)
+        assert np.max(np.abs(F.phi - reference[:, :p])) <= 1e-12 * np.max(np.abs(reference))
+        m = min(lowrank.CANDIDATES, n)
+        candidates = [set(idx.tolist()) for idx in calls if idx.size == m]
+        hits = [k for k, j in enumerate(pivots) if j in candidates[k // panel]]
+        assert any(k >= panel for k in hits)
+        assert any(idx.size == 1 for idx in calls)
+
     @pytest.mark.parametrize("seed", [8, 9, 10, 12])
     def test_fixed_order_matches_reference_on_full_rank(self, seed):
         K = random_psd(32, seed, cond_floor=1e-3)
@@ -381,6 +434,14 @@ class TestSharedCholeskyLoop:
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(nested_factor(K, order) - reference)) <= 1e-12 * scale
         assert np.max(np.abs(nested_factor(K, None) - reference)) <= 1e-12 * scale
+
+
+def panel_instance(kind, n, rank, seed):
+    """K with n > CANDIDATES and its pivot budget (None: to the collapse floor)."""
+    if kind == "low-rank":
+        return low_rank_psd(n, rank, seed), None
+    X = np.random.default_rng(seed).standard_normal((n, 3))
+    return cross_gram(X, X, KernelSpec.gaussian(1.5)), rank
 
 
 def nested_sweep_factors(n, rank, seed):

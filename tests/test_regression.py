@@ -76,6 +76,22 @@ class TestKrrExact:
         with pytest.raises(NumericalError):
             krr_exact(-np.eye(5), np.ones(5), 0.01)
 
+    def test_nan_target_raises_data_error(self):
+        y = np.ones(5)
+        y[2] = np.nan
+        with pytest.raises(DataError, match="finite"):
+            krr_exact(np.eye(5), y, 0.01)
+
+    def test_target_count_mismatch(self):
+        with pytest.raises(DataError, match="needs 5 targets"):
+            krr_exact(np.eye(5), np.ones(4), 0.01)
+
+    def test_nan_kernel_raises_data_error(self):
+        K = random_psd(5, 7)
+        K[1, 3] = K[3, 1] = np.nan
+        with pytest.raises(DataError, match="finite"):
+            krr_exact(K, np.ones(5), 0.01)
+
 
 class TestKrrLowrank:
     def test_full_rank_matches_exact(self):
@@ -212,7 +228,7 @@ class TestPredict:
         X = rng.standard_normal((300, 3))
         y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(300)
         spec = KernelSpec.gaussian(1.5)
-        oracle = lambda j: cross_gram(X, X[j : j + 1], spec).reshape(-1)
+        oracle = lambda idx: cross_gram(X[idx], X, spec)
         F = pivoted_ichol(oracle, np.ones(300), trace_tol=1e-3 * 300)
         landmarks = X[F.selection.indices]
         fit, zhat = krr_lowrank(F, y, 1e-4)
