@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import sys
 from typing import NamedTuple
@@ -27,6 +28,7 @@ from .stats import (
     Spectrum,
     _check_err_full,
     _rng_for,
+    default_lambda_grid,
     fit_rate,
     lemma_deviations,
     lemma_tail,
@@ -39,9 +41,12 @@ from .synthetic import (
     SpectrumSpec,
     check_sigma2,
     grid_problem,
+    grid_row,
     sigma2_for_snr,
-    signal_on_grid,
+    signal_fourier,
 )
+
+logger = logging.getLogger(__name__)
 
 
 class Key(NamedTuple):
@@ -211,19 +216,25 @@ def _base_meta(cfg: dict) -> list[tuple[str, object]]:
     ]
 
 
-def _sigma2(cfg: dict, z) -> float:
-    """The configured sigma^2, or the one that gives signal z the configured snr."""
+def _sigma2(cfg: dict, power: float) -> float:
+    """The configured sigma^2, or the one that gives a signal of mean square ``power`` the configured snr."""
     sigma2 = cfg.get("sigma2")
     if sigma2 is None:
-        sigma2 = sigma2_for_snr(z, cfg["snr"])
+        sigma2 = sigma2_for_snr(power, cfg["snr"])
     return check_sigma2(sigma2)
 
 
 def _synthetic_problem(cfg: dict):
+    """The configured grid problem and its spectrum (:func:`problem_spectrum`), built once."""
     spectrum = SpectrumSpec(cfg["beta"], cfg["delta"])
     prob = grid_problem(cfg["n"], spectrum, sigma2=0.0)
-    prob.sigma2 = _sigma2(cfg, prob.z)
-    return prob
+    prob.sigma2 = _sigma2(cfg, float(np.mean(np.square(prob.z))))
+    return prob, problem_spectrum(prob)
+
+
+def _optimal_lambda(prob, spec: Spectrum) -> float:
+    """lambda* of the problem on the default grid."""
+    return optimal_lambda(spec, prob.sigma2, default_lambda_grid(prob.mean_diag)).lambda_star
 
 
 def _default_p_grid(n: int) -> list[int]:
@@ -246,11 +257,10 @@ def run_fig1(cfg: dict):
     Lanczos operator norm); an n x n residual is formed only where the
     dense operator norm is the fallback.
     """
-    prob = _synthetic_problem(cfg)
+    prob, spec = _synthetic_problem(cfg)
     lam = cfg.get("lam")
     if lam is None:
-        lam = optimal_lambda(prob).lambda_star
-    spec = problem_spectrum(prob)
+        lam = _optimal_lambda(prob, spec)
     err_full = _check_err_full(spec.error(prob.sigma2, lam), lam)
     tr_full = float(np.trace(prob.K))
     op_full = float(np.max(spec.eigs))
@@ -287,29 +297,45 @@ def run_fig1(cfg: dict):
     return meta, header, rows
 
 
+def _grid_spectrum(spectrum: SpectrumSpec, n: int) -> tuple[float, Spectrum]:
+    """tr(K)/n and the half spectrum of the size-n grid problem, with the signal's coefficients.
+
+    The eigenvalues are the real FFT of the assembled floating-point first
+    row; the signal's Fourier coefficients come from its residue fold
+    (:func:`signal_fourier`), so z itself is never formed.
+    """
+    row0 = grid_row(spectrum.beta, n)
+    return float(row0[0]), Spectrum.circulant(row0).fourier(signal_fourier(spectrum.delta, n))
+
+
 def run_rate_check(cfg: dict):
     """Optimal lambda, optimal error, and degrees of freedom across n.
 
-    The error curve uses the spectrum of the assembled floating-point first
-    row of the circulant kernel matrix, taken by one FFT: the spectrum a
-    circulant solver sees, whose machine-precision floor is exactly what
-    makes the very smooth beta = 8 family saturate. No n x n matrix is
-    built. The noise level is calibrated once at the middle n and held
-    fixed. Exponent fits drop the ``drop_smallest`` smallest sizes; fits are
-    refused when the sweep saturates or sigma^2 = 0.
+    Each size costs O(n) work, done once (:func:`_grid_spectrum`): one real
+    FFT of the assembled floating-point first row of the circulant kernel
+    matrix gives the half spectrum a circulant solver sees, whose
+    machine-precision floor is exactly what makes the very smooth beta = 8
+    family saturate; the signal's coefficients come from its residue fold
+    without forming z, and the 52 lambdas of :func:`optimal_lambda` are
+    scored in tiles. No n x n matrix is built. The noise level is
+    calibrated once at the middle n, by Parseval from that size's
+    coefficients, and held fixed. Exponent fits drop the ``drop_smallest``
+    smallest sizes; fits are refused when the sweep saturates or sigma^2 = 0.
     """
     n_list = sorted(cfg["n_list"])
     if len(n_list) < 5:
         raise ConfigError(f"rates needs at least 5 sizes in n_list (got {n_list!r})")
     spectrum = SpectrumSpec(cfg["beta"], cfg["delta"])
-    sigma2 = _sigma2(cfg, signal_on_grid(spectrum.delta, n_list[len(n_list) // 2]))
+    mid = n_list[len(n_list) // 2]
+    mid_spectrum = _grid_spectrum(spectrum, mid)
+    sigma2 = _sigma2(cfg, float(np.sum(mid_spectrum[1].coef2)) / mid)
 
     rows = []
     any_saturated = False
     for n in n_list:
-        prob = grid_problem(n, spectrum, sigma2)
-        choice = optimal_lambda(prob)
-        d_max, d_trace, d_ave = problem_spectrum(prob).dof(choice.lambda_star)
+        mean_diag, spec = mid_spectrum if n == mid else _grid_spectrum(spectrum, n)
+        choice = optimal_lambda(spec, sigma2, default_lambda_grid(mean_diag))
+        d_max, d_trace, d_ave = spec.dof(choice.lambda_star)
         any_saturated |= choice.saturated
         rows.append((n, choice.lambda_star, choice.error_star, d_ave, d_max, choice.saturated))
 
@@ -342,13 +368,12 @@ def run_rate_check(cfg: dict):
 
 def run_rank_ratio(cfg: dict):
     """Sufficient rank over degrees of freedom across a lambda grid."""
-    prob = _synthetic_problem(cfg)
+    prob, spec = _synthetic_problem(cfg)
     scale = np.geomspace(cfg["lambda_lo"], cfg["lambda_hi"], cfg["lambda_points"])
     top = float(np.max(scale))
     if not prob.mean_diag * top < math.inf:
         raise ConfigError(f"lambda={top!r} times tr(K)/n={prob.mean_diag!r} is not finite")
     lams = prob.mean_diag * scale
-    spec = problem_spectrum(prob)
     sweeper = RankSweeper(prob, trials=cfg["trials"], seed=cfg["seed"])
     rows = []
     for lam in lams:
@@ -367,11 +392,11 @@ def run_rank_ratio(cfg: dict):
 
 def run_verify_theorem(cfg: dict):
     """Error-ratio check of the rank bound at one (lambda, delta, p)."""
-    prob = _synthetic_problem(cfg)
+    prob, spec = _synthetic_problem(cfg)
     lam = cfg.get("lam")
     if lam is None:
-        lam = optimal_lambda(prob).lambda_star
-    d_max, _, _ = problem_spectrum(prob).dof(lam)
+        lam = _optimal_lambda(prob, spec)
+    d_max, _, _ = spec.dof(lam)
     p = cfg.get("p")
     bound_p = None
     if p is None:
@@ -480,6 +505,12 @@ def run_cv(cfg: dict):
         seed=_rng_for(cfg["seed"], 1),
         trace_rtol=cfg["trace_rtol"],
     )
+    if result.lambda_star == result.lambda_grid[0]:
+        logger.warning("cv: lambda*=%r is the smallest grid point; the optimum may lie "
+                       "below lambda_min", result.lambda_star)
+    elif result.lambda_star == result.lambda_grid[-1]:
+        logger.warning("cv: lambda*=%r is the largest grid point; the optimum may lie "
+                       "above lambda_max", result.lambda_star)
     meta = _base_meta(cfg) + [
         ("bandwidth", float(bandwidth)),
         ("lambda_star", result.lambda_star),

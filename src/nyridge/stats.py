@@ -19,12 +19,17 @@ d_max >= d_trace >= d_ave:
 
 All of them are functions of the spectrum of K and of the coefficients of z
 on its eigenbasis. :class:`Spectrum` is the single home of these closed
-forms. It is built by one FFT of the first row (the circulant K of a grid
-problem), by a dense eigendecomposition (any K: the reference behind
-:func:`dof` and :func:`bias_variance`), by one thin QR of a factor Phi
-for the low-rank smoothers L = Phi_p Phi_p^T of every prefix Phi[:, :p] at
-once, or by a thin SVD of Phi (the reference the QR path is tested
-against). The error and d.o.f. functions here are thin wrappers over it.
+forms, and :meth:`Spectrum.terms` their one formula: it scores a whole
+lambda array in (lambda x eigenvalue) tiles of at most ``SCORE_BLOCK``
+elements.
+A spectrum is built by one real FFT of the first row (the circulant K of a
+grid problem: the half spectrum r = 0..n/2, each eigenvalue weighted by
+its multiplicity), by a dense eigendecomposition (any K: the reference
+behind :func:`dof` and :func:`bias_variance`), by one thin QR of a factor
+Phi for the low-rank smoothers L = Phi_p Phi_p^T of every prefix
+Phi[:, :p] at once, or by a thin SVD of Phi (the reference the QR path is
+tested against). The error and d.o.f. functions here are thin wrappers
+over it.
 """
 
 from __future__ import annotations
@@ -52,20 +57,28 @@ def _check_lambda(lam: float) -> None:
         raise ConfigError(f"lambda must be finite and > 0 (got {lam!r})")
 
 
+# elements of one (lambda x eigenvalue) tile that Spectrum.terms scores at
+# once: a spectrum longer than this is cut into blocks of this many
+# eigenvalues, scored one lambda at a time
+SCORE_BLOCK = 1 << 15
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues of a PSD smoother matrix and the signal's energy on them.
 
-    ``eigs`` are clipped to >= 0. ``coef2[i]`` is the squared coefficient of
-    z on the i-th unit eigenvector (None until a signal is projected) and
-    ``resid2`` the energy of z outside the eigenbasis: 0 for a full K,
-    ||z_perp||^2 for a low-rank factor. ``basis`` holds the orthonormal
-    eigenvectors as columns, whose squared rows weight the leverage; it is
-    None for a circulant K, whose basis is the Fourier one and whose leverage
-    is constant, so that d_max = d_trace. When ``frame`` (n x p, orthonormal
-    columns) is set, ``basis`` holds the eigenvectors in the frame's
-    coordinates and the n x p eigenvectors ``frame @ basis`` are only formed
-    when ``dof`` needs the leverage.
+    ``eigs`` are clipped to >= 0. ``weight[i]`` is the multiplicity of
+    ``eigs[i]`` (None means 1 each): a circulant K keeps only its half
+    spectrum r = 0..n/2, whose eigenvalues r and n - r coincide. ``coef2[i]``
+    is the energy of z on the eigenspace of ``eigs[i]`` (None until a signal
+    is projected) and ``resid2`` the energy of z outside the eigenbasis: 0
+    for a full K, ||z_perp||^2 for a low-rank factor. ``basis`` holds the
+    orthonormal eigenvectors as columns, whose squared rows weight the
+    leverage; it is None for a circulant K, whose basis is the Fourier one
+    and whose leverage is constant, so that d_max = d_trace. When ``frame``
+    (n x p, orthonormal columns) is set, ``basis`` holds the eigenvectors in
+    the frame's coordinates and the n x p eigenvectors ``frame @ basis`` are
+    only formed when ``dof`` needs the leverage.
     """
 
     eigs: np.ndarray
@@ -74,6 +87,7 @@ class Spectrum:
     resid2: float = 0.0
     basis: np.ndarray | None = None
     frame: np.ndarray | None = None
+    weight: np.ndarray | None = None
 
     @classmethod
     def dense(cls, K, z=None) -> "Spectrum":
@@ -84,9 +98,19 @@ class Spectrum:
 
     @classmethod
     def circulant(cls, row0, z=None) -> "Spectrum":
-        """FFT of the (mirrored, hence symmetric) first row of a circulant K."""
-        eigs = np.fft.fft(np.asarray(row0, dtype=float)).real
-        spec = cls(np.clip(eigs, 0.0, None), eigs.size)
+        """Half spectrum of a circulant K: the real FFT of its (mirrored, hence symmetric) first row.
+
+        Eigenvalue r = 0..n/2 has multiplicity 2, except r = 0 and, for an
+        even n, the Nyquist term r = n/2.
+        """
+        row0 = np.asarray(row0, dtype=float)
+        n = row0.size
+        eigs = np.fft.rfft(row0).real
+        weight = np.full(eigs.size, 2.0)
+        weight[0] = 1.0
+        if n % 2 == 0:
+            weight[-1] = 1.0
+        spec = cls(np.clip(eigs, 0.0, None), n, weight=weight)
         return spec if z is None else spec.project(z)
 
     @classmethod
@@ -122,52 +146,93 @@ class Spectrum:
         """The same spectrum with ``coef2`` and ``resid2`` of the signal z."""
         z = np.asarray(z, dtype=float)
         if self.basis is None:
-            f = np.fft.fft(z)
-            return replace(self, coef2=(f.real**2 + f.imag**2) / self.n, resid2=0.0)
+            return self.fourier(np.fft.rfft(z))
         uz = self.basis.T @ (z if self.frame is None else self.frame.T @ z)
         resid2 = 0.0
         if self.basis.shape[1] < self.n:
             resid2 = max(float(z @ z - uz @ uz), 0.0)
         return replace(self, coef2=uz * uz, resid2=resid2)
 
-    def bias(self, lam: float) -> float:
-        """(sum_i coef2_i s_i^2 + resid2) / n, with s_i = n lambda / (eig_i + n lambda) in [0, 1]."""
+    def fourier(self, zhat) -> "Spectrum":
+        """The same circulant half spectrum with the signal given by its Fourier coefficients.
+
+        ``zhat[r]`` = sum_j z_j exp(-2 pi i r j / n) for r = 0..n/2, as
+        ``np.fft.rfft(z)`` gives them; the energy on eigenvalue r is
+        weight_r |zhat_r|^2 / n, so that the energies sum to ||z||^2.
+        """
+        zhat = np.asarray(zhat)
+        return replace(self, coef2=self.weight * ((zhat.real**2 + zhat.imag**2) / self.n), resid2=0.0)
+
+    def _n_lambda(self, lam: float) -> float:
+        """n lambda; ConfigError unless lambda is finite and > 0, NumericalError unless n lambda is finite."""
         _check_lambda(lam)
         nl = self.n * lam
         if not math.isfinite(nl):
             raise NumericalError(f"n lambda at lambda={lam!r} is not finite")
-        shrink = nl / (self.eigs + nl)
-        return (float((self.coef2 * (shrink * shrink)).sum()) + self.resid2) / self.n
+        return nl
 
-    def variance(self, sigma2: float, lam: float) -> float:
-        _check_lambda(lam)
-        ratio = self.eigs / (self.eigs + self.n * lam)
-        return sigma2 / self.n * float((ratio * ratio).sum())
+    def terms(self, lams) -> np.ndarray:
+        """Rows (bias, d_trace, d_ave) at every lambda of ``lams``: a (3, len(lams)) array.
+
+        With d_i = eig_i + n lambda, s_i = n lambda / d_i and r_i = eig_i / d_i:
+        bias = (sum_i coef2_i s_i^2 + resid2) / n (NaN without a signal),
+        d_trace = sum_i w_i r_i and d_ave = sum_i w_i r_i^2 for the
+        multiplicities w; the variance is sigma2 d_ave / n. The work runs in
+        (lambda x eigenvalue) tiles of at most ``SCORE_BLOCK`` elements that
+        share d_i between the three sums. The eigenvalue blocks are the same
+        for every lambda, so each lambda's sums run in the same order however
+        the lambdas are grouped: scoring an array equals scoring one lambda at
+        a time bit for bit. ConfigError unless every lambda is finite and
+        > 0, NumericalError when n lambda is not finite.
+        """
+        nls = np.array([self._n_lambda(lam) for lam in np.asarray(lams, dtype=float).reshape(-1).tolist()])
+        eigs, weight, coef2 = self.eigs, self.weight, self.coef2
+        cols = max(1, min(eigs.size, SCORE_BLOCK))
+        step = max(1, SCORE_BLOCK // cols)
+        out = np.zeros((3, nls.size))
+        for i in range(0, nls.size, step):
+            nl = nls[i : i + step, None]
+            for j in range(0, eigs.size, cols):
+                e = eigs[j : j + cols]
+                d = e + nl
+                r = e / d
+                if coef2 is not None:
+                    s = nl / d
+                    out[0, i : i + step] += (coef2[j : j + cols] * (s * s)).sum(axis=1)
+                wr = r if weight is None else weight[j : j + cols] * r
+                out[1, i : i + step] += wr.sum(axis=1)
+                out[2, i : i + step] += (wr * r).sum(axis=1)
+        out[0] = np.nan if coef2 is None else (out[0] + self.resid2) / self.n
+        return out
+
+    def errors(self, sigma2: float, lams) -> np.ndarray:
+        """Expected in-sample error bias + variance at every lambda of ``lams``."""
+        bias, _, d_ave = self.terms(lams)
+        return bias + sigma2 / self.n * d_ave
 
     def bias_variance(self, sigma2: float, lam: float) -> tuple[float, float]:
-        return self.bias(lam), self.variance(sigma2, lam)
+        """(bias, variance) at one lambda: (sum_i coef2_i s_i^2 + resid2) / n and sigma2 d_ave / n."""
+        bias, _, d_ave = self.terms([lam])[:, 0].tolist()
+        return bias, sigma2 / self.n * d_ave
 
     def error(self, sigma2: float, lam: float) -> float:
         """Expected in-sample error bias + variance."""
-        return self.bias(lam) + self.variance(sigma2, lam)
+        return sum(self.bias_variance(sigma2, lam))
 
     def dof(self, lam: float) -> tuple[float, float, float]:
         """(d_max, d_trace, d_ave); d_max = d_trace when the leverage is constant."""
-        _check_lambda(lam)
-        r = self.eigs / (self.eigs + self.n * lam)
-        d_trace = float(r.sum())
+        _, d_trace, d_ave = self.terms([lam])[:, 0].tolist()
         if self.basis is None:
-            d_max = d_trace
-        else:
-            u = self.basis if self.frame is None else self.frame @ self.basis
-            d_max = float(self.n * np.max(np.einsum("ji,i,ji->j", u, r, u)))
-        return d_max, d_trace, float((r * r).sum())
+            return d_trace, d_trace, d_ave
+        r = self.eigs / (self.eigs + self.n * lam)
+        u = self.basis if self.frame is None else self.frame @ self.basis
+        return float(self.n * np.max(np.einsum("ji,i,ji->j", u, r, u))), d_trace, d_ave
 
 
 def problem_spectrum(problem: FixedDesignProblem) -> Spectrum:
-    """Spectrum of the problem's K with the coefficients of its current z.
+    """Half spectrum of the problem's K with the coefficients of its current z.
 
-    One FFT of the first row; K is never assembled.
+    One real FFT of the first row and one of z; K is never assembled.
     """
     return Spectrum.circulant(problem.row0, problem.z)
 
@@ -437,28 +502,28 @@ def default_lambda_grid(trace_over_n: float, num: int = 40) -> np.ndarray:
     return trace_over_n * np.logspace(-16.0, 0.0, num)
 
 
-def optimal_lambda(problem: FixedDesignProblem, grid=None) -> LambdaChoice:
-    """Grid minimizer of the closed-form error, with one local refinement.
+def optimal_lambda(spec: Spectrum, sigma2: float, grid) -> LambdaChoice:
+    """Grid minimizer of the closed-form error of ``spec``, with one local refinement.
 
-    The spectrum is the problem's (:func:`problem_spectrum`): the FFT of the
+    The caller builds the spectrum once and passes it here and to
+    :meth:`Spectrum.dof`. A grid problem's spectrum is the real FFT of the
     assembled floating-point first row of K, which is the spectrum a
-    circulant solver sees. For very fast eigenvalue decays the computed
-    eigenvalues keep a machine-precision floor, so the minimizer can hit it;
-    that regime is flagged through ``saturated`` (argmin at the smallest grid
-    point or lambda* < 1e-15).
+    circulant solver sees, and its grid is ``default_lambda_grid(row0[0])``.
+    For very fast eigenvalue decays the computed eigenvalues keep a
+    machine-precision floor, so the minimizer can hit it; that regime is
+    flagged through ``saturated`` (argmin at the smallest grid point or
+    lambda* < 1e-15). The grid and the 12-point refinement are each scored
+    as one lambda array (:meth:`Spectrum.errors`).
     """
-    if grid is None:
-        grid = default_lambda_grid(problem.mean_diag)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) <= 0):
         raise ConfigError("lambda grid must be nonempty and increasing")
-    spec = problem_spectrum(problem)
-    errs = np.array([spec.error(problem.sigma2, lam) for lam in grid])
+    errs = spec.errors(sigma2, grid)
     i = int(np.argmin(errs))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
     sub = np.geomspace(lo, hi, 12)
-    sub_errs = np.array([spec.error(problem.sigma2, lam) for lam in sub])
+    sub_errs = spec.errors(sigma2, sub)
     j = int(np.argmin(sub_errs))
     lam_star, err_star = float(sub[j]), float(sub_errs[j])
     if errs[i] < err_star:

@@ -194,14 +194,26 @@ def signal_on_grid(delta: float, n: int) -> np.ndarray:
     return n * np.real(np.fft.ifft(amp))
 
 
-def _circulant_row(spec: KernelSpec, n: int) -> np.ndarray:
-    """First row of the grid Gram matrix, which is circulant.
+def signal_fourier(delta: float, n: int) -> np.ndarray:
+    """Fourier coefficients zhat_r of ``signal_on_grid(delta, n)`` for r = 0..n/2, without forming z.
+
+    z is n Re(ifft(2 a)) for the real residue fold a, so its coefficients are
+    real: zhat_r = n (a_r + a_{(n-r) mod n}), the identity
+    :func:`eig_circulant` uses for the eigenvalues.
+    """
+    a = _residue_fold(delta, n)
+    r = np.arange(n // 2 + 1)
+    return n * (a[r] + a[-r % n])
+
+
+def grid_row(beta: int, n: int) -> np.ndarray:
+    """First row of the grid Gram matrix of the kernel with mu_i = i^(-2 beta), which is circulant.
 
     The row is mirrored around n/2 so that the circulant K is also exactly
     symmetric (k((n-r)/n) equals k(r/n) only up to an ulp otherwise).
     """
     pts = np.arange(n, dtype=float) / n
-    row0 = cross_gram(np.zeros(1), pts, spec).reshape(-1)
+    row0 = cross_gram(np.zeros(1), pts, KernelSpec.periodic_poly(beta)).reshape(-1)
     r = np.arange(n)
     return row0[np.minimum(r, n - r)]
 
@@ -215,8 +227,7 @@ def grid_problem(n: int, spectrum: SpectrumSpec, sigma2: float) -> FixedDesignPr
     if n < 2:
         raise ConfigError("n must be >= 2")
     sigma2 = check_sigma2(sigma2)
-    spec = KernelSpec.periodic_poly(spectrum.beta)
-    return FixedDesignProblem(_circulant_row(spec, n), signal_on_grid(spectrum.delta, n), sigma2)
+    return FixedDesignProblem(grid_row(spectrum.beta, n), signal_on_grid(spectrum.delta, n), sigma2)
 
 
 def draw_noise(n: int, sigma2: float, trials: int, seed) -> np.ndarray:
@@ -227,9 +238,9 @@ def draw_noise(n: int, sigma2: float, trials: int, seed) -> np.ndarray:
     return np.sqrt(sigma2) * np.random.default_rng(seed).standard_normal((trials, n))
 
 
-def sigma2_for_snr(z, snr: float) -> float:
-    """Noise variance giving signal power / noise power = snr^2."""
+def sigma2_for_snr(power: float, snr: float) -> float:
+    """Noise variance giving a signal of mean square ``power`` signal power / noise power = snr^2."""
     if not snr > 0:
         raise ConfigError(f"snr must be > 0 (got {snr!r})")
     snr2 = snr * snr  # an underflow to 0 means a sigma2 too large to represent
-    return float(np.mean(np.square(z))) / snr2 if snr2 > 0 else inf
+    return power / snr2 if snr2 > 0 else inf

@@ -29,8 +29,10 @@ from nyridge.lowrank import (
 from nyridge.regression import krr_lowrank
 from nyridge.stats import (
     bias_variance,
+    default_lambda_grid,
     dof,
     optimal_lambda,
+    problem_spectrum,
     theorem_rank_bound,
     verify_theorem,
 )
@@ -80,8 +82,8 @@ def shared_problem():
     # the n = 400, beta = 1 configuration shared by criteria 5, 6, and 10
     cfg = resolve_config("fig1")
     prob = grid_problem(cfg["n"], SpectrumSpec(cfg["beta"], cfg["delta"]), 0.0)
-    prob.sigma2 = sigma2_for_snr(prob.z, cfg["snr"])
-    lam = optimal_lambda(prob).lambda_star
+    prob.sigma2 = sigma2_for_snr(float(np.mean(np.square(prob.z))), cfg["snr"])
+    lam = optimal_lambda(problem_spectrum(prob), prob.sigma2, default_lambda_grid(prob.mean_diag)).lambda_star
     return prob, lam
 
 
@@ -149,8 +151,10 @@ def test_criterion_4_bias_variance_monte_carlo():
     t0 = time.time()
     n, trials = 100, 2000
     prob = grid_problem(n, SpectrumSpec(1, 3.0), 0.0)
-    prob.sigma2 = sigma2_for_snr(prob.z, 1.0)
-    lam_star = optimal_lambda(prob).lambda_star
+    prob.sigma2 = sigma2_for_snr(float(np.mean(np.square(prob.z))), 1.0)
+    lam_star = optimal_lambda(
+        problem_spectrum(prob), prob.sigma2, default_lambda_grid(prob.mean_diag)
+    ).lambda_star
     K, z = prob.K, prob.z
     details = []
     ok = True

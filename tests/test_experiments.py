@@ -531,6 +531,58 @@ class TestVerifyLemma:
             run_verify_lemma(resolve_config("verify-lemma", None, {"n": 40, "families": []}))
 
 
+class TestCvGridEdge:
+    """cv warns on stderr when lambda* is the first or last grid point, and only then."""
+
+    @pytest.fixture
+    def toy(self, tmp_path):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 2))
+        targets = {
+            "clean": np.sin(X[:, 0]),  # no noise: the smallest lambda on a coarse grid wins
+            "noise": rng.standard_normal(60),  # no signal: the largest lambda wins
+            "mixed": np.sin(X[:, 0]) + 0.1 * rng.standard_normal(60),
+        }
+        for name, y in targets.items():
+            write_dataset_csv(tmp_path / f"{name}.csv", X, y)
+        return tmp_path
+
+    def run(self, toy, name, caplog, **keys):
+        cfg = resolve_config("cv", None, {"input": str(toy / f"{name}.csv"), "folds": 3, **keys})
+        with caplog.at_level("WARNING", logger="nyridge.experiments"):
+            meta, _, rows = run_experiment(cfg)
+        return dict(meta)["lambda_star"], [r.getMessage() for r in caplog.records], rows
+
+    def test_smallest_grid_point_warns(self, toy, caplog):
+        lam, messages, rows = self.run(toy, "clean", caplog, lambda_min=1e-3, lambda_points=6)
+        assert lam == rows[0][0] == 1e-3
+        assert messages == [f"cv: lambda*={lam!r} is the smallest grid point; the optimum may "
+                            "lie below lambda_min"]
+
+    def test_largest_grid_point_warns(self, toy, caplog):
+        lam, messages, rows = self.run(toy, "noise", caplog, lambda_points=6)
+        assert lam == rows[-1][0] == 1.0
+        assert messages == [f"cv: lambda*={lam!r} is the largest grid point; the optimum may "
+                            "lie above lambda_max"]
+
+    def test_interior_optimum_is_silent(self, toy, caplog):
+        lam, messages, rows = self.run(toy, "mixed", caplog, lambda_points=6)
+        assert rows[0][0] < lam < rows[-1][0]
+        assert messages == []
+
+    def test_warning_goes_to_stderr_not_the_csv(self, toy, monkeypatch):
+        monkeypatch.chdir(toy)
+        cfg = resolve_config("cv", None, {"input": "noise.csv", "folds": 3, "lambda_points": 6})
+        res = subprocess.run(
+            [sys.executable, "-m", "nyridge", "cv", "--input", "noise.csv", "--folds", "3",
+             "--lambda-points", "6", "--out", "cv.csv"],
+            cwd=toy, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert "is the largest grid point" in res.stderr
+        assert (toy / "cv.csv").read_text() == render_csv(*run_experiment(cfg))
+
+
 class TestDeterminism:
     def test_byte_identical_rerun(self):
         cfg = resolve_config("fig1", None, {"n": 48, "trials": 3, "seed": 5})

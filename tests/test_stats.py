@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import circulant
 
+from nyridge import experiments, stats
 from nyridge.errors import ConfigError, NumericalError, VacuousBoundError
 from nyridge.experiments import resolve_config, run_rate_check
 from nyridge.lowrank import nystrom, sample_columns
@@ -32,6 +33,12 @@ def direct_nystrom(K, idx):
     """L = K(V, I) K(I, I)^+ K(I, V) straight from the formula."""
     cols = K[:, idx]
     return cols @ np.linalg.pinv(K[np.ix_(idx, idx)], rcond=1e-12, hermitian=True) @ cols.T
+
+
+def optimal_on_default_grid(prob):
+    """optimal_lambda on the problem's spectrum and its default grid."""
+    grid = default_lambda_grid(prob.mean_diag)
+    return optimal_lambda(problem_spectrum(prob), prob.sigma2, grid)
 
 
 def random_psd(n, seed, cond_floor=1e-4):
@@ -288,7 +295,7 @@ class TestSufficientRank:
 
     def test_pivoted_deterministic_and_reasonable(self):
         prob = grid_problem(48, SpectrumSpec(1, 3.0), 0.5)
-        lams = optimal_lambda(prob)
+        lams = optimal_on_default_grid(prob)
         p1 = RankSweeper(prob, seed=0).sufficient_rank(lams.lambda_star, "pivoted")
         p2 = RankSweeper(prob, seed=99).sufficient_rank(lams.lambda_star, "pivoted")
         assert p1 == p2
@@ -313,21 +320,21 @@ class TestOptimalLambda:
     def test_zero_signal_picks_largest(self):
         prob = grid_problem(24, SpectrumSpec(1, 2.0), 0.5)
         prob.z = np.zeros(24)
-        choice = optimal_lambda(prob)
+        choice = optimal_on_default_grid(prob)
         grid = default_lambda_grid(np.trace(prob.K) / 24)
         assert choice.lambda_star == pytest.approx(grid[-1])
         assert not choice.saturated
 
     def test_zero_noise_picks_smallest_and_flags(self):
         prob = grid_problem(24, SpectrumSpec(1, 2.0), 0.0)
-        choice = optimal_lambda(prob)
+        choice = optimal_on_default_grid(prob)
         assert choice.saturated
         grid = default_lambda_grid(np.trace(prob.K) / 24)
         assert choice.lambda_star <= grid[1]
 
     def test_refinement_improves_or_matches_grid(self):
         prob = grid_problem(40, SpectrumSpec(1, 3.0), 0.3)
-        choice = optimal_lambda(prob)
+        choice = optimal_on_default_grid(prob)
         grid = default_lambda_grid(np.trace(prob.K) / 40)
         from nyridge.stats import bias_variance as bv
 
@@ -337,7 +344,7 @@ class TestOptimalLambda:
     def test_rejects_bad_grid(self):
         prob = grid_problem(16, SpectrumSpec(1, 2.0), 0.1)
         with pytest.raises(ConfigError):
-            optimal_lambda(prob, grid=[1e-3, 1e-4])
+            optimal_lambda(problem_spectrum(prob), prob.sigma2, [1e-3, 1e-4])
 
 
 class TestFitRate:
@@ -387,7 +394,7 @@ class TestCirculantSpectrum:
         fast = Spectrum.circulant(prob.row0, prob.z)
         dense = Spectrum.dense(prob.K, prob.z)
         lams = prob.mean_diag * np.logspace(-6, 0, 7)
-        for lam in np.append(lams, optimal_lambda(prob).lambda_star):
+        for lam in np.append(lams, optimal_on_default_grid(prob).lambda_star):
             for got, want in zip(fast.bias_variance(0.3, lam), dense.bias_variance(0.3, lam)):
                 assert rel_gap(got, want) <= 1e-8
             (fmax, ftrace, fave), (_, dtrace, dave) = fast.dof(lam), dense.dof(lam)
@@ -399,15 +406,35 @@ class TestCirculantSpectrum:
     def test_eigenvalues_match_exact(self, beta, delta, n):
         prob = grid_problem(n, SpectrumSpec(beta, delta), 0.0)
         got = Spectrum.circulant(prob.row0).eigs
-        exact = eig_circulant(beta, n)
+        exact = eig_circulant(beta, n)[: n // 2 + 1]  # the half spectrum r = 0..n/2
         big = exact > 1e-10 * exact.max()
         assert np.max(np.abs(got[big] - exact[big]) / exact[big]) <= 1e-6
 
+    @pytest.mark.parametrize("delta", [1.5, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 31, 64, 97])
+    def test_half_spectrum_matches_full_fft(self, delta, n):
+        # the reference keeps all n Fourier modes with unit weights; beta = 1
+        # keeps every eigenvalue far above the rounding floor, where rfft and
+        # fft round differently (a few 1e-12 relative for beta >= 2)
+        beta = 1
+        prob = grid_problem(n, SpectrumSpec(beta, delta), 0.3)
+        f = np.fft.fft(prob.z)
+        full = Spectrum(
+            np.clip(np.fft.fft(prob.row0).real, 0.0, None), n, coef2=(f.real**2 + f.imag**2) / n
+        )
+        half = Spectrum.circulant(prob.row0, prob.z)
+        assert half.eigs.size == n // 2 + 1
+        for lam in prob.mean_diag * np.logspace(-6, 0, 7):
+            for got, want in zip(half.bias_variance(0.3, lam), full.bias_variance(0.3, lam)):
+                assert rel_gap(got, want) <= 1e-12
+            for got, want in zip(half.dof(lam), full.dof(lam)):
+                assert rel_gap(got, want) <= 1e-12
+
     def test_problem_spectrum_follows_reassigned_signal(self):
         prob = grid_problem(40, SpectrumSpec(1, 3.0), 0.2)
-        before = problem_spectrum(prob).bias(1e-3)
+        before = problem_spectrum(prob).bias_variance(0.0, 1e-3)[0]
         prob.z = 2.0 * prob.z
-        assert problem_spectrum(prob).bias(1e-3) == pytest.approx(4.0 * before, rel=1e-12)
+        assert problem_spectrum(prob).bias_variance(0.0, 1e-3)[0] == pytest.approx(4.0 * before, rel=1e-12)
         assert "K" not in vars(prob)  # the FFT path never assembled K
 
     @pytest.mark.parametrize("beta,delta", [(1, 2.0), (4, 8.0)])
@@ -415,12 +442,18 @@ class TestCirculantSpectrum:
         sizes = [16, 24, 33, 48, 64, 97, 128]
         cfg = resolve_config("rates", None, {"n_list": sizes, "beta": beta, "delta": delta})
         _, _, fast_rows = run_rate_check(cfg)
-        # route the grid problems' spectrum through a dense eigh of the same K
-        def dense_circulant(cls, row0, z=None):
-            return cls.dense(circulant(row0), z)
+        # route every size through a dense eigh of the same K, with z formed
+        # on the grid: neither the half spectrum nor the fold coefficients
+        built = []
 
-        monkeypatch.setattr(Spectrum, "circulant", classmethod(dense_circulant))
+        def dense_spectrum(spectrum, n):
+            prob = grid_problem(n, spectrum, 0.0)
+            built.append(n)
+            return prob.mean_diag, Spectrum.dense(circulant(prob.row0), prob.z)
+
+        monkeypatch.setattr(experiments, "_grid_spectrum", dense_spectrum)
         _, _, dense_rows = run_rate_check(cfg)
+        assert sorted(built) == sizes  # the middle size is built once, for sigma2 and its row
         for fast, dense in zip(fast_rows, dense_rows, strict=True):
             assert fast[0] == dense[0] and fast[5] == dense[5]
             for got, want in zip(fast[1:4], dense[1:4]):  # lambda*, err*, d_ave
@@ -428,6 +461,38 @@ class TestCirculantSpectrum:
             # the dense d_max is a maximum over eigenvector leverages, which
             # carry roundoff of a few 1e-11; the circulant one is d_trace
             assert rel_gap(fast[4], dense[4]) <= 1e-10
+
+
+class TestBlockedScoring:
+    """A lambda array is scored in blocks that change nothing, bit for bit."""
+
+    SPECTRA = {
+        "circulant": lambda: problem_spectrum(grid_problem(97, SpectrumSpec(2, 3.0), 0.3)),
+        "dense": lambda: Spectrum.dense(random_psd(12, 3), np.arange(12.0)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SPECTRA))
+    def test_blocks_equal_one_lambda_at_a_time(self, kind, monkeypatch):
+        spec = self.SPECTRA[kind]()
+        lams = default_lambda_grid(1.0, 52)
+        # tiles of one element, tiles that cut the spectrum, one tile for all
+        for block in (1, 40, lams.size * spec.eigs.size):
+            monkeypatch.setattr(stats, "SCORE_BLOCK", block)
+            one_at_a_time = np.stack([spec.terms([lam])[:, 0] for lam in lams], axis=1)
+            assert np.array_equal(spec.terms(lams), one_at_a_time)
+            errs = spec.errors(0.3, lams)
+            for k, lam in enumerate(lams):
+                bias, d_trace, d_ave = one_at_a_time[:, k]
+                assert spec.error(0.3, lam) == errs[k]
+                assert spec.bias_variance(0.3, lam) == (bias, 0.3 / spec.n * d_ave)
+                assert spec.dof(lam)[1:] == (d_trace, d_ave)
+
+    def test_every_lambda_is_checked(self):
+        spec = self.SPECTRA["circulant"]()
+        with pytest.raises(ConfigError):
+            spec.terms([1e-3, 0.0, 1e-2])
+        with pytest.raises(NumericalError, match="is not finite"):
+            spec.errors(0.3, [1e-3, 1e308])
 
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -513,7 +578,7 @@ class TestLambdaValidation:
     @pytest.mark.parametrize("lam", [0.0, -1e-3, float("nan"), float("inf")])
     def test_spectrum_rejects_nonpositive_lambda(self, lam):
         spec = problem_spectrum(grid_problem(20, SpectrumSpec(1, 3.0), 0.5))
-        for call in (spec.bias, spec.dof, lambda l: spec.variance(0.5, l)):
+        for call in (spec.dof, lambda l: spec.bias_variance(0.5, l)):
             with pytest.raises(ConfigError):
                 call(lam)
 
@@ -521,16 +586,16 @@ class TestLambdaValidation:
         # at lambda = 1e160 every shrinkage n lambda / (eig + n lambda) is 1,
         # so the bias is its limit ||z||^2 / n; n lambda itself overflows at 1e308
         spec = problem_spectrum(grid_problem(20, SpectrumSpec(1, 3.0), 0.5))
-        assert spec.bias(1e160) == np.sum(spec.coef2) / spec.n
+        assert spec.bias_variance(0.5, 1e160)[0] == np.sum(spec.coef2) / spec.n
         with pytest.raises(NumericalError, match="is not finite"):
-            spec.bias(1e308)
+            spec.bias_variance(0.5, 1e308)
 
     def test_bias_at_tiny_lambda_is_its_limit(self):
         # (eig + n lambda)^2 underflowed to 0 here and the bias divided by it;
         # as lambda -> 0 only the energy on the zero eigenvalue (the constant) stays
         spec = problem_spectrum(grid_problem(13, SpectrumSpec(8, 3.0), 0.5))
         assert spec.eigs[0] == 0.0
-        assert spec.bias(9.3e-179) == pytest.approx(spec.coef2[0] / spec.n, rel=1e-12)
+        assert spec.bias_variance(0.5, 9.3e-179)[0] == pytest.approx(spec.coef2[0] / spec.n, rel=1e-12)
 
     def test_rank_bound_rejects_nan_lambda(self):
         with pytest.raises(ConfigError):

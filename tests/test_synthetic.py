@@ -14,6 +14,7 @@ from nyridge.synthetic import (
     eig_circulant,
     grid_problem,
     hurwitz_zeta,
+    signal_fourier,
     signal_on_grid,
     sigma2_for_snr,
 )
@@ -147,6 +148,14 @@ class TestGridProblem:
 
 
 class TestSignalOnGrid:
+    @pytest.mark.parametrize("n", [2, 3, 31, 64, 97])
+    @pytest.mark.parametrize("delta", [1.5, 3.0, 8.0])
+    def test_fourier_coefficients_from_the_fold(self, n, delta):
+        f = np.fft.fft(signal_on_grid(delta, n))[: n // 2 + 1]
+        want = (f.real**2 + f.imag**2) / n
+        got = signal_fourier(delta, n) ** 2 / n
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
     def test_grid_fold_matches_closed_form(self):
         # for even delta, f(x) = sum_i 2 i^(-delta) cos(2 i pi x) is the
         # periodic kernel with beta = delta / 2; for delta = 3 the oracle is
@@ -244,8 +253,7 @@ class TestDrawNoise:
 
 
 def test_sigma2_for_snr():
-    z = np.array([1.0, -1.0, 1.0, -1.0])
-    assert sigma2_for_snr(z, 2.0) == pytest.approx(0.25)
+    assert sigma2_for_snr(1.0, 2.0) == pytest.approx(0.25)
     with pytest.raises(ConfigError):
-        sigma2_for_snr(z, 0.0)
+        sigma2_for_snr(1.0, 0.0)
 
