@@ -266,7 +266,7 @@ def run_fig1(cfg: dict):
     op_full = float(np.max(spec.eigs))
     ranks = _default_p_grid(prob.n)
 
-    sweeper = RankSweeper(prob, trials=cfg["trials"], seed=cfg["seed"])
+    sweeper = RankSweeper(prob, spec, trials=cfg["trials"], seed=cfg["seed"])
     curves = {}  # method -> (rel trace, rel operator, rel excess), each trials x ranks
     for method in ("random", "pivoted"):
         tr_errs, op_errs, excess = [], [], []
@@ -305,7 +305,7 @@ def _grid_spectrum(spectrum: SpectrumSpec, n: int) -> tuple[float, Spectrum]:
     (:func:`signal_fourier`), so z itself is never formed.
     """
     row0 = grid_row(spectrum.beta, n)
-    return float(row0[0]), Spectrum.circulant(row0).fourier(signal_fourier(spectrum.delta, n))
+    return float(row0[0]), Spectrum.circulant(row0, signal_fourier(spectrum.delta, n))
 
 
 def run_rate_check(cfg: dict):
@@ -374,7 +374,7 @@ def run_rank_ratio(cfg: dict):
     if not prob.mean_diag * top < math.inf:
         raise ConfigError(f"lambda={top!r} times tr(K)/n={prob.mean_diag!r} is not finite")
     lams = prob.mean_diag * scale
-    sweeper = RankSweeper(prob, trials=cfg["trials"], seed=cfg["seed"])
+    sweeper = RankSweeper(prob, spec, trials=cfg["trials"], seed=cfg["seed"])
     rows = []
     for lam in lams:
         d_max, d_trace, d_ave = spec.dof(float(lam))

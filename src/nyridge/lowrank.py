@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import csvio
-from .errors import ConfigError, NumericalError, ParseError
+from .errors import ConfigError, DataError, NumericalError, ParseError
 from .kernels import KernelSpec, cross_gram
 
 # Collapse floor, relative to max(diag K): a pivot whose residual diagonal is
@@ -128,8 +128,8 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None, flo
     the fixed ``order``. Stop rule: ``pmax`` rows, sum(d) <= ``trace_tol``,
     or (greedy) max(d) <= ``floor``; under a fixed order a pivot with d[j] <=
     ``floor`` leaves its row zero. A greedy residual below -BREAKDOWN_RTOL *
-    max(diag) raises NumericalError. Returns (rows, pivots, trail), trail[k]
-    = tr(K - L_{k+1}).
+    max(diag) raises NumericalError, a non-finite diagonal DataError.
+    Returns (rows, pivots, trail), trail[k] = tr(K - L_{k+1}).
 
     Updates are delayed in panels (LAPACK ``dpstrf``'s scheme, restricted to
     candidate rows): every ``PANEL`` pivots, the ``min(CANDIDATES, n)``
@@ -145,6 +145,10 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None, flo
     shrunk in place to the rows used, without a copy.
     """
     d = np.array(diag, dtype=float, copy=True)
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        j = int(bad[0])
+        raise DataError(f"kernel diagonal entry {j} is {float(d[j])!r}; a Cholesky factor needs it finite")
     n = d.shape[0]
     m = min(CANDIDATES, n)
     breakdown = -BREAKDOWN_RTOL * float(np.max(d))

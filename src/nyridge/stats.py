@@ -28,19 +28,20 @@ its multiplicity), by a dense eigendecomposition (any K: the reference
 behind :func:`dof` and :func:`bias_variance`), by one thin QR of a factor
 Phi for the low-rank smoothers L = Phi_p Phi_p^T of every prefix
 Phi[:, :p] at once, or by a thin SVD of Phi (the reference the QR path is
-tested against). The error and d.o.f. functions here are thin wrappers
-over it.
+tested against). Each constructor takes the signal (the FFT one its
+Fourier coefficients) and computes its energies on the eigenspaces once.
+The error and d.o.f. functions here are thin wrappers over it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, VacuousBoundError
+from .errors import ConfigError, DataError, NumericalError, VacuousBoundError
 from .lowrank import nested_factor, sample_columns
 from .synthetic import FixedDesignProblem, check_sigma2
 
@@ -57,6 +58,20 @@ def _check_lambda(lam: float) -> None:
         raise ConfigError(f"lambda must be finite and > 0 (got {lam!r})")
 
 
+def _finite(a, what: str) -> np.ndarray:
+    """``a`` as a float array; DataError unless every entry is finite."""
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise DataError(f"the {what} has a non-finite entry")
+    return a
+
+
+def _energies(uz: np.ndarray, zz: float, n: int) -> tuple[np.ndarray, float]:
+    """(coef2, resid2) of coefficients uz on orthonormal vectors of R^n, for zz = ||z||^2."""
+    resid2 = max(float(zz - uz @ uz), 0.0) if uz.size < n else 0.0
+    return uz * uz, resid2
+
+
 # elements of one (lambda x eigenvalue) tile that Spectrum.terms scores at
 # once: a spectrum longer than this is cut into blocks of this many
 # eigenvalues, scored one lambda at a time
@@ -70,15 +85,15 @@ class Spectrum:
     ``eigs`` are clipped to >= 0. ``weight[i]`` is the multiplicity of
     ``eigs[i]`` (None means 1 each): a circulant K keeps only its half
     spectrum r = 0..n/2, whose eigenvalues r and n - r coincide. ``coef2[i]``
-    is the energy of z on the eigenspace of ``eigs[i]`` (None until a signal
-    is projected) and ``resid2`` the energy of z outside the eigenbasis: 0
-    for a full K, ||z_perp||^2 for a low-rank factor. ``basis`` holds the
-    orthonormal eigenvectors as columns, whose squared rows weight the
-    leverage; it is None for a circulant K, whose basis is the Fourier one
-    and whose leverage is constant, so that d_max = d_trace. When ``frame``
-    (n x p, orthonormal columns) is set, ``basis`` holds the eigenvectors in
-    the frame's coordinates and the n x p eigenvectors ``frame @ basis`` are
-    only formed when ``dof`` needs the leverage.
+    is the energy of z on the eigenspace of ``eigs[i]`` (None when no signal
+    was given) and ``resid2`` the energy of z outside the eigenbasis: 0 for
+    a full K, ||z_perp||^2 for a low-rank factor. Every constructor takes
+    the signal and computes these energies once. The leverage behind d_max
+    is known in one of two ways: a circulant K (``weight`` set) has the
+    Fourier basis, whose leverage is constant, so that d_max = d_trace; a
+    dense or thin-SVD spectrum keeps its orthonormal eigenvectors as the
+    columns of ``basis``, whose squared rows weight it. A prefix spectrum
+    keeps neither.
     """
 
     eigs: np.ndarray
@@ -86,22 +101,24 @@ class Spectrum:
     coef2: np.ndarray | None = None
     resid2: float = 0.0
     basis: np.ndarray | None = None
-    frame: np.ndarray | None = None
     weight: np.ndarray | None = None
 
     @classmethod
     def dense(cls, K, z=None) -> "Spectrum":
-        """Symmetric eigendecomposition of a general PSD K."""
-        s, u = np.linalg.eigh(np.asarray(K, dtype=float))
-        spec = cls(np.clip(s, 0.0, None), s.size, basis=u)
-        return spec if z is None else spec.project(z)
+        """Symmetric eigendecomposition of a general PSD K; DataError unless K and z are finite."""
+        s, u = np.linalg.eigh(_finite(K, "kernel matrix"))
+        coef2 = None if z is None else np.square(u.T @ _finite(z, "signal"))
+        return cls(np.clip(s, 0.0, None), s.size, coef2, basis=u)
 
     @classmethod
-    def circulant(cls, row0, z=None) -> "Spectrum":
+    def circulant(cls, row0, zhat=None) -> "Spectrum":
         """Half spectrum of a circulant K: the real FFT of its (mirrored, hence symmetric) first row.
 
         Eigenvalue r = 0..n/2 has multiplicity 2, except r = 0 and, for an
-        even n, the Nyquist term r = n/2.
+        even n, the Nyquist term r = n/2. ``zhat[r]`` = sum_j z_j
+        exp(-2 pi i r j / n) for r = 0..n/2, as ``np.fft.rfft(z)`` gives
+        them; the energy on eigenvalue r is weight_r |zhat_r|^2 / n, so that
+        the energies sum to ||z||^2.
         """
         row0 = np.asarray(row0, dtype=float)
         n = row0.size
@@ -110,16 +127,18 @@ class Spectrum:
         weight[0] = 1.0
         if n % 2 == 0:
             weight[-1] = 1.0
-        spec = cls(np.clip(eigs, 0.0, None), n, weight=weight)
-        return spec if z is None else spec.project(z)
+        coef2 = None if zhat is None else weight * ((np.real(zhat) ** 2 + np.imag(zhat) ** 2) / n)
+        return cls(np.clip(eigs, 0.0, None), n, coef2, weight=weight)
 
     @classmethod
-    def lowrank(cls, phi, z=None) -> "Spectrum":
-        """Thin SVD of Phi: the nonzero spectrum of L = Phi Phi^T in O(n p^2)."""
-        phi = np.asarray(phi, dtype=float)
+    def lowrank(cls, phi, z) -> "Spectrum":
+        """Thin SVD of Phi: the nonzero spectrum of L = Phi Phi^T in O(n p^2).
+
+        DataError unless Phi and z are finite.
+        """
+        phi, z = _finite(phi, "factor"), _finite(z, "signal")
         u, s, _ = np.linalg.svd(phi, full_matrices=False)
-        spec = cls(s * s, phi.shape[0], basis=u)
-        return spec if z is None else spec.project(z)
+        return cls(s * s, phi.shape[0], *_energies(u.T @ z, z @ z, phi.shape[0]), basis=u)
 
     @classmethod
     def prefixes(cls, phi, z) -> Callable[[int], "Spectrum"]:
@@ -128,40 +147,21 @@ class Spectrum:
         With Phi = QR, Phi[:, :p] = Q_p R_p for R_p = R[:p, :p], so the
         rank-p smoother has the eigenvalues of R_p R_p^T = W S W^T (p x p),
         the coefficients W^T (Q^T z)[:p] and the residual energy
-        ||z||^2 - ||(Q^T z)[:p]||^2; its eigenvectors Q_p W are built only if
-        ``dof`` asks for them. Returns p -> spectrum; p is capped at the
-        number of columns of Phi, as slicing Phi[:, :p] would.
+        ||z||^2 - ||W^T (Q^T z)[:p]||^2, with Q^T z and ||z||^2 formed once.
+        A prefix spectrum keeps no eigenvectors, so its ``dof`` raises.
+        Returns p -> spectrum; p is capped at the number of columns of Phi,
+        as slicing Phi[:, :p] would. DataError unless z is finite.
         """
-        z = np.asarray(z, dtype=float)
+        z = _finite(z, "signal")
         q, r = np.linalg.qr(np.asarray(phi, dtype=float))
+        qz, zz, n = q.T @ z, float(z @ z), q.shape[0]
 
         def prefix(p: int) -> Spectrum:
             rp = r[:p, :p]
             s, w = np.linalg.eigh(rp @ rp.T)
-            return cls(np.clip(s, 0.0, None), q.shape[0], basis=w, frame=q[:, :p]).project(z)
+            return cls(np.clip(s, 0.0, None), n, *_energies(w.T @ qz[:p], zz, n))
 
         return prefix
-
-    def project(self, z) -> "Spectrum":
-        """The same spectrum with ``coef2`` and ``resid2`` of the signal z."""
-        z = np.asarray(z, dtype=float)
-        if self.basis is None:
-            return self.fourier(np.fft.rfft(z))
-        uz = self.basis.T @ (z if self.frame is None else self.frame.T @ z)
-        resid2 = 0.0
-        if self.basis.shape[1] < self.n:
-            resid2 = max(float(z @ z - uz @ uz), 0.0)
-        return replace(self, coef2=uz * uz, resid2=resid2)
-
-    def fourier(self, zhat) -> "Spectrum":
-        """The same circulant half spectrum with the signal given by its Fourier coefficients.
-
-        ``zhat[r]`` = sum_j z_j exp(-2 pi i r j / n) for r = 0..n/2, as
-        ``np.fft.rfft(z)`` gives them; the energy on eigenvalue r is
-        weight_r |zhat_r|^2 / n, so that the energies sum to ||z||^2.
-        """
-        zhat = np.asarray(zhat)
-        return replace(self, coef2=self.weight * ((zhat.real**2 + zhat.imag**2) / self.n), resid2=0.0)
 
     def _n_lambda(self, lam: float) -> float:
         """n lambda; ConfigError unless lambda is finite and > 0, NumericalError unless n lambda is finite."""
@@ -220,13 +220,14 @@ class Spectrum:
         return sum(self.bias_variance(sigma2, lam))
 
     def dof(self, lam: float) -> tuple[float, float, float]:
-        """(d_max, d_trace, d_ave); d_max = d_trace when the leverage is constant."""
+        """(d_max, d_trace, d_ave); d_max = d_trace for a circulant K, ConfigError without eigenvectors."""
         _, d_trace, d_ave = self.terms([lam])[:, 0].tolist()
-        if self.basis is None:
+        if self.weight is not None:
             return d_trace, d_trace, d_ave
+        if self.basis is None:
+            raise ConfigError("d_max needs the leverage, which a spectrum without eigenvectors lacks")
         r = self.eigs / (self.eigs + self.n * lam)
-        u = self.basis if self.frame is None else self.frame @ self.basis
-        return float(self.n * np.max(np.einsum("ji,i,ji->j", u, r, u))), d_trace, d_ave
+        return float(self.n * np.max(np.einsum("ji,i,ji->j", self.basis, r, self.basis))), d_trace, d_ave
 
 
 def problem_spectrum(problem: FixedDesignProblem) -> Spectrum:
@@ -234,7 +235,7 @@ def problem_spectrum(problem: FixedDesignProblem) -> Spectrum:
 
     One real FFT of the first row and one of z; K is never assembled.
     """
-    return Spectrum.circulant(problem.row0, problem.z)
+    return Spectrum.circulant(problem.row0, np.fft.rfft(problem.z))
 
 
 def _check_err_full(err_full: float, lam: float) -> float:
@@ -398,22 +399,25 @@ class RankSweeper:
     requested ranks. Spectra come from one thin QR of each factor's leading
     columns (:meth:`Spectrum.prefixes`), redone only when a search reaches
     past the next power of two; a rank-p spectrum then costs one p x p
-    ``eigh``, and per-(trial, p) spectra are cached, as is the full
-    problem's spectrum, making repeated sufficient-rank queries across a
-    lambda grid cheap.
+    ``eigh``, and per-(trial, p) spectra are cached, making repeated
+    sufficient-rank queries across a lambda grid cheap; a prefix spectrum
+    holds O(p) numbers. The full error every rank is compared with comes
+    from ``spectrum``, the problem's own (:func:`problem_spectrum`).
     """
 
-    def __init__(self, problem: FixedDesignProblem, trials: int = 10, seed=0):
+    def __init__(self, problem: FixedDesignProblem, spectrum: Spectrum, trials: int = 10, seed=0):
         if trials < 1:
             raise ConfigError(f"need trials >= 1, got {trials}")
+        if spectrum.n != problem.n:
+            raise ConfigError(f"spectrum of size {spectrum.n} for a problem of size {problem.n}")
         self.problem = problem
+        self.spectrum = spectrum
         self.trials = trials
         self.seed = seed
         self._perm_factors: list[np.ndarray] | None = None
         self._pivoted: np.ndarray | None = None
         self._prefixes: dict = {}
         self._spectra: dict = {}
-        self._full: Spectrum | None = None
 
     def factors(self, method: str) -> list[np.ndarray]:
         A = self.problem.K
@@ -467,9 +471,7 @@ class RankSweeper:
         def ok(p: int) -> bool:
             return self.error(method, p, lam) <= target
 
-        if self._full is None:
-            self._full = problem_spectrum(self.problem)
-        target = (1.0 + tol) * self._full.error(self.problem.sigma2, lam)
+        target = (1.0 + tol) * self.spectrum.error(self.problem.sigma2, lam)
         if not math.isfinite(target):
             raise NumericalError(f"full-matrix error at lambda={lam!r} is not finite")
         p = 1
@@ -513,8 +515,10 @@ def optimal_lambda(spec: Spectrum, sigma2: float, grid) -> LambdaChoice:
     machine-precision floor, so the minimizer can hit it; that regime is
     flagged through ``saturated`` (argmin at the smallest grid point or
     lambda* < 1e-15). The grid and the 12-point refinement are each scored
-    as one lambda array (:meth:`Spectrum.errors`).
+    as one lambda array (:meth:`Spectrum.errors`). ConfigError unless
+    sigma2 is finite and >= 0 (:func:`~nyridge.synthetic.check_sigma2`).
     """
+    sigma2 = check_sigma2(sigma2)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) <= 0):
         raise ConfigError("lambda grid must be nonempty and increasing")
@@ -547,8 +551,8 @@ def fit_rate(pairs) -> RateFit:
     pts = [(float(a), float(b)) for a, b in pairs]
     if len(pts) < 4:
         raise ConfigError(f"rate fit needs >= 4 pairs, got {len(pts)}")
-    if not all(a > 0 and v > 0 for a, v in pts):
-        raise ConfigError("rate fit needs positive sizes and values")
+    if not all(0 < a < math.inf and 0 < v < math.inf for a, v in pts):
+        raise ConfigError("rate fit needs finite positive sizes and values")
     x = np.log([a for a, _ in pts])
     y = np.log([v for _, v in pts])
     A = np.vstack([x, np.ones_like(x)]).T

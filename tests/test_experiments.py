@@ -372,9 +372,9 @@ class TestFig1:
         b, v = bias_variance(prob.K, prob.z, sigma2, lam)
         err_full = b + v
         assert err_full == pytest.approx(float(md["err_full"]), rel=1e-10)
-        from nyridge.stats import RankSweeper
+        from nyridge.stats import RankSweeper, problem_spectrum
 
-        sweeper = RankSweeper(prob, trials=2, seed=3)
+        sweeper = RankSweeper(prob, problem_spectrum(prob), trials=2, seed=3)
         piv = sweeper.factors("pivoted")[0]
         for row in rows_by(header, rows, method="pivoted"):
             p = int(row["p"])

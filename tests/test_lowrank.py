@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nyridge import lowrank
 
-from nyridge.errors import ConfigError, NumericalError, ParseError
+from nyridge.errors import ConfigError, DataError, NumericalError, ParseError
 from nyridge.kernels import KernelSpec, cross_gram, gram
 from nyridge.lowrank import (
     ColumnSelection,
@@ -190,6 +190,22 @@ class TestPivotedIchol:
             assert set(F.selection.indices.tolist()) <= set(np.concatenate(calls).tolist())
             budget = p + math.ceil(p / lowrank.PANEL) * min(lowrank.CANDIDATES, 100)
             assert sum(idx.size for idx in calls) <= budget
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_diagonal_is_named(self, bad):
+        # a NaN floor failed every pivot > floor test: nystrom returned an
+        # all-zero factor, nested_factor a 4 x 0 one and pivoted_ichol
+        # reported a zero diagonal
+        K = np.eye(4)
+        K[2, 2] = bad
+        calls = [
+            lambda: nystrom(K, ColumnSelection(np.array([0, 1]), "uniform-random", 4)),
+            lambda: nested_factor(K, None),
+            lambda: pivoted_ichol(make_column_oracle(K), np.diag(K), max_rank=3),
+        ]
+        for call in calls:
+            with pytest.raises(DataError, match=f"diagonal entry 2 is {bad!r}"):
+                call()
 
     def test_breakdown_on_inconsistent_diag(self):
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
@@ -468,7 +484,8 @@ class TestPrefixSweeps:
                 got, want = prefix(p), Spectrum.lowrank(phi[:, :p], z)
                 for a, b in zip(got.bias_variance(sigma2, lam), want.bias_variance(sigma2, lam)):
                     assert a == pytest.approx(b, rel=1e-10, abs=1e-14)
-                for a, b in zip(got.dof(lam), want.dof(lam)):
+                # d_trace and d_ave; a prefix spectrum has no d_max
+                for a, b in zip(got.terms([lam])[1:, 0], want.dof(lam)[1:]):
                     assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
     @FACTOR_SETTINGS
@@ -500,18 +517,30 @@ class TestPrefixSweeps:
         assert first[0][-1] == first[0][3] == capped[0][0]
         assert first[1][-1] == first[1][3] == capped[1][0]
 
-    def test_prefix_spectrum_is_not_read_as_circulant(self):
-        # basis None would mean a circulant K, where d_max = d_trace; a prefix
-        # spectrum keeps its eigenvectors Q_p W, formed only for the leverage
+    def test_prefix_spectrum_has_no_dof(self):
+        # a prefix spectrum keeps no eigenvectors, so it knows no leverage:
+        # dof must not read it as a circulant one, where d_max = d_trace
         K, (random_order, _) = nested_sweep_factors(30, 30, 4)
         z = np.random.default_rng(5).normal(size=30)
-        lam = 1e-3 * np.trace(K) / 30
         spec = Spectrum.prefixes(random_order, z)(6)
-        assert spec.basis.shape == (6, 6) and spec.frame.shape == (30, 6)
-        d_max, d_trace, _ = spec.dof(lam)
-        assert d_max > 1.5 * d_trace
-        want = Spectrum.lowrank(random_order[:, :6], z).dof(lam)
-        assert d_max == pytest.approx(want[0], rel=1e-10)
+        assert spec.basis is None and spec.weight is None
+        with pytest.raises(ConfigError, match="leverage"):
+            spec.dof(1e-3 * np.trace(K) / 30)
+
+    def test_short_factor_keeps_its_residual_past_n(self):
+        # a greedy factor that stops at rank 5 < n: every prefix of at least
+        # 5 columns, p = n and beyond included, is the whole factor and
+        # leaves z_perp outside its span
+        K, (_, greedy) = nested_sweep_factors(30, 5, 6)
+        assert greedy.shape[1] == 5
+        z = np.random.default_rng(7).normal(size=30)
+        want = Spectrum.lowrank(greedy, z)
+        assert want.resid2 > 0.1 * (z @ z)
+        prefix = Spectrum.prefixes(greedy, z)
+        for p in (5, 29, 30, 40):
+            got = prefix(p)
+            assert got.resid2 == pytest.approx(want.resid2, rel=1e-10)
+            assert got.bias_variance(0.5, 1e-3) == pytest.approx(want.bias_variance(0.5, 1e-3), rel=1e-10)
 
 
 class TestTriangularInverse:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import circulant
 
 from nyridge import experiments, stats
-from nyridge.errors import ConfigError, NumericalError, VacuousBoundError
+from nyridge.errors import ConfigError, DataError, NumericalError, VacuousBoundError
 from nyridge.experiments import resolve_config, run_rate_check
 from nyridge.lowrank import nystrom, sample_columns
 from nyridge.stats import (
@@ -87,7 +87,8 @@ class TestDof:
         prob = grid_problem(36, SpectrumSpec(1, 2.0), 0.0)
         lam = 1e-2
         dense = dof(prob.K, lam)
-        spectral = Spectrum(eig_circulant(1, 36), 36).dof(lam)
+        # all n Fourier modes, each of multiplicity 1
+        spectral = Spectrum(eig_circulant(1, 36), 36, weight=np.ones(36)).dof(lam)
         assert dense[0] == pytest.approx(spectral[0], rel=1e-6)
         assert dense[1] == pytest.approx(spectral[1], rel=1e-8)
         assert dense[2] == pytest.approx(spectral[2], rel=1e-8)
@@ -182,6 +183,41 @@ class TestDenseSpectrum:
         assert spec.n == 9
         assert (d_max, d_trace, d_ave) == dof(K, 0.05)
         assert (bias, variance) == bias_variance(K, z, 0.3, 0.05)
+
+
+class TestNonFiniteInputs:
+    """The spectra that take a K, a factor or a signal refuse non-finite entries."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_dense_reference_functions(self, bad):
+        K = random_psd(8, 1)
+        z = np.random.default_rng(2).normal(size=8)
+        K_bad, z_bad = K.copy(), z.copy()
+        K_bad[3, 5] = bad
+        z_bad[4] = bad
+        # dof gave (nan, nan, nan) and bias_variance a NaN bias
+        with pytest.raises(DataError, match="kernel matrix"):
+            dof(K_bad, 0.1)
+        with pytest.raises(DataError, match="kernel matrix"):
+            bias_variance(K_bad, z, 0.5, 0.1)
+        with pytest.raises(DataError, match="signal"):
+            bias_variance(K, z_bad, 0.5, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_factor_spectra(self, bad):
+        rng = np.random.default_rng(3)
+        phi, z = rng.normal(size=(8, 3)), rng.normal(size=8)
+        phi_bad, z_bad = phi.copy(), z.copy()
+        phi_bad[2, 1] = bad
+        z_bad[0] = bad
+        with pytest.raises(DataError, match="factor"):
+            Spectrum.lowrank(phi_bad, z)
+        with pytest.raises(DataError, match="signal"):
+            Spectrum.lowrank(phi, z_bad)
+        with pytest.raises(DataError, match="signal"):
+            Spectrum.prefixes(phi, z_bad)
+        with pytest.raises(DataError, match="signal"):
+            lowrank_bias_variance(phi, z_bad, 0.5, 0.1)
 
 
 class TestTheoremRankBound:
@@ -285,25 +321,28 @@ class TestVerifyLemma:
 class TestSufficientRank:
     def test_huge_lambda_needs_rank_one(self):
         prob = grid_problem(36, SpectrumSpec(1, 3.0), 0.5)
-        p = RankSweeper(prob, trials=3, seed=0).sufficient_rank(1e4, "random", tol=0.01)
+        sweeper = RankSweeper(prob, problem_spectrum(prob), trials=3, seed=0)
+        p = sweeper.sufficient_rank(1e4, "random", tol=0.01)
         assert p == 1
 
     def test_huge_tolerance_needs_rank_one(self):
         prob = grid_problem(36, SpectrumSpec(1, 3.0), 0.5)
-        p = RankSweeper(prob, trials=3, seed=1).sufficient_rank(1e-3, "random", tol=1e9)
+        sweeper = RankSweeper(prob, problem_spectrum(prob), trials=3, seed=1)
+        p = sweeper.sufficient_rank(1e-3, "random", tol=1e9)
         assert p == 1
 
     def test_pivoted_deterministic_and_reasonable(self):
         prob = grid_problem(48, SpectrumSpec(1, 3.0), 0.5)
         lams = optimal_on_default_grid(prob)
-        p1 = RankSweeper(prob, seed=0).sufficient_rank(lams.lambda_star, "pivoted")
-        p2 = RankSweeper(prob, seed=99).sufficient_rank(lams.lambda_star, "pivoted")
+        spec = problem_spectrum(prob)
+        p1 = RankSweeper(prob, spec, seed=0).sufficient_rank(lams.lambda_star, "pivoted")
+        p2 = RankSweeper(prob, spec, seed=99).sufficient_rank(lams.lambda_star, "pivoted")
         assert p1 == p2
         assert 1 <= p1 <= 48
 
     def test_sweeper_error_matches_direct_nystrom(self):
         prob = grid_problem(30, SpectrumSpec(1, 3.0), 0.4)
-        sw = RankSweeper(prob, trials=4, seed=5)
+        sw = RankSweeper(prob, problem_spectrum(prob), trials=4, seed=5)
         lam = 1e-2
         # recompute the mean closed-form error from the direct formula for L
         p = 7
@@ -314,6 +353,12 @@ class TestSufficientRank:
             b, v = bias_variance(L, prob.z, prob.sigma2, lam)
             direct.append(b + v)
         assert sw.error("random", p, lam) == pytest.approx(np.mean(direct), rel=1e-8)
+
+    def test_rejects_another_problems_spectrum(self):
+        prob = grid_problem(30, SpectrumSpec(1, 3.0), 0.4)
+        other = problem_spectrum(grid_problem(31, SpectrumSpec(1, 3.0), 0.4))
+        with pytest.raises(ConfigError, match="size 31"):
+            RankSweeper(prob, other)
 
 
 class TestOptimalLambda:
@@ -346,6 +391,13 @@ class TestOptimalLambda:
         with pytest.raises(ConfigError):
             optimal_lambda(problem_spectrum(prob), prob.sigma2, [1e-3, 1e-4])
 
+    @pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_sigma2(self, sigma2):
+        # a NaN sigma2 scored error_star=nan, saturated=True; -1 scored errors below 0
+        prob = grid_problem(16, SpectrumSpec(1, 2.0), 0.1)
+        with pytest.raises(ConfigError, match="sigma2"):
+            optimal_lambda(problem_spectrum(prob), sigma2, default_lambda_grid(prob.mean_diag))
+
 
 class TestFitRate:
     def test_exact_power_law(self):
@@ -371,6 +423,12 @@ class TestFitRate:
         with pytest.raises(ConfigError):
             fit_rate([(10, 1.0), (20, -2.0), (40, 3.0), (80, 4.0)])
 
+    @pytest.mark.parametrize("bad", [(1, math.inf), (math.inf, 1.0), (1, math.nan), (math.nan, 1.0)])
+    def test_rejects_non_finite_pairs(self, bad):
+        # an infinite value gave exponent=nan, r_squared=1.0 and a RuntimeWarning
+        with pytest.raises(ConfigError, match="finite"):
+            fit_rate([bad, (2, 1.0), (3, 1.0), (4, 1.0)])
+
 
 def rel_gap(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
@@ -391,7 +449,7 @@ class TestCirculantSpectrum:
     @pytest.mark.parametrize("beta,delta,n", GRID_CASES)
     def test_matches_dense_reference(self, beta, delta, n):
         prob = grid_problem(n, SpectrumSpec(beta, delta), 0.3)
-        fast = Spectrum.circulant(prob.row0, prob.z)
+        fast = Spectrum.circulant(prob.row0, np.fft.rfft(prob.z))
         dense = Spectrum.dense(prob.K, prob.z)
         lams = prob.mean_diag * np.logspace(-6, 0, 7)
         for lam in np.append(lams, optimal_on_default_grid(prob).lambda_star):
@@ -420,9 +478,12 @@ class TestCirculantSpectrum:
         prob = grid_problem(n, SpectrumSpec(beta, delta), 0.3)
         f = np.fft.fft(prob.z)
         full = Spectrum(
-            np.clip(np.fft.fft(prob.row0).real, 0.0, None), n, coef2=(f.real**2 + f.imag**2) / n
+            np.clip(np.fft.fft(prob.row0).real, 0.0, None),
+            n,
+            coef2=(f.real**2 + f.imag**2) / n,
+            weight=np.ones(n),
         )
-        half = Spectrum.circulant(prob.row0, prob.z)
+        half = Spectrum.circulant(prob.row0, np.fft.rfft(prob.z))
         assert half.eigs.size == n // 2 + 1
         for lam in prob.mean_diag * np.logspace(-6, 0, 7):
             for got, want in zip(half.bias_variance(0.3, lam), full.bias_variance(0.3, lam)):
