@@ -142,6 +142,35 @@ class CVResult:
     ranks: tuple[int, ...]
 
 
+def _fold_errors(X, y, val_idx, spec: KernelSpec, grid, trace_rtol: float):
+    """Held-out mean squared error at each lambda of ``grid``, and the factor's rank, for one fold.
+
+    Everything the fold builds (factor, features, eigenbasis) is freed on
+    return, so the next fold's factor grows with only this one's errors
+    alive, and the p x n factor itself is freed before the held-out features
+    are built.
+    """
+    mask = np.ones(X.shape[0], dtype=bool)
+    mask[val_idx] = False
+    Xtr, ytr = X[mask], y[mask]
+    Xval, yval = X[val_idx], y[val_idx]
+    ntr = Xtr.shape[0]
+    diag = np.ones(ntr)  # gaussian: k(x, x) = 1
+    factor = pivoted_ichol(
+        lambda idx: cross_gram(Xtr[idx], Xtr, spec),
+        diag,
+        max_rank=ntr,
+        trace_tol=trace_rtol * float(np.sum(diag)),
+    )
+    phi = factor.phi
+    s, V, b = ridge_basis(phi.T @ phi, phi.T @ ytr)
+    landmarks, whitener, rank = Xtr[factor.selection.indices], factor.whitener, factor.rank
+    del factor, phi  # prediction needs the landmarks and whitener only: free the p x n factor first
+    val_feats = feature_matrix(spec, landmarks, whitener, Xval) @ V
+    pred = val_feats @ (b[:, None] / (s[:, None] + ntr * grid[None, :]))
+    return np.mean((pred - yval[:, None]) ** 2, axis=0), rank
+
+
 def cross_validate_lambda(
     data: Dataset,
     spec: KernelSpec,
@@ -158,6 +187,9 @@ def cross_validate_lambda(
     eigendecomposition Phi^T Phi = V diag(s) V^T: the reduced ridge weights
     are w = V diag(1 / (s + n lambda)) V^T Phi^T y, so the whole grid costs
     O(p^2 n + p^3) per fold plus O(m p) per lambda for m held-out points.
+    One fold is alive at a time: each fold's factor, features and
+    eigenbasis are freed before the next fold's factor is built, so peak
+    memory is that of the largest fold, not of two.
     """
     if spec.kind != "gaussian":
         raise ConfigError(f"cross-validation needs a Gaussian kernel (got {spec.kind!r})")
@@ -181,25 +213,8 @@ def cross_validate_lambda(
     fold_errs = np.zeros((folds, grid.size))
     ranks = []
     for f, val_idx in enumerate(_fold_slices(n, folds, seed)):
-        mask = np.ones(n, dtype=bool)
-        mask[val_idx] = False
-        Xtr, ytr = X[mask], y[mask]
-        Xval, yval = X[val_idx], y[val_idx]
-        ntr = Xtr.shape[0]
-        diag = np.ones(ntr)  # gaussian: k(x, x) = 1
-        factor = pivoted_ichol(
-            lambda idx: cross_gram(Xtr[idx], Xtr, spec),
-            diag,
-            max_rank=ntr,
-            trace_tol=trace_rtol * float(np.sum(diag)),
-        )
-        ranks.append(factor.rank)
-        phi = factor.phi
-        s, V, b = ridge_basis(phi.T @ phi, phi.T @ ytr)
-        landmarks = Xtr[factor.selection.indices]
-        val_feats = feature_matrix(spec, landmarks, factor.whitener, Xval) @ V
-        pred = val_feats @ (b[:, None] / (s[:, None] + ntr * grid[None, :]))
-        fold_errs[f] = np.mean((pred - yval[:, None]) ** 2, axis=0)
+        fold_errs[f], rank = _fold_errors(X, y, val_idx, spec, grid, trace_rtol)
+        ranks.append(rank)
     errors = fold_errs.mean(axis=0)
     g = int(np.argmin(errors))
     return CVResult(

@@ -3,12 +3,12 @@
 Given an ordered subset I of columns, the approximation is
 L = K(V, I) K(I, I)^+ K(V, I)^T, represented by a factor Phi with
 Phi Phi^T = L. One pivoted Cholesky loop, ``_cholesky_rows``, builds every
-factor from a row oracle ``idx -> K[idx, :]``, updating candidate rows in
-panels so that most of its work is one GEMM per panel: ``pivoted_ichol``
-(greedy pivots; stops at a rank, a trace tolerance or a collapse floor),
-``nested_factor`` (a fixed order, or greedy pivots to the collapse floor),
-whose every prefix is a factor, and ``nystrom`` (the fixed order of a
-selection), so that a factor is its ordered index set:
+factor from a row oracle ``idx -> K[idx, :]``, updating a carried pool of
+candidate rows in panels so that most of its work is a few GEMMs per panel:
+``pivoted_ichol`` (greedy pivots; stops at a rank, a trace tolerance or a
+collapse floor), ``nested_factor`` (a fixed order, or greedy pivots to the
+collapse floor), whose every prefix is a factor, and ``nystrom`` (the fixed
+order of a selection), so that a factor is its ordered index set:
 ``nystrom(K, F.selection)`` is F, bit for bit.
 
 Every factor carries a p x p whitener W = L_I^(-T), where L_I = Phi[I] is
@@ -51,13 +51,13 @@ LANCZOS_MAXITER = 100
 LANCZOS_MIX = 1e-2
 
 # ``_top_eig``: Krylov vectors per restart, and steps between convergence checks.
-LANCZOS_NCV = 60
+LANCZOS_NCV = 120
 LANCZOS_CHECK = 6
 
-# ``_cholesky_rows``: pivots per delayed-update panel, candidate rows
-# evaluated at each panel start, and the initial row reserve.
+# ``_cholesky_rows``: pivots per delayed-update panel, rows in the carried
+# candidate pool, and the initial row reserve.
 PANEL = 32
-CANDIDATES = 40
+CANDIDATES = 64
 RESERVE = 256
 
 
@@ -132,17 +132,21 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None, flo
     Returns (rows, pivots, trail), trail[k] = tr(K - L_{k+1}).
 
     Updates are delayed in panels (LAPACK ``dpstrf``'s scheme, restricted to
-    candidate rows): every ``PANEL`` pivots, the ``min(CANDIDATES, n)``
-    largest residual diagonals become candidates, whose rows are evaluated
-    in one oracle call and updated by all earlier rows in one GEMM. A pivot
-    among them then subtracts only the rows of the current panel; any other
+    candidate rows) over a carried pool of m = min(CANDIDATES, n) rows with
+    stable slots. Every ``PANEL`` pivots the m largest residual diagonals
+    become the candidates: a candidate already in the pool is brought up to
+    date by the rows added since the last panel in one GEMM, and the others
+    take the slots of the rows that left the pool, evaluated in one oracle
+    call and updated by all earlier rows in one GEMM. A pivot among the
+    candidates then subtracts only the rows of the current panel; any other
     pivot is a one-row oracle call and a GEMV over all earlier rows. So at
-    most p + ceil(p / PANEL) * min(CANDIDATES, n) rows are evaluated. The
-    candidates depend on d and k alone, so a fixed order replaying a greedy
-    one does the same arithmetic and rebuilds its rows bit for bit. The
-    zeroed reserve starts at ``RESERVE`` rows, grows in place by a quarter
-    whenever it fills, so that the rows past the rank stay few, and is
-    shrunk in place to the rows used, without a copy.
+    most p + ceil(p / PANEL) * m rows are evaluated, and each row once while
+    it stays a candidate. The pool depends on d, k and the previous pool
+    alone, so a fixed order replaying a greedy one does the same arithmetic
+    and rebuilds its rows bit for bit. The zeroed reserve starts at
+    ``RESERVE`` rows, grows in place by a quarter whenever it fills, so
+    that the rows past the rank stay few, and is shrunk in place to the rows
+    used, without a copy.
     """
     d = np.array(diag, dtype=float, copy=True)
     bad = np.flatnonzero(~np.isfinite(d))
@@ -155,25 +159,42 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None, flo
     rows = np.zeros((min(RESERVE, pmax), n))
     trail = np.empty(pmax)
     pivots: list[int] = []
+    pool = np.empty((m, n))  # pool[i] is row pool_idx[i] of K - L_k0
+    pool_idx = np.full(m, -1)
+    slot = np.full(n, -1)  # slot[j]: the pool slot holding row j, or -1
+    k0 = 0
     for k in range(pmax):
         if k == rows.shape[0]:
             rows.resize((min(k + k // 4, pmax), n), refcheck=False)
         if k % PANEL == 0:
-            k0 = k
             cand = np.argpartition(d, n - m)[n - m :]
-            slot = {int(c): i for i, c in enumerate(cand)}
-            panel = kernel_rows(cand)
-            panel -= rows[:k, cand].T @ rows[:k]
+            held = slot[cand]
+            kept = held[held >= 0]
+            if kept.size:
+                pool[kept] -= rows[k0:k, pool_idx[kept]].T @ rows[k0:k]
+            new = cand[held < 0]
+            if new.size:
+                is_free = np.ones(m, dtype=bool)
+                is_free[kept] = False
+                free = np.flatnonzero(is_free)
+                gone = pool_idx[free]
+                slot[gone[gone >= 0]] = -1
+                pool_idx[free] = new
+                slot[new] = free
+                fresh = kernel_rows(new)
+                fresh -= rows[:k, new].T @ rows[:k]
+                pool[free] = fresh
+            k0 = k
         j = int(np.argmax(d)) if order is None else int(order[k])
         pivot = d[j]
         if pivot > floor:
             row = rows[k]
-            i = slot.get(j)
-            if i is None:
+            i = slot[j]
+            if i < 0:
                 row[:] = kernel_rows(np.array([j]))[0]
                 row -= rows[:k, j] @ rows[:k]
             else:
-                row[:] = panel[i]
+                row[:] = pool[i]
                 row -= rows[k0:k, j] @ rows[k0:k]
             row /= np.sqrt(pivot)
             d -= row * row
@@ -239,7 +260,8 @@ def pivoted_ichol(
     smallest index). The residual diagonal is maintained online, so
     ``trace_residual_trail[k]`` equals tr(K - L_{k+1}) exactly; K itself is
     never materialized (O(p^2 n) time, O(p n) memory). Updates are delayed
-    in panels of ``PANEL`` pivots over ``CANDIDATES`` candidate rows (see
+    in panels of ``PANEL`` pivots over a carried pool of ``CANDIDATES``
+    candidate rows, each evaluated once while it stays in the pool (see
     ``_cholesky_rows``), so a rank-p factor evaluates at most
     p + ceil(p / PANEL) * min(CANDIDATES, n) kernel rows. Phi is the
     transpose of the row-major p x n factor, which holds exactly the p rows

@@ -66,6 +66,14 @@ def _finite(a, what: str) -> np.ndarray:
     return a
 
 
+def _signal(z, n: int) -> np.ndarray:
+    """``z`` as a float vector of n finite entries; DataError otherwise."""
+    z = _finite(z, "signal")
+    if z.shape != (n,):
+        raise DataError(f"the signal needs {n} entries (got shape {z.shape})")
+    return z
+
+
 def _energies(uz: np.ndarray, zz: float, n: int) -> tuple[np.ndarray, float]:
     """(coef2, resid2) of coefficients uz on orthonormal vectors of R^n, for zz = ||z||^2."""
     resid2 = max(float(zz - uz @ uz), 0.0) if uz.size < n else 0.0
@@ -105,9 +113,12 @@ class Spectrum:
 
     @classmethod
     def dense(cls, K, z=None) -> "Spectrum":
-        """Symmetric eigendecomposition of a general PSD K; DataError unless K and z are finite."""
+        """Symmetric eigendecomposition of a general PSD K.
+
+        DataError unless K and z are finite and z has an entry per row of K.
+        """
         s, u = np.linalg.eigh(_finite(K, "kernel matrix"))
-        coef2 = None if z is None else np.square(u.T @ _finite(z, "signal"))
+        coef2 = None if z is None else np.square(u.T @ _signal(z, s.size))
         return cls(np.clip(s, 0.0, None), s.size, coef2, basis=u)
 
     @classmethod
@@ -118,11 +129,16 @@ class Spectrum:
         even n, the Nyquist term r = n/2. ``zhat[r]`` = sum_j z_j
         exp(-2 pi i r j / n) for r = 0..n/2, as ``np.fft.rfft(z)`` gives
         them; the energy on eigenvalue r is weight_r |zhat_r|^2 / n, so that
-        the energies sum to ||z||^2.
+        the energies sum to ||z||^2. DataError unless ``zhat`` has n // 2 + 1
+        entries.
         """
         row0 = np.asarray(row0, dtype=float)
         n = row0.size
         eigs = np.fft.rfft(row0).real
+        if zhat is not None and np.shape(zhat) != eigs.shape:
+            raise DataError(
+                f"zhat needs n // 2 + 1 = {eigs.size} Fourier coefficients (got shape {np.shape(zhat)})"
+            )
         weight = np.full(eigs.size, 2.0)
         weight[0] = 1.0
         if n % 2 == 0:
@@ -134,9 +150,10 @@ class Spectrum:
     def lowrank(cls, phi, z) -> "Spectrum":
         """Thin SVD of Phi: the nonzero spectrum of L = Phi Phi^T in O(n p^2).
 
-        DataError unless Phi and z are finite.
+        DataError unless Phi and z are finite and z has an entry per row of Phi.
         """
-        phi, z = _finite(phi, "factor"), _finite(z, "signal")
+        phi = _finite(phi, "factor")
+        z = _signal(z, phi.shape[0])
         u, s, _ = np.linalg.svd(phi, full_matrices=False)
         return cls(s * s, phi.shape[0], *_energies(u.T @ z, z @ z, phi.shape[0]), basis=u)
 
@@ -150,10 +167,12 @@ class Spectrum:
         ||z||^2 - ||W^T (Q^T z)[:p]||^2, with Q^T z and ||z||^2 formed once.
         A prefix spectrum keeps no eigenvectors, so its ``dof`` raises.
         Returns p -> spectrum; p is capped at the number of columns of Phi,
-        as slicing Phi[:, :p] would. DataError unless z is finite.
+        as slicing Phi[:, :p] would. DataError unless z is finite and has an
+        entry per row of Phi.
         """
-        z = _finite(z, "signal")
-        q, r = np.linalg.qr(np.asarray(phi, dtype=float))
+        phi = np.asarray(phi, dtype=float)
+        z = _signal(z, phi.shape[0])
+        q, r = np.linalg.qr(phi)
         qz, zz, n = q.T @ z, float(z @ z), q.shape[0]
 
         def prefix(p: int) -> Spectrum:

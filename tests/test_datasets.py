@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from nyridge import datasets
 from nyridge.datasets import (
     Dataset,
     _fold_slices,
@@ -194,6 +197,22 @@ class TestCrossValidateLambda:
         assert res.ranks == tuple(ranks)
         assert np.allclose(res.errors, ref.mean(axis=0), rtol=1e-8, atol=0.0)
         assert res.lambda_star == grid[int(np.argmin(ref.mean(axis=0)))]
+
+    def test_one_fold_alive_at_a_time(self, monkeypatch):
+        # each fold's factor is freed before the next fold's factor is built,
+        # so peak memory holds one factor, not two
+        factors = []
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in factors), "an earlier fold's factor is alive"
+            factor = pivoted_ichol(*args, **kwargs)
+            factors.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(datasets, "pivoted_ichol", tracked)
+        data = make_dataset(90, noise=0.2, seed=13)
+        res = cross_validate_lambda(data, KernelSpec.gaussian(1.0), [1e-3, 1e-1], folds=3, seed=5)
+        assert len(factors) == 3 and len(res.ranks) == 3
 
     def test_noiseless_errors_stay_below_target_variance(self):
         # held-out predictions made in the factor's own basis: even the

@@ -407,7 +407,7 @@ class TestSharedCholeskyLoop:
     @pytest.mark.parametrize(
         "kind, n, rank, seed",
         [
-            ("low-rank", 60, 45, 1),
+            ("low-rank", 80, 45, 1),
             ("low-rank", 96, 70, 2),
             ("low-rank", 120, 100, 3),
             ("gaussian", 100, 70, 0),
@@ -416,7 +416,7 @@ class TestSharedCholeskyLoop:
     )
     def test_panels_keep_the_greedy_factor(self, kind, n, rank, seed):
         # n > CANDIDATES and rank > PANEL, so pivots both hit and miss the
-        # candidate rows over several panels; the factor is still the
+        # carried pool over several panels; the factor is still the
         # reference loop's, and a fixed order still replays it bit for bit
         K, max_rank = panel_instance(kind, n, rank, seed)
         diag = materialized_diag(K)
@@ -435,11 +435,36 @@ class TestSharedCholeskyLoop:
         assert pivots == reference_pivot_order(K, p)
         _, reference = reference_greedy_nested(K)
         assert np.max(np.abs(F.phi - reference[:, :p])) <= 1e-12 * np.max(np.abs(reference))
-        m = min(lowrank.CANDIDATES, n)
-        candidates = [set(idx.tolist()) for idx in calls if idx.size == m]
-        hits = [k for k, j in enumerate(pivots) if j in candidates[k // panel]]
+        # replay the pool from the factor's own residual diagonal: after each
+        # panel start it holds the m largest residual diagonals, and only the
+        # rows new to it go to the oracle, in one call, before the misses
+        m = lowrank.CANDIDATES
+        assert n > m
+        d, pool, first_seen = diag.astype(float), set(), {}
+        expected, panel_calls, hits, misses = [], [], [], []
+        for k, j in enumerate(pivots):
+            if k % panel == 0:
+                cand = set(np.argpartition(d, n - m)[n - m :].tolist())
+                if cand - pool:
+                    expected.append(cand - pool)
+                    panel_calls.append(len(cand - pool))
+                first_seen.update((c, k // panel) for c in cand - pool)
+                pool = cand
+            if j in pool:
+                hits.append(k)
+            else:
+                misses.append(k)
+                expected.append({j})
+            d -= F.phi[:, k] ** 2
+            d[j] = 0.0
+            np.clip(d, 0.0, None, out=d)
+        assert [set(idx.tolist()) for idx in calls] == expected
         assert any(k >= panel for k in hits)
-        assert any(idx.size == 1 for idx in calls)
+        assert misses
+        # some pivot's row was evaluated in an earlier panel and carried, and
+        # some panel asked the oracle for fewer than m rows
+        assert any(first_seen[pivots[k]] < k // panel for k in hits)
+        assert panel_calls[0] == m and any(size < m for size in panel_calls)
 
     @pytest.mark.parametrize("seed", [8, 9, 10, 12])
     def test_fixed_order_matches_reference_on_full_rank(self, seed):

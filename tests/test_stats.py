@@ -220,6 +220,28 @@ class TestNonFiniteInputs:
             lowrank_bias_variance(phi, z_bad, 0.5, 0.1)
 
 
+class TestSignalLength:
+    """Each Spectrum constructor refuses a signal that does not fit its n with
+    DataError; each raised a bare numpy ValueError from matmul or a broadcast."""
+
+    def test_dense(self):
+        with pytest.raises(DataError, match="signal needs 4 entries"):
+            Spectrum.dense(np.eye(4), np.ones(3))
+
+    def test_lowrank(self):
+        with pytest.raises(DataError, match="signal needs 4 entries"):
+            Spectrum.lowrank(np.ones((4, 2)), np.ones(3))
+
+    def test_prefixes(self):
+        with pytest.raises(DataError, match="signal needs 5 entries"):
+            Spectrum.prefixes(np.ones((5, 2)), np.ones(6))
+
+    def test_circulant(self):
+        row0 = np.array([2.0, 0.5, 0.1, 0.5])
+        with pytest.raises(DataError, match="zhat needs n // 2 \\+ 1 = 3"):
+            Spectrum.circulant(row0, np.ones(2) + 0j)
+
+
 class TestTheoremRankBound:
     def test_worked_example(self):
         d, delta, n, r2, lam = 10.0, 0.25, 400, math.pi**2 / 3, 1e-3
