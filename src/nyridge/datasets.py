@@ -147,8 +147,8 @@ def _fold_errors(X, y, val_idx, spec: KernelSpec, grid, trace_rtol: float):
 
     Everything the fold builds (factor, features, eigenbasis) is freed on
     return, so the next fold's factor grows with only this one's errors
-    alive, and the p x n factor itself is freed before the held-out features
-    are built.
+    alive, and the p x n factor itself is freed once Phi^T Phi and Phi^T y
+    are formed, before the eigendecomposition and the held-out features.
     """
     mask = np.ones(X.shape[0], dtype=bool)
     mask[val_idx] = False
@@ -163,9 +163,10 @@ def _fold_errors(X, y, val_idx, spec: KernelSpec, grid, trace_rtol: float):
         trace_tol=trace_rtol * float(np.sum(diag)),
     )
     phi = factor.phi
-    s, V, b = ridge_basis(phi.T @ phi, phi.T @ ytr)
+    gram_p, rhs = phi.T @ phi, phi.T @ ytr
     landmarks, whitener, rank = Xtr[factor.selection.indices], factor.whitener, factor.rank
-    del factor, phi  # prediction needs the landmarks and whitener only: free the p x n factor first
+    del factor, phi  # the solve and prediction need none of the p x n factor: free it first
+    s, V, b = ridge_basis(gram_p, rhs)
     val_feats = feature_matrix(spec, landmarks, whitener, Xval) @ V
     pred = val_feats @ (b[:, None] / (s[:, None] + ntr * grid[None, :]))
     return np.mean((pred - yval[:, None]) ** 2, axis=0), rank

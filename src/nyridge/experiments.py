@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import sys
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +43,7 @@ from .synthetic import (
     check_sigma2,
     grid_problem,
     grid_row,
+    residue_tails,
     sigma2_for_snr,
     signal_fourier,
 )
@@ -297,15 +299,26 @@ def run_fig1(cfg: dict):
     return meta, header, rows
 
 
-def _grid_spectrum(spectrum: SpectrumSpec, n: int) -> tuple[float, Spectrum]:
+def _grid_spectrum(spectrum: SpectrumSpec, n: int, cover) -> tuple[float, Spectrum]:
     """tr(K)/n and the half spectrum of the size-n grid problem, with the signal's coefficients.
 
-    The eigenvalues are the real FFT of the assembled floating-point first
-    row; the signal's Fourier coefficients come from its residue fold
-    (:func:`signal_fourier`), so z itself is never formed.
+    ``cover`` is ``(grid_row(beta, N), residue_tails(delta, N))`` for a
+    multiple N of n, whose every (N/n)-th entries are this size's own (see
+    :func:`grid_row` and :func:`_residue_fold`). The eigenvalues are the real
+    FFT of the assembled floating-point first row; the signal's Fourier
+    coefficients come from its residue fold (:func:`signal_fourier`), so z
+    itself is never formed.
     """
-    row0 = grid_row(spectrum.beta, n)
-    return float(row0[0]), Spectrum.circulant(row0, signal_fourier(spectrum.delta, n))
+    row, tails = cover
+    row0 = row[:: row.size // n]
+    return float(row0[0]), Spectrum.circulant(row0, signal_fourier(spectrum.delta, n, tails))
+
+
+def _rate_row(n: int, mean_diag: float, spec: Spectrum, sigma2: float) -> tuple:
+    """One ``rates`` row: n, lambda*, the error at lambda*, d_ave, d_max and whether lambda* saturated."""
+    choice = optimal_lambda(spec, sigma2, default_lambda_grid(mean_diag))
+    d_max, _, d_ave = spec.dof(choice.lambda_star)
+    return (n, choice.lambda_star, choice.error_star, d_ave, d_max, choice.saturated)
 
 
 def run_rate_check(cfg: dict):
@@ -320,24 +333,41 @@ def run_rate_check(cfg: dict):
     scored in tiles. No n x n matrix is built. The noise level is
     calibrated once at the middle n, by Parseval from that size's
     coefficients, and held fixed. Exponent fits drop the ``drop_smallest``
-    smallest sizes; fits are refused when the sweep saturates or sigma^2 = 0.
+    smallest sizes and need 4 distinct sizes; fits are refused when the
+    sweep saturates or sigma^2 = 0.
+
+    The first row and the Hurwitz zeta tails are computed once per cover,
+    the largest size in n_list that a size divides (itself if no larger
+    size is a multiple), and each size reads every (N/n)-th entry of its
+    cover N's arrays. Those slices are the size's own arrays bit for bit:
+    r/n and (r N/n)/N round the same rational to the same float, and the
+    kernel and zeta act elementwise. A cover's arrays live until the last
+    size that reads them, the cover itself, takes them over.
     """
     n_list = sorted(cfg["n_list"])
     if len(n_list) < 5:
         raise ConfigError(f"rates needs at least 5 sizes in n_list (got {n_list!r})")
     spectrum = SpectrumSpec(cfg["beta"], cfg["delta"])
+    sizes = sorted(set(n_list))
+    covers = {n: max(N for N in sizes if N % n == 0) for n in sizes}
+    readers = Counter(covers.values())
+    arrays = {}
+
+    def grid_spectrum(n):
+        N = covers[n]
+        if N not in arrays:
+            arrays[N] = (grid_row(spectrum.beta, N), residue_tails(spectrum.delta, N))
+        readers[N] -= 1
+        return _grid_spectrum(spectrum, n, arrays[N] if readers[N] else arrays.pop(N))
+
     mid = n_list[len(n_list) // 2]
-    mid_spectrum = _grid_spectrum(spectrum, mid)
+    mid_spectrum = grid_spectrum(mid)
     sigma2 = _sigma2(cfg, float(np.sum(mid_spectrum[1].coef2)) / mid)
 
-    rows = []
-    any_saturated = False
-    for n in n_list:
-        mean_diag, spec = mid_spectrum if n == mid else _grid_spectrum(spectrum, n)
-        choice = optimal_lambda(spec, sigma2, default_lambda_grid(mean_diag))
-        d_max, d_trace, d_ave = spec.dof(choice.lambda_star)
-        any_saturated |= choice.saturated
-        rows.append((n, choice.lambda_star, choice.error_star, d_ave, d_max, choice.saturated))
+    # one size's spectrum is alive at a time, beside the middle one's
+    found = {n: _rate_row(n, *(mid_spectrum if n == mid else grid_spectrum(n)), sigma2) for n in sizes}
+    rows = [found[n] for n in n_list]
+    any_saturated = any(r[5] for r in rows)
 
     meta = _base_meta(cfg) + [("sigma2", sigma2)]
     fit_rows = rows[cfg["drop_smallest"] :]
@@ -345,7 +375,7 @@ def run_rate_check(cfg: dict):
         meta.append(("rate_fit", "refused: sigma2 = 0, lambda* pinned at grid minimum"))
     elif any_saturated:
         meta.append(("rate_fit", "refused: lambda* saturated at machine precision"))
-    elif len(fit_rows) < 4:
+    elif len({r[0] for r in fit_rows}) < 4:
         meta.append(("rate_fit", "refused: fewer than 4 sizes after dropping"))
     else:
         lam_fit = fit_rate([(r[0], r[1]) for r in fit_rows])

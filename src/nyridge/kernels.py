@@ -158,9 +158,12 @@ def cross_gram(points_a, points_b, spec: KernelSpec) -> np.ndarray:
     scale = inf if spec.param > 1e154 else 2.0 * spec.param ** 2
     if not 0.0 < scale < inf:
         raise NumericalError(f"bandwidth {spec.param!r} is out of range: 2 bandwidth^2 = {scale!r}")
+    # exp(-sq / scale), each step in sq's own buffer
     sq = _sqdist(pa, pb)
-    with np.errstate(over="ignore"):  # sq / scale -> inf gives exp(-inf) = 0, the exact limit
-        return np.exp(-sq / scale)
+    np.negative(sq, out=sq)
+    with np.errstate(over="ignore"):  # sq / scale -> -inf gives exp(-inf) = 0, the exact limit
+        np.divide(sq, scale, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def gram(points, spec: KernelSpec) -> np.ndarray:

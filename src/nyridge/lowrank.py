@@ -334,23 +334,12 @@ def feature_matrix(spec: KernelSpec, landmarks, whitener: np.ndarray, points) ->
     return kvals @ whitener
 
 
-def approx_error(K, factor, norm: str = "trace") -> float:
-    """Error ||K - Phi Phi^T|| in the trace, operator, or Frobenius norm.
-
-    For the PSD residual of a column approximation the trace norm is simply
-    tr(K - L).
-    """
+def approx_error(K, factor) -> float:
+    """Operator-norm error ||K - Phi Phi^T||_2 from a dense eigendecomposition of the residual."""
     A = np.asarray(K, dtype=float)
     phi = factor.phi if isinstance(factor, LowRankFactor) else np.asarray(factor)
-    if norm == "trace":
-        return float(np.trace(A) - np.sum(phi * phi))
-    resid = A - phi @ phi.T
-    if norm == "operator":
-        ev = np.linalg.eigvalsh(resid)
-        return float(max(ev[-1], -ev[0], 0.0))
-    if norm == "frobenius":
-        return float(np.linalg.norm(resid))
-    raise ConfigError(f"unknown norm {norm!r}")
+    ev = np.linalg.eigvalsh(A - phi @ phi.T)
+    return float(max(ev[-1], -ev[0], 0.0))
 
 
 def _top_eig(matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray):
@@ -433,7 +422,7 @@ def prefix_errors(K, phi, ranks) -> tuple[np.ndarray, np.ndarray]:
         if n > 1 and trace_left[p] > LANCZOS_RTOL * tr:
             top = _top_eig(lambda x: A @ x - phi_p @ (phi_p.T @ x), v0)
         if top is None:
-            op_errs[i] = approx_error(A, phi_p, "operator")
+            op_errs[i] = approx_error(A, phi_p)
         else:
             op_errs[i] = max(top[0], 0.0)
             v0 = top[1] + LANCZOS_MIX * g

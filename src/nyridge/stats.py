@@ -134,7 +134,7 @@ class Spectrum:
         """
         row0 = np.asarray(row0, dtype=float)
         n = row0.size
-        eigs = np.fft.rfft(row0).real
+        eigs = np.clip(np.fft.rfft(row0).real, 0.0, None)  # the complex transform is freed here
         if zhat is not None and np.shape(zhat) != eigs.shape:
             raise DataError(
                 f"zhat needs n // 2 + 1 = {eigs.size} Fourier coefficients (got shape {np.shape(zhat)})"
@@ -144,7 +144,7 @@ class Spectrum:
         if n % 2 == 0:
             weight[-1] = 1.0
         coef2 = None if zhat is None else weight * ((np.real(zhat) ** 2 + np.imag(zhat) ** 2) / n)
-        return cls(np.clip(eigs, 0.0, None), n, coef2, weight=weight)
+        return cls(eigs, n, coef2, weight=weight)
 
     @classmethod
     def lowrank(cls, phi, z) -> "Spectrum":
@@ -566,12 +566,14 @@ class RateFit:
 
 
 def fit_rate(pairs) -> RateFit:
-    """Least-squares slope of log(value) against log(n)."""
+    """Least-squares slope of log(value) against log(n); ConfigError unless n takes 2 distinct values."""
     pts = [(float(a), float(b)) for a, b in pairs]
     if len(pts) < 4:
         raise ConfigError(f"rate fit needs >= 4 pairs, got {len(pts)}")
     if not all(0 < a < math.inf and 0 < v < math.inf for a, v in pts):
         raise ConfigError("rate fit needs finite positive sizes and values")
+    if len({a for a, _ in pts}) < 2:
+        raise ConfigError(f"rate fit needs at least 2 distinct sizes, got only n = {pts[0][0]!r}")
     x = np.log([a for a, _ in pts])
     y = np.log([v for _, v in pts])
     A = np.vstack([x, np.ones_like(x)]).T

@@ -155,7 +155,17 @@ def hurwitz_zeta(s: float, q: np.ndarray) -> np.ndarray:
     )
 
 
-def _residue_fold(s: float, n: int) -> np.ndarray:
+def residue_tails(s: float, n: int) -> np.ndarray:
+    """zeta(s, 1 + r/n) for r = 0..n-1: the Hurwitz zeta tails of the residue classes mod n.
+
+    A divisor of n reads its own tails off these (:func:`_residue_fold`).
+    """
+    if not s > 1.0:
+        raise ConfigError(f"series sum_i i^(-{s:g}) diverges; decay rate too small")
+    return hurwitz_zeta(s, 1.0 + np.arange(n, dtype=float) / n)
+
+
+def _residue_fold(s: float, n: int, tails: np.ndarray | None = None) -> np.ndarray:
     """a_r = sum_{i>=1, i = r (mod n)} i^(-s) for r = 0..n-1, exactly.
 
     s = 2 beta folds the eigenvalues mu_i, s = delta the signal amplitudes
@@ -163,11 +173,17 @@ def _residue_fold(s: float, n: int) -> np.ndarray:
     r^(-s) + n^(-s) zeta(s, 1 + r/n). That tail factor is at most zeta(s), so
     at a large s the product is n^(-s) underflowing to 0, where
     n^(-s) zeta(s, r/n) would be 0 times an overflowing zeta, a NaN.
+
+    ``tails`` is ``residue_tails(s, N)`` of a multiple N = n m of n (by
+    default N = n), read at every m-th entry. That slice is this size's
+    own tails, bit for bit: r / n and (r m) / N are both the correctly
+    rounded quotient of the same rational, exactly as long as r m < 2^53,
+    so 1 + r/n is the same float at both sizes, and zeta acts elementwise.
     """
-    if not s > 1.0:
-        raise ConfigError(f"series sum_i i^(-{s:g}) diverges; decay rate too small")
+    if tails is None:
+        tails = residue_tails(s, n)
     r = np.arange(n, dtype=float)
-    out = n ** (-s) * hurwitz_zeta(s, 1.0 + r / n)
+    out = n ** (-s) * tails[:: tails.size // n]
     out[1:] += r[1:] ** (-s)
     return out
 
@@ -194,14 +210,15 @@ def signal_on_grid(delta: float, n: int) -> np.ndarray:
     return n * np.real(np.fft.ifft(amp))
 
 
-def signal_fourier(delta: float, n: int) -> np.ndarray:
+def signal_fourier(delta: float, n: int, tails: np.ndarray | None = None) -> np.ndarray:
     """Fourier coefficients zhat_r of ``signal_on_grid(delta, n)`` for r = 0..n/2, without forming z.
 
     z is n Re(ifft(2 a)) for the real residue fold a, so its coefficients are
     real: zhat_r = n (a_r + a_{(n-r) mod n}), the identity
-    :func:`eig_circulant` uses for the eigenvalues.
+    :func:`eig_circulant` uses for the eigenvalues. ``tails`` may be
+    ``residue_tails(delta, N)`` of a multiple N of n (:func:`_residue_fold`).
     """
-    a = _residue_fold(delta, n)
+    a = _residue_fold(delta, n, tails)
     r = np.arange(n // 2 + 1)
     return n * (a[r] + a[-r % n])
 
@@ -211,6 +228,11 @@ def grid_row(beta: int, n: int) -> np.ndarray:
 
     The row is mirrored around n/2 so that the circulant K is also exactly
     symmetric (k((n-r)/n) equals k(r/n) only up to an ulp otherwise).
+
+    For n = N / m, ``grid_row(beta, N)[::m]`` is this row bit for bit: the
+    point r/n is the same float as (r m)/N (both correctly round the same
+    rational, exactly as long as r m < 2^53), the kernel acts elementwise,
+    and the mirror index min(r m, N - r m) is m min(r, n - r).
     """
     pts = np.arange(n, dtype=float) / n
     row0 = cross_gram(np.zeros(1), pts, KernelSpec.periodic_poly(beta)).reshape(-1)

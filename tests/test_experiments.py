@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nyridge
-from nyridge import cli
+from nyridge import cli, experiments, synthetic
 from nyridge.datasets import write_dataset_csv
 from nyridge.errors import ConfigError, NumericalError
 from nyridge.experiments import (
@@ -29,8 +29,8 @@ from nyridge.experiments import (
     run_verify_theorem,
     write_csv,
 )
-from nyridge.stats import bias_variance, lemma_deviations, lemma_tail, lowrank_bias_variance
-from nyridge.synthetic import SpectrumSpec, grid_problem
+from nyridge.stats import Spectrum, bias_variance, lemma_deviations, lemma_tail, lowrank_bias_variance
+from nyridge.synthetic import SpectrumSpec, grid_problem, grid_row, signal_fourier
 
 
 def rows_by(header, rows, **filters):
@@ -419,6 +419,59 @@ class TestRates:
         with pytest.raises(ConfigError):
             run_rate_check(resolve_config("rates", None, {"n_list": [16, 32, 64]}))
 
+    @pytest.mark.parametrize(
+        "n_list,fitted",
+        [([64] * 5, False), ([32, 64, 64, 128, 128], False), ([32, 64, 64, 128, 256], True)],
+    )
+    def test_fit_counts_distinct_sizes(self, n_list, fitted):
+        # five rows at n = 64 once wrote lambda_exponent=-1.03 with r2 = 1.0
+        cfg = resolve_config("rates", None, {"n_list": n_list, "drop_smallest": 0})
+        meta, _, rows = run_rate_check(cfg)
+        md = dict(meta)
+        assert [r[0] for r in rows] == n_list
+        assert ("lambda_exponent" in md) == fitted
+        if not fitted:
+            assert md["rate_fit"] == "refused: fewer than 4 sizes after dropping"
+        # a repeated size writes the same row each time
+        assert rows[1] == rows[2]
+
+    def test_sizes_read_their_covers(self, monkeypatch):
+        # 1, 4, 12 and 24 divide the largest size 48, 10 divides 30 and 30
+        # divides no larger size: every half spectrum handed out is that
+        # size's own, computed alone, bit for bit
+        cfg = resolve_config("rates", None, {"n_list": [1, 4, 10, 12, 24, 30, 48], "beta": 2, "delta": 3.5})
+        got = {}
+        grid_spectrum = experiments._grid_spectrum
+
+        def record(spectrum, n, cover):
+            got[n] = grid_spectrum(spectrum, n, cover)
+            assert cover[0].size == {10: 30, 30: 30}.get(n, 48)
+            return got[n]
+
+        monkeypatch.setattr(experiments, "_grid_spectrum", record)
+        run_rate_check(cfg)
+        assert sorted(got) == [1, 4, 10, 12, 24, 30, 48]
+        for n, (mean_diag, spec) in got.items():
+            row = grid_row(2, n)
+            alone = Spectrum.circulant(row, signal_fourier(3.5, n))
+            assert mean_diag == row[0]
+            for name in ("eigs", "coef2", "weight"):
+                assert np.array_equal(getattr(spec, name), getattr(alone, name)), (n, name)
+
+    def test_zeta_once_per_cover(self, monkeypatch):
+        # 64..512 all divide 1024, so only the 1024 arguments of the largest
+        # size are ever evaluated (1984 with one evaluation per size)
+        counted = []
+        zeta = synthetic.hurwitz_zeta
+
+        def count(s, q):
+            counted.append(np.size(q))
+            return zeta(s, q)
+
+        monkeypatch.setattr(synthetic, "hurwitz_zeta", count)
+        run_rate_check(resolve_config("rates", None, {"n_list": [64, 128, 256, 512, 1024]}))
+        assert counted == [1024]
+
     def test_huge_delta_writes_a_finite_csv(self, tmp_path, monkeypatch):
         # z = 2 cos(2 pi x) there; the fold once took a NaN from scipy's zeta
         # and the command exited 3 with "err_star is not finite"
@@ -662,6 +715,14 @@ class TestCli:
         row = body[-1].split(",")
         got = dict(zip(header, row))
         assert abs(float(got["exponent"]) + 0.5) <= 1e-10
+
+    def test_fit_refuses_one_repeated_size(self, tmp_path):
+        table = tmp_path / "vals.csv"
+        table.write_text("n,value\n" + "".join(f"64,{v}\n" for v in (1.0, 1.1, 1.3, 1.2)))
+        res = self.run_cli("fit", "--input", str(table), "--out", "fit.csv", cwd=tmp_path)
+        assert res.returncode == 2
+        assert "config error: rate fit needs at least 2 distinct sizes" in res.stderr
+        assert not (tmp_path / "fit.csv").exists()
 
     def test_fit_reads_rates_output(self, tmp_path):
         res = self.run_cli("rates", "--n-list", "16,32,64,128,256", "--out", "r.csv", cwd=tmp_path)

@@ -522,8 +522,9 @@ class TestPrefixSweeps:
         for phi in factors:
             tr_errs, op_errs = prefix_errors(K, phi, ranks)
             for p, tr_err, op_err in zip(ranks, tr_errs, op_errs):
-                want_tr = approx_error(K, phi[:, :p], "trace")
-                want_op = approx_error(K, phi[:, :p], "operator")
+                resid = K - phi[:, :p] @ phi[:, :p].T
+                want_tr = np.trace(resid)
+                want_op = np.linalg.norm(resid, 2)
                 assert abs(tr_err - want_tr) <= 1e-12 * tr
                 if want_tr > 1e-10 * tr:
                     assert abs(op_err - want_op) <= 1e-10 * want_op
@@ -609,17 +610,17 @@ class TestTopEig:
         phi = nested_factor(K, np.random.default_rng(7).permutation(120))
         ranks = [1, 5, 20, 40]
         want = prefix_errors(K, phi, ranks)
-        norms = []
+        calls = []
 
-        def dense(A, factor, norm="trace"):
-            norms.append(norm)
-            return approx_error(A, factor, norm)
+        def dense(A, factor):
+            calls.append(factor.shape[1])
+            return approx_error(A, factor)
 
         monkeypatch.setattr(lowrank, "approx_error", dense)
         monkeypatch.setattr(lowrank, "LANCZOS_MAXITER", 1)
         monkeypatch.setattr(lowrank, "LANCZOS_NCV", 2)
         got = prefix_errors(K, phi, ranks)
-        assert norms == ["operator"] * len(ranks)
+        assert calls == ranks
         assert np.array_equal(got[0], want[0])
         assert np.allclose(got[1], want[1], rtol=1e-12, atol=0.0)
 
@@ -696,25 +697,23 @@ class TestApproxError:
     def test_exact_factor_zero_error(self):
         K = random_psd(15, 20, cond_floor=1e-3)
         F = nystrom(K, sample_columns(15, 15, 0))
-        for norm in ("trace", "operator", "frobenius"):
-            assert abs(approx_error(K, F, norm)) <= 1e-8 * np.trace(K)
+        assert approx_error(K, F) <= 1e-8 * np.trace(K)
 
-    def test_trace_error_equals_trail(self):
+    def test_trail_ends_at_the_trace_error(self):
         K = random_psd(30, 21)
         F = pivoted_ichol(make_column_oracle(K), materialized_diag(K), max_rank=8)
-        assert approx_error(K, F, "trace") == pytest.approx(
+        assert np.trace(K - F.phi @ F.phi.T) == pytest.approx(
             F.trace_residual_trail[-1], abs=1e-8 * np.trace(K)
         )
 
-    def test_operator_below_trace(self):
+    def test_spectral_norm_of_the_residual(self):
+        # the residual is PSD, so its operator norm is at most its trace
         K = random_psd(20, 22)
         F = nystrom(K, sample_columns(20, 5, 1))
-        assert approx_error(K, F, "operator") <= approx_error(K, F, "trace") + 1e-12
-
-    def test_unknown_norm(self):
-        K = random_psd(5, 23)
-        with pytest.raises(ConfigError):
-            approx_error(K, nystrom(K, sample_columns(5, 2, 0)), "nuclear")
+        resid = K - F.phi @ F.phi.T
+        assert approx_error(K, F) == pytest.approx(np.linalg.norm(resid, 2), rel=1e-12)
+        assert approx_error(K, F.phi) == approx_error(K, F)
+        assert approx_error(K, F) <= np.trace(resid) + 1e-12
 
 
 def test_factor_save_load_round_trip(tmp_path):

@@ -445,6 +445,13 @@ class TestFitRate:
         with pytest.raises(ConfigError):
             fit_rate([(10, 1.0), (20, -2.0), (40, 3.0), (80, 4.0)])
 
+    def test_needs_two_distinct_sizes(self):
+        # four points at one n once gave a slope out of rounding alone
+        with pytest.raises(ConfigError, match="2 distinct sizes"):
+            fit_rate([(64, v) for v in (1.0, 2.0, 3.0, 4.0)])
+        fit = fit_rate([(64, 1.0), (64, 1.0), (128, 0.5), (128, 0.5)])
+        assert fit.exponent == pytest.approx(-1.0, abs=1e-12)
+
     @pytest.mark.parametrize("bad", [(1, math.inf), (math.inf, 1.0), (1, math.nan), (math.nan, 1.0)])
     def test_rejects_non_finite_pairs(self, bad):
         # an infinite value gave exponent=nan, r_squared=1.0 and a RuntimeWarning
@@ -529,7 +536,7 @@ class TestCirculantSpectrum:
         # on the grid: neither the half spectrum nor the fold coefficients
         built = []
 
-        def dense_spectrum(spectrum, n):
+        def dense_spectrum(spectrum, n, cover):
             prob = grid_problem(n, spectrum, 0.0)
             built.append(n)
             return prob.mean_diag, Spectrum.dense(circulant(prob.row0), prob.z)

@@ -13,7 +13,9 @@ from nyridge.synthetic import (
     draw_noise,
     eig_circulant,
     grid_problem,
+    grid_row,
     hurwitz_zeta,
+    residue_tails,
     signal_fourier,
     signal_on_grid,
     sigma2_for_snr,
@@ -235,6 +237,25 @@ class TestHurwitzZeta:
         # term past q = 1 underflows to 0
         for s in (1e20, 1e300):
             assert np.array_equal(hurwitz_zeta(s, fold_grid(8)), [1.0] + [0.0] * 7)
+
+
+class TestStridedSlices:
+    """A size n reads its zeta tails and first row off any multiple N = n m, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        s=st.floats(1.0, 400.0, exclude_min=True),
+        beta=st.sampled_from([1, 2, 3, 4, 8]),
+        n=st.integers(1, 700),
+        m=st.integers(1, 40),
+    )
+    def test_slices_of_a_multiple_are_the_size_itself(self, s, beta, n, m):
+        assert np.array_equal(residue_tails(s, n * m)[::m], hurwitz_zeta(s, fold_grid(n)))
+        assert np.array_equal(grid_row(beta, n * m)[::m], grid_row(beta, n))
+
+    def test_divergent_tails_rejected(self):
+        with pytest.raises(ConfigError, match="diverges"):
+            residue_tails(1.0, 8)
 
 
 class TestDrawNoise:
