@@ -2,8 +2,9 @@
 
 One subcommand per experiment in ``experiments.CONFIG``, with one flag per
 config key. Configuration precedence is CLI flags > --config JSON file >
-built-in defaults. Exit codes: 0 success, 2 configuration error,
-3 numerical failure (running out of memory included).
+built-in defaults. Exit codes: 0 success, 2 configuration error (an
+unreadable input or an unwritable ``--out`` included), 3 numerical failure
+(running out of memory included).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def main(argv=None) -> int:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
                     file_cfg = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot load config {args.config}: {exc}") from exc
         overrides = {
             name: _value(key, getattr(args, name))
@@ -82,7 +83,10 @@ def main(argv=None) -> int:
         }
         cfg = resolve_config(cmd, file_cfg, overrides)
         meta, header, rows = run_experiment(cfg)
-        write_csv(args.out, meta, header, rows)
+        try:
+            write_csv(args.out, meta, header, rows)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

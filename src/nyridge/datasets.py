@@ -60,16 +60,17 @@ def load_dataset(
     target centered; zero-variance feature columns are dropped with a
     warning. Row order is the file order. Parse failures, missing values,
     and non-numeric cells (non-finite ones such as ``inf`` or ``1e999``
-    included) raise distinct error types.
+    included) raise distinct error types; a file that cannot be read, is not
+    UTF-8 or has a cell over the ``csv`` field limit raises ParseError.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             kept = [(no, line) for no, line in enumerate(fh, 1) if not csvio.is_comment(line)]
-    except OSError as exc:
+        # (line number in the file, cells) of each non-blank row
+        reader = csv.reader(line for _, line in kept)
+        rows = [(kept[reader.line_num - 1][0], row) for row in reader if any(c.strip() for c in row)]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    # (line number in the file, cells) of each non-blank row
-    reader = csv.reader(line for _, line in kept)
-    rows = [(kept[reader.line_num - 1][0], row) for row in reader if any(c.strip() for c in row)]
     if len(rows) < 2:
         raise ParseError(f"{path}: need a header row plus data rows")
     header = [h.strip() for h in rows[0][1]]

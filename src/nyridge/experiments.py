@@ -256,8 +256,9 @@ def run_fig1(cfg: dict):
     a prefix of one nested Cholesky factor per draw, so each factor gets one
     thin QR (:meth:`Spectrum.prefixes`, then a p x p ``eigh`` per rank) and
     one pass of :func:`prefix_errors` (running trace error, warm-started
-    Lanczos operator norm); an n x n residual is formed only where the
-    dense operator norm is the fallback.
+    Lanczos operator norm, at most n matvecs a rank); an n x n residual is
+    formed only at ranks whose trace error is rounding, at most
+    ``LANCZOS_RTOL`` tr K, which on a full random-order factor is p = n.
     """
     prob, spec = _synthetic_problem(cfg)
     lam = cfg.get("lam")

@@ -44,14 +44,12 @@ PINV_RTOL = 1e-12
 BREAKDOWN_RTOL = 1e-10
 
 # ``prefix_errors``: relative trace error at or below which the operator norm
-# comes from a dense eigendecomposition instead of Lanczos, the restart budget
-# before that fallback, and the weight of the fixed vector in a warm start.
+# comes from a dense eigendecomposition instead of Lanczos, and the weight of
+# the fixed vector in a warm start. ``_top_eig``: Lanczos steps between
+# convergence checks; its Krylov space grows until the check passes, with no
+# restart and no cap below n.
 LANCZOS_RTOL = 1e-10
-LANCZOS_MAXITER = 100
 LANCZOS_MIX = 1e-2
-
-# ``_top_eig``: Krylov vectors per restart, and steps between convergence checks.
-LANCZOS_NCV = 120
 LANCZOS_CHECK = 6
 
 # ``_cholesky_rows``: pivots per delayed-update panel, rows in the carried
@@ -343,47 +341,41 @@ def approx_error(K, factor) -> float:
 
 
 def _top_eig(matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray):
-    """Largest eigenvalue and a unit eigenvector of a symmetric operator, or None.
+    """Largest eigenvalue and a unit eigenvector of a symmetric operator.
 
     Lanczos from ``v0`` with full reorthogonalization (two Gram-Schmidt
-    passes per step) on a Krylov space of at most ``LANCZOS_NCV`` vectors.
-    Every ``LANCZOS_CHECK`` steps, and when the space is full, the top Ritz
-    pair (theta, V s) of the tridiagonal T is accepted once its residual
+    passes per step) on a Krylov space that grows until it converges, at
+    most n vectors. Every ``LANCZOS_CHECK`` steps the top Ritz pair
+    (theta, V s) of the tridiagonal T is accepted once its residual
     |beta s_k| is at most eps max(theta, eps^(2/3)), ARPACK's test at full
-    precision; a space that fills all n dimensions or stops growing
-    (beta = 0) is exact. Otherwise Lanczos restarts from the top Ritz
-    vector, at most ``LANCZOS_MAXITER`` times, and then gives up with None.
+    precision; a space that stops growing (beta = 0) or fills all n
+    dimensions is exact, so every call returns (theta, V s), after at most
+    n matvecs. The basis is reserved as n x n, and only its used rows are
+    touched.
     """
     n = v0.shape[0]
-    ncv = min(LANCZOS_NCV, n)
     eps = np.finfo(float).eps
-    basis = np.empty((ncv, n))
-    alpha, beta = np.empty(ncv), np.empty(ncv)
-    v = v0 / math.sqrt(v0 @ v0)
-    for _ in range(LANCZOS_MAXITER):
-        basis[0] = v
-        for j in range(ncv):
-            m = j + 1
-            V = basis[:m]
-            w = matvec(basis[j])
-            h = V @ w
-            w -= h @ V
-            h2 = V @ w
-            w -= h2 @ V
-            alpha[j] = h[j] + h2[j]
-            beta[j] = math.sqrt(w @ w)
-            if m % LANCZOS_CHECK == 0 or m == ncv or beta[j] == 0.0:
-                T = np.zeros((m, m))  # eigh reads the lower triangle only
-                T.flat[:: m + 1] = alpha[:m]
-                T.flat[m :: m + 1] = beta[: m - 1]
-                theta, S = np.linalg.eigh(T)
-                top = S[:, -1] @ V
-                if m == n or abs(beta[j] * S[-1, -1]) <= eps * max(theta[-1], eps ** (2 / 3)):
-                    return float(theta[-1]), top
-            if m < ncv:
-                np.divide(w, beta[j], out=basis[m])
-        v = top / math.sqrt(top @ top)
-    return None
+    basis = np.empty((n, n))
+    alpha, beta = np.empty(n), np.empty(n)
+    basis[0] = v0 / math.sqrt(v0 @ v0)
+    for j in range(n):
+        m = j + 1
+        V = basis[:m]
+        w = matvec(basis[j])
+        h = V @ w
+        w -= h @ V
+        h2 = V @ w
+        w -= h2 @ V
+        alpha[j] = h[j] + h2[j]
+        beta[j] = math.sqrt(w @ w)
+        if m % LANCZOS_CHECK == 0 or m == n or beta[j] == 0.0:
+            T = np.zeros((m, m))  # eigh reads the lower triangle only
+            T.flat[:: m + 1] = alpha[:m]
+            T.flat[m :: m + 1] = beta[: m - 1]
+            theta, S = np.linalg.eigh(T)
+            if m == n or abs(beta[j] * S[-1, -1]) <= eps * max(theta[-1], eps ** (2 / 3)):
+                return float(theta[-1]), S[:, -1] @ V
+        np.divide(w, beta[j], out=basis[m])
 
 
 def prefix_errors(K, phi, ranks) -> tuple[np.ndarray, np.ndarray]:
@@ -392,16 +384,16 @@ def prefix_errors(K, phi, ranks) -> tuple[np.ndarray, np.ndarray]:
     One pass serves every prefix of a nested factor. The trace error is
     tr K minus the running sum of squared column norms. The operator error
     is the top eigenvalue of the PSD residual, found by Lanczos
-    (:func:`_top_eig`, full precision) on x -> K x - Phi_p (Phi_p^T x). The
-    first rank starts from a fixed unit vector g, each later rank from the
-    previous rank's top eigenvector plus ``LANCZOS_MIX * g``, which keeps a
-    component along every eigenvector: a pure warm start can be nearly
-    orthogonal to the new top eigenvector, and Lanczos then settles on a
-    lower one. g comes from a fixed seed, so reruns are identical. Where the
-    trace error is at most ``LANCZOS_RTOL * tr K`` (it bounds the operator
-    error), or Lanczos does not converge in ``LANCZOS_MAXITER`` restarts, the
-    dense :func:`approx_error` is used instead. Ranks above the number of
-    columns are capped, as slicing phi[:, :p] would.
+    (:func:`_top_eig`, full precision, at most n matvecs) on
+    x -> K x - Phi_p (Phi_p^T x). The first rank starts from a fixed unit
+    vector g, each later rank from the previous rank's top eigenvector plus
+    ``LANCZOS_MIX * g``, which keeps a component along every eigenvector: a
+    pure warm start can be nearly orthogonal to the new top eigenvector, and
+    Lanczos then settles on a lower one. g comes from a fixed seed, so
+    reruns are identical. Only where the trace error is at most
+    ``LANCZOS_RTOL * tr K`` (it bounds the operator error, so the residual
+    is rounding) is the dense :func:`approx_error` used instead. Ranks above
+    the number of columns are capped, as slicing phi[:, :p] would.
     """
     A = np.asarray(K, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -418,14 +410,12 @@ def prefix_errors(K, phi, ranks) -> tuple[np.ndarray, np.ndarray]:
             op_errs[i] = op_errs[i - 1]
             continue
         phi_p = phi[:, :p]
-        top = None
-        if n > 1 and trace_left[p] > LANCZOS_RTOL * tr:
-            top = _top_eig(lambda x: A @ x - phi_p @ (phi_p.T @ x), v0)
-        if top is None:
-            op_errs[i] = approx_error(A, phi_p)
+        if trace_left[p] > LANCZOS_RTOL * tr:
+            theta, top = _top_eig(lambda x: A @ x - phi_p @ (phi_p.T @ x), v0)
+            op_errs[i] = max(theta, 0.0)
+            v0 = top + LANCZOS_MIX * g
         else:
-            op_errs[i] = max(top[0], 0.0)
-            v0 = top[1] + LANCZOS_MIX * g
+            op_errs[i] = approx_error(A, phi_p)
     return trace_left[caps], op_errs
 
 

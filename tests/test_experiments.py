@@ -198,6 +198,43 @@ class TestConfigTable:
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["rates", "--config", "bad.json"], "cannot load config bad.json: "),
+            (["rates", "--config", "deep.json"], "cannot load config deep.json: maximum recursion"),
+            (["cv", "--input", "bad.csv"], "cannot read bad.csv: "),
+            (["fit", "--input", "bad.csv"], "cannot read bad.csv: "),
+            (["cv", "--input", "big.csv"], "cannot read big.csv: field larger than field limit"),
+        ],
+    )
+    def test_unreadable_input_exits_2_without_csv(self, argv, message, tmp_path, monkeypatch, capsys):
+        # a byte that is not UTF-8, JSON nested past the recursion limit and
+        # a cell over the csv field limit used to end in a traceback, exit 1
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_bytes(b'\xff{"n_list": [16, 32, 64, 128]}')
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        rows = "n,value\n" + "".join(f"{2 ** k},{0.5 ** k}\n" for k in range(4, 14))
+        (tmp_path / "bad.csv").write_bytes(rows.encode() + b"\xff,1\n")
+        cell = '"' + "1" * 200_000 + '"'
+        (tmp_path / "big.csv").write_text(f"x0,target\n{cell},1\n" + "1,2\n" * 20)
+        assert cli.main([*argv, "--out", "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "taken"])
+    def test_unwritable_out_exits_2(self, out, tmp_path, monkeypatch, capsys):
+        # a missing directory or a directory in place of the file used to
+        # end in a traceback with exit 1
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        assert cli.main(["rates", "--n-list", "16,24,32,48,64", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}: ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert not any((tmp_path / "taken").iterdir())
+
     def test_hash_does_not_depend_on_where_a_value_came_from(self, tmp_path, monkeypatch):
         # an int for a float key is stored as a float, so --delta 8 and a
         # file's "delta": 8 record the same config

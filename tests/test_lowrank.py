@@ -212,6 +212,20 @@ class TestPivotedIchol:
         with pytest.raises(NumericalError):
             pivoted_ichol(make_column_oracle(K), np.array([1.0, 1.0]), max_rank=2)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_collapse_floor_scales_with_the_diagonal(self, scale):
+        # the floor is PINV_RTOL * max(diag): a rank-5 K keeps rank 5 and the
+        # same pivots at any scale, where a floor that ignored the scale
+        # (or divided by it) would stop early or pivot on rounding
+        B = np.random.default_rng(0).normal(size=(40, 5))
+        K = B @ B.T
+        want = pivoted_ichol(make_column_oracle(K), materialized_diag(K), max_rank=40)
+        assert want.rank == 5
+        F = pivoted_ichol(make_column_oracle(scale * K), materialized_diag(scale * K), max_rank=40)
+        assert F.rank == 5
+        assert np.array_equal(F.selection.indices, want.selection.indices)
+        assert nested_factor(scale * K, None).shape == (40, 5)
+
     def test_tie_break_smallest_index(self):
         K = np.eye(5)
         F = pivoted_ichol(make_column_oracle(K), np.ones(5), max_rank=3)
@@ -591,7 +605,7 @@ class TestTriangularInverse:
 class TestTopEig:
     @FACTOR_SETTINGS
     @given(n=st.integers(2, 160), p=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
-    @example(n=150, p=3, seed=5)  # past the Krylov limit, so Lanczos restarts
+    @example(n=150, p=3, seed=5)  # n past the old 120-vector space
     def test_matches_dense_on_psd_residuals(self, n, p, seed):
         K = random_psd(n, seed)
         phi = nested_factor(K, np.random.default_rng(seed).permutation(n)[: min(p, n)])
@@ -603,13 +617,33 @@ class TestTopEig:
         assert abs(theta - want) <= 1e-12 * want
         assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
 
-    def test_restart_cap_takes_the_dense_path(self, monkeypatch):
-        # two Krylov vectors and no restart never reach full precision, so
-        # every rank falls back to the dense operator norm
-        K = random_psd(120, 7)
-        phi = nested_factor(K, np.random.default_rng(7).permutation(120))
-        ranks = [1, 5, 20, 40]
-        want = prefix_errors(K, phi, ranks)
+    def test_space_grows_past_120_vectors_within_n_matvecs(self):
+        # evenly spaced eigenvalues leave the top one a relative gap of
+        # 1 / (n - 1): full precision needs more Krylov vectors than the
+        # 120 of a restarted space, and never more than n
+        n = 300
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        R = (q * np.linspace(0.0, 1.0, n)) @ q.T
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            return R @ x
+
+        theta, vec = _top_eig(matvec, rng.normal(size=n))
+        want = np.linalg.eigvalsh(R)[-1]
+        assert 120 < len(calls) <= n
+        assert abs(theta - want) <= 1e-12 * want
+        assert np.linalg.norm(R @ vec - theta * vec) <= 1e-12 * want
+
+    def test_dense_path_only_where_the_trace_is_rounding(self, monkeypatch):
+        # every rank whose trace error is above LANCZOS_RTOL * tr K gets
+        # Lanczos; on a full random-order factor only p = n is below it
+        n = 60
+        K = random_psd(n, 7)
+        phi = nested_factor(K, np.random.default_rng(7).permutation(n))
+        ranks = list(range(1, n + 1))
         calls = []
 
         def dense(A, factor):
@@ -617,12 +651,9 @@ class TestTopEig:
             return approx_error(A, factor)
 
         monkeypatch.setattr(lowrank, "approx_error", dense)
-        monkeypatch.setattr(lowrank, "LANCZOS_MAXITER", 1)
-        monkeypatch.setattr(lowrank, "LANCZOS_NCV", 2)
-        got = prefix_errors(K, phi, ranks)
-        assert calls == ranks
-        assert np.array_equal(got[0], want[0])
-        assert np.allclose(got[1], want[1], rtol=1e-12, atol=0.0)
+        tr_errs, _ = prefix_errors(K, phi, ranks)
+        small = [p for p, e in zip(ranks, tr_errs) if e <= lowrank.LANCZOS_RTOL * np.trace(K)]
+        assert calls == small == [n]
 
 
 class TestNestedFactor:
