@@ -117,16 +117,16 @@ def sample_columns(n: int, p: int, seed) -> ColumnSelection:
     return ColumnSelection(indices=idx, method="uniform-random", n=n)
 
 
-def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None, floor=0.0):
+def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
     """Pivoted Cholesky, row-major p x n: row k of the result is column k of Phi.
 
     ``kernel_rows(idx)`` returns K[idx, :], shape (len(idx), n), for a 1-D
     array of distinct indices. Pivot rule: greedy (``order`` None: the
     argmax of the online residual diagonal d, ties to the smallest index) or
     the fixed ``order``. Stop rule: ``pmax`` rows, sum(d) <= ``trace_tol``,
-    or (greedy) max(d) <= ``floor``; under a fixed order a pivot with d[j] <=
-    ``floor`` leaves its row zero. A greedy residual below -BREAKDOWN_RTOL *
-    max(diag) raises NumericalError, a non-finite diagonal DataError.
+    or (greedy) max(d) <= floor = PINV_RTOL * max(diag); under a fixed order
+    a pivot with d[j] <= floor leaves its row zero. A greedy residual below
+    -BREAKDOWN_RTOL * max(diag) raises NumericalError, a non-finite diagonal DataError.
     Returns (rows, pivots, trail), trail[k] = tr(K - L_{k+1}).
 
     Updates are delayed in panels (LAPACK ``dpstrf``'s scheme, restricted to
@@ -153,7 +153,8 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None, flo
         raise DataError(f"kernel diagonal entry {j} is {float(d[j])!r}; a Cholesky factor needs it finite")
     n = d.shape[0]
     m = min(CANDIDATES, n)
-    breakdown = -BREAKDOWN_RTOL * float(np.max(d))
+    top = float(np.max(d))
+    floor, breakdown = PINV_RTOL * top, -BREAKDOWN_RTOL * top
     rows = np.zeros((min(RESERVE, pmax), n))
     trail = np.empty(pmax)
     pivots: list[int] = []
@@ -269,8 +270,8 @@ def pivoted_ichol(
 
     Stops after ``max_rank`` pivots, once the trace residual drops to
     ``trace_tol`` (at least one of the two must be given), or once the
-    largest residual diagonal collapses to ``PINV_RTOL * max(diag)``, where
-    rounding would dominate further pivots (K has numerical rank k then).
+    largest residual diagonal collapses to the floor of ``_cholesky_rows``,
+    where rounding would dominate further pivots (K has numerical rank k then).
     """
     n = len(diag)
     if max_rank is None and trace_tol is None:
@@ -278,9 +279,7 @@ def pivoted_ichol(
     pmax = n if max_rank is None else min(int(max_rank), n)
     if pmax < 1:
         raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
-    rows, pivots, trail = _cholesky_rows(
-        kernel_rows, diag, pmax, trace_tol=trace_tol, floor=PINV_RTOL * float(np.max(diag))
-    )
+    rows, pivots, trail = _cholesky_rows(kernel_rows, diag, pmax, trace_tol=trace_tol)
     if not pivots:
         raise NumericalError("pivoted Cholesky made no progress (zero diagonal)")
     return LowRankFactor(
@@ -297,7 +296,7 @@ def nested_factor(K, order: Sequence[int] | None) -> np.ndarray:
     Column k of the result depends only on the first k+1 pivots, so every
     prefix phi[:, :p] is itself a factor of the column approximation built
     from them. With a fixed ``order``, columns whose residual diagonal has
-    collapsed below ``PINV_RTOL * max(diag)`` are left at zero (the
+    collapsed to the floor of ``_cholesky_rows`` are left at zero (the
     pseudo-inverse drops them too, so every prefix is the column
     approximation of its index set). With ``order`` None the pivots are
     greedy, as in ``pivoted_ichol``, and the factor ends where the largest
@@ -306,15 +305,14 @@ def nested_factor(K, order: Sequence[int] | None) -> np.ndarray:
     A = np.asarray(K, dtype=float)
     diag = np.diag(A)
     pmax = A.shape[0] if order is None else len(order)
-    floor = PINV_RTOL * float(np.max(diag))
-    return _cholesky_rows(make_column_oracle(A), diag, pmax, order=order, floor=floor)[0].T
+    return _cholesky_rows(make_column_oracle(A), diag, pmax, order=order)[0].T
 
 
 def nystrom(K, selection: ColumnSelection) -> LowRankFactor:
     """Column approximation L = K(V, I) K(I, I)^+ K(I, V) as a factor.
 
     The fixed-order :func:`nested_factor` on ``selection.indices`` and its
-    whitener; a pivot collapsed to ``PINV_RTOL * max(diag)`` gives a zero
+    whitener; a pivot collapsed to the floor of ``_cholesky_rows`` gives a zero
     column. Cost O(p^2 n) given the p columns.
     """
     phi = nested_factor(K, selection.indices)

@@ -433,26 +433,20 @@ class RankSweeper:
         self.spectrum = spectrum
         self.trials = trials
         self.seed = seed
-        self._perm_factors: list[np.ndarray] | None = None
-        self._pivoted: np.ndarray | None = None
+        self._factors: dict[str, list[np.ndarray]] = {}
         self._prefixes: dict = {}
         self._spectra: dict = {}
 
     def factors(self, method: str) -> list[np.ndarray]:
-        A = self.problem.K
-        n = self.problem.n
-        if method == "random":
-            if self._perm_factors is None:
-                self._perm_factors = [
-                    nested_factor(A, _rng_for(self.seed, t).permutation(n))
-                    for t in range(self.trials)
-                ]
-            return self._perm_factors
-        if method == "pivoted":
-            if self._pivoted is None:
-                self._pivoted = nested_factor(A, None)
-            return [self._pivoted]
-        raise ConfigError(f"unknown method {method!r}")
+        if method not in ("random", "pivoted"):
+            raise ConfigError(f"unknown method {method!r}")
+        if method not in self._factors:
+            if method == "random":
+                orders = (_rng_for(self.seed, t).permutation(self.problem.n) for t in range(self.trials))
+            else:
+                orders = [None]
+            self._factors[method] = [nested_factor(self.problem.K, order) for order in orders]
+        return self._factors[method]
 
     def _spectrum(self, method: str, t: int, p: int) -> Spectrum:
         key = (method, t, p)
@@ -499,8 +493,6 @@ class RankSweeper:
         p = min(p, n)
         if not ok(p):
             return n
-        if p == 1:
-            return 1
         lo, hi = p // 2, p
         while hi - lo > 1:
             mid = (lo + hi) // 2

@@ -188,16 +188,20 @@ def _residue_fold(s: float, n: int, tails: np.ndarray | None = None) -> np.ndarr
     return out
 
 
+def _mirror(half: np.ndarray, n: int) -> np.ndarray:
+    """The length-n array x_r = half[min(r, n - r)] from its entries r = 0..n/2, by slices."""
+    return np.concatenate((half, half[(n + 1) // 2 - 1 : 0 : -1]))
+
+
 def eig_circulant(beta: float, n: int) -> np.ndarray:
     """Exact eigenvalues of the grid kernel matrix with mu_i = i^(-2 beta), in frequency order.
 
-    eig_r = n (a_r + a_{(n-r) mod n}) where a is the residue fold of mu;
-    wrap-around tails are Hurwitz zeta closed forms.
+    eig_r = n (a_r + a_{(n-r) mod n}) for the residue fold a of mu: the mirror
+    of ``signal_fourier(2 beta, n)``. Wrap-around tails are zeta closed forms.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    a = _residue_fold(2.0 * beta, n)
-    return n * (a + a[(-np.arange(n)) % n])
+    return _mirror(signal_fourier(2.0 * beta, n), n)
 
 
 def signal_on_grid(delta: float, n: int) -> np.ndarray:
@@ -214,8 +218,8 @@ def signal_fourier(delta: float, n: int, tails: np.ndarray | None = None) -> np.
     """Fourier coefficients zhat_r of ``signal_on_grid(delta, n)`` for r = 0..n/2, without forming z.
 
     z is n Re(ifft(2 a)) for the real residue fold a, so its coefficients are
-    real: zhat_r = n (a_r + a_{(n-r) mod n}), the identity
-    :func:`eig_circulant` uses for the eigenvalues. ``tails`` may be
+    real: zhat_r = n (a_r + a_{(n-r) mod n}), at delta = 2 beta the eigenvalues
+    that :func:`eig_circulant` mirrors. ``tails`` may be
     ``residue_tails(delta, N)`` of a multiple N of n (:func:`_residue_fold`).
     """
     a = _residue_fold(delta, n, tails)
@@ -226,18 +230,18 @@ def signal_fourier(delta: float, n: int, tails: np.ndarray | None = None) -> np.
 def grid_row(beta: int, n: int) -> np.ndarray:
     """First row of the grid Gram matrix of the kernel with mu_i = i^(-2 beta), which is circulant.
 
-    The row is mirrored around n/2 so that the circulant K is also exactly
-    symmetric (k((n-r)/n) equals k(r/n) only up to an ulp otherwise).
+    The kernel is evaluated at r/n for r = 0..n/2 only and mirrored, so that
+    the circulant K is also exactly symmetric (k((n-r)/n) equals k(r/n) only
+    up to an ulp otherwise).
 
-    For n = N / m, ``grid_row(beta, N)[::m]`` is this row bit for bit: the
-    point r/n is the same float as (r m)/N (both correctly round the same
-    rational, exactly as long as r m < 2^53), the kernel acts elementwise,
-    and the mirror index min(r m, N - r m) is m min(r, n - r).
+    For n = N / m, ``grid_row(beta, N)[::m]`` is this row bit for bit: its
+    entry r is the kernel at min(r m, N - r m)/N = m min(r, n - r)/N, which
+    is the same float as min(r, n - r)/n (both correctly round the same
+    rational, exactly as long as r m < 2^53), and the kernel acts elementwise.
     """
-    pts = np.arange(n, dtype=float) / n
-    row0 = cross_gram(np.zeros(1), pts, KernelSpec.periodic_poly(beta)).reshape(-1)
-    r = np.arange(n)
-    return row0[np.minimum(r, n - r)]
+    pts = np.arange(n // 2 + 1, dtype=float) / n
+    half = cross_gram(np.zeros(1), pts, KernelSpec.periodic_poly(beta)).reshape(-1)
+    return _mirror(half, n)
 
 
 def grid_problem(n: int, spectrum: SpectrumSpec, sigma2: float) -> FixedDesignProblem:

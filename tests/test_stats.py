@@ -382,6 +382,57 @@ class TestSufficientRank:
         with pytest.raises(ConfigError, match="size 31"):
             RankSweeper(prob, other)
 
+    def test_unknown_method_rejected_before_k_is_built(self):
+        prob = grid_problem(30, SpectrumSpec(1, 3.0), 0.4)
+        sweeper = RankSweeper(prob, problem_spectrum(prob))
+        with pytest.raises(ConfigError, match="unknown method 'greedy'"):
+            sweeper.sufficient_rank(1e-2, "greedy")
+        assert "K" not in vars(prob)  # the n x n matrix was never assembled
+
+    @pytest.mark.parametrize("method", ["random", "pivoted"])
+    @pytest.mark.parametrize("lam, answer", [(1e4, "one"), (1.0, "between"), (1e-4, "n")])
+    def test_probes_double_then_bisect(self, method, lam, answer):
+        # n = 40 is no power of two, so the doubling is capped at n
+        n, tol = 40, 0.01
+        prob = grid_problem(n, SpectrumSpec(1, 2.5), 1e-6)
+        sweeper = RankSweeper(prob, problem_spectrum(prob), trials=3, seed=2)
+        probes, seen = [], {}
+        error = sweeper.error
+
+        def recorded(method, p, lam):
+            probes.append(p)
+            seen[p] = error(method, p, lam)
+            return seen[p]
+
+        sweeper.error = recorded
+        got = sweeper.sufficient_rank(lam, method, tol)
+
+        target = (1.0 + tol) * problem_spectrum(prob).error(prob.sigma2, lam)
+        expected = []
+
+        def ok(p):
+            expected.append(p)
+            return seen[p] <= target
+
+        p = 1
+        while p < n and not ok(p):
+            p *= 2
+        p = min(p, n)
+        if not ok(p):
+            want = n
+        else:
+            lo, hi = p // 2, p  # ok(p // 2) failed while doubling, or p // 2 is 0
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if ok(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            want = hi
+        assert probes == expected
+        assert got == want
+        assert {"one": got == 1, "between": 1 < got < n, "n": got == n}[answer]
+
 
 class TestOptimalLambda:
     def test_zero_signal_picks_largest(self):
@@ -407,6 +458,23 @@ class TestOptimalLambda:
 
         grid_best = min(sum(bv(prob.K, prob.z, prob.sigma2, l)) for l in grid)
         assert choice.error_star <= grid_best + 1e-15
+
+    @pytest.mark.parametrize("num", [5, 6, 7])
+    @pytest.mark.parametrize(
+        "beta, delta, n, sigma2", [(1, 3.0, 64, 0.05), (2, 2.5, 48, 0.2), (4, 8.0, 128, 0.01)]
+    )
+    def test_refinement_searches_both_neighbours(self, beta, delta, n, sigma2, num):
+        # on a coarse grid the minimizer lies strictly between the best grid
+        # point's two neighbours, so the refinement must beat the grid
+        prob = grid_problem(n, SpectrumSpec(beta, delta), sigma2)
+        spec = problem_spectrum(prob)
+        grid = default_lambda_grid(prob.mean_diag, num)
+        errs = [spec.error(sigma2, lam) for lam in grid]
+        i = int(np.argmin(errs))
+        assert 0 < i < num - 1
+        choice = optimal_lambda(spec, sigma2, grid)
+        assert choice.error_star < errs[i]
+        assert grid[i - 1] < choice.lambda_star < grid[i + 1]
 
     def test_rejects_bad_grid(self):
         prob = grid_problem(16, SpectrumSpec(1, 2.0), 0.1)

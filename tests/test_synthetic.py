@@ -6,9 +6,10 @@ from math import pi
 from scipy.special import zeta
 
 from nyridge.errors import ConfigError
-from nyridge.kernels import KernelSpec, _periodic_poly_values, gram
+from nyridge.kernels import SUPPORTED_BETAS, KernelSpec, _periodic_poly_values, cross_gram, gram
 from nyridge.synthetic import (
     FixedDesignProblem,
+    _residue_fold,
     SpectrumSpec,
     draw_noise,
     eig_circulant,
@@ -256,6 +257,20 @@ class TestStridedSlices:
     def test_divergent_tails_rejected(self):
         with pytest.raises(ConfigError, match="diverges"):
             residue_tails(1.0, 8)
+
+
+class TestMirror:
+    """Entry r of a circulant first row or spectrum is entry min(r, n - r)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 1024])
+    def test_row_and_eigenvalues_are_mirrors(self, n):
+        r = np.arange(n)
+        pts = np.minimum(r, n - r) / n
+        for beta in SUPPORTED_BETAS:
+            direct = cross_gram(np.zeros(1), pts, KernelSpec.periodic_poly(beta)).reshape(-1)
+            assert np.array_equal(grid_row(beta, n), direct)
+            a = _residue_fold(2.0 * beta, n)
+            assert np.array_equal(eig_circulant(beta, n), n * (a + a[(-r) % n]))
 
 
 class TestDrawNoise:
