@@ -20,11 +20,11 @@ import numpy as np
 from . import csvio
 from .errors import (
     ConfigError,
-    DataError,
     MissingValueError,
     NonNumericError,
     NumericalError,
     ParseError,
+    finite,
 )
 from .kernels import KernelSpec, cross_gram
 from .lowrank import feature_matrix, pivoted_ichol
@@ -137,7 +137,6 @@ def _fold_slices(n: int, folds: int, seed) -> list[np.ndarray]:
 @dataclass
 class CVResult:
     lambda_star: float
-    error_star: float
     lambda_grid: np.ndarray
     errors: np.ndarray
     ranks: tuple[int, ...]
@@ -197,11 +196,11 @@ def cross_validate_lambda(
         raise ConfigError(f"cross-validation needs a Gaussian kernel (got {spec.kind!r})")
     if folds < 2:
         raise ConfigError("folds must be >= 2")
-    grid = np.asarray(lambda_grid, dtype=float)
+    grid = finite(lambda_grid, "lambda grid")
     if grid.size == 0:
         raise ConfigError("lambda grid must be nonempty")
-    if not np.all(np.isfinite(grid) & (grid > 0)):
-        raise ConfigError("lambda grid values must be finite and > 0")
+    if not np.all(grid > 0):
+        raise ConfigError("lambda grid values must be > 0")
     if not 0.0 <= trace_rtol < math.inf:
         raise ConfigError(f"trace_rtol must be finite and >= 0, got {trace_rtol!r}")
     n = data.n
@@ -209,9 +208,7 @@ def cross_validate_lambda(
         raise ConfigError(f"fold size {n // folds} too small (need >= 2)")
     if not n * float(np.max(grid)) < math.inf:  # bounds n_train lambda in every fold
         raise NumericalError(f"n lambda at lambda={float(np.max(grid))!r} is not finite")
-    X, y = data.features, data.targets
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise DataError(f"{data.name}: features and targets must be finite")
+    X, y = finite(data.features, f"{data.name}: features"), finite(data.targets, f"{data.name}: targets")
     fold_errs = np.zeros((folds, grid.size))
     ranks = []
     for f, val_idx in enumerate(_fold_slices(n, folds, seed)):
@@ -221,7 +218,6 @@ def cross_validate_lambda(
     g = int(np.argmin(errors))
     return CVResult(
         lambda_star=float(grid[g]),
-        error_star=float(errors[g]),
         lambda_grid=grid,
         errors=errors,
         ranks=tuple(ranks),

@@ -10,7 +10,8 @@ by :func:`cross_gram`:
   in closed form through Bernoulli polynomials.
 * gaussian: exp(-||x - y||^2 / (2 bandwidth^2)).
 
-All functions are pure; concurrent calls are safe.
+Points must be finite: every function here raises DataError for a NaN or
+infinite coordinate. All functions are pure; concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -21,10 +22,13 @@ from math import comb, factorial, inf, pi
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, finite
 
 # Output entries per block of rows in ``_sqdist`` (512 KB of doubles).
 SQDIST_BLOCK = 1 << 16
+
+# Points that ``median_distance_bandwidth`` draws from larger data.
+BANDWIDTH_SUBSAMPLE = 500
 
 # Degrees 2*beta with tabulated Bernoulli polynomial coefficients.
 SUPPORTED_BETAS = (1, 2, 3, 4, 8)
@@ -110,18 +114,13 @@ class KernelSpec:
     def gaussian(cls, bandwidth: float) -> "KernelSpec":
         return cls("gaussian", bandwidth)
 
-    @property
-    def is_periodic(self) -> bool:
-        return self.kind == "periodic-polynomial"
 
-
-def _as_points(points, spec: KernelSpec) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if spec.is_periodic:
+def _as_points(points, kind: str) -> np.ndarray:
+    """Finite points as floats: a vector for the periodic kernel, one row per point for the Gaussian."""
+    pts = finite(points, "points")
+    if kind == "periodic-polynomial":
         return pts.reshape(-1)
-    if pts.ndim == 1:
-        return pts.reshape(-1, 1)
-    return pts
+    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,7 +148,7 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def cross_gram(points_a, points_b, spec: KernelSpec) -> np.ndarray:
     """Rectangular kernel matrix k(a_i, b_j)."""
-    pa, pb = _as_points(points_a, spec), _as_points(points_b, spec)
+    pa, pb = _as_points(points_a, spec.kind), _as_points(points_b, spec.kind)
     if spec.kind == "periodic-polynomial":
         return _periodic_poly_values(pa[:, None] - pb[None, :], int(spec.param))
     if pa.shape[1] != pb.shape[1]:
@@ -171,26 +170,21 @@ def gram(points, spec: KernelSpec) -> np.ndarray:
 
     The output is symmetric by construction: the periodic kernel is evaluated
     through an argument folded onto [0, 0.5] (identical floats for +/- the
-    same difference), and the Gaussian through symmetric squared distances.
+    same difference), and the Gaussian through symmetric squared distances,
+    which are exactly 0 on the diagonal, so that k(x, x) = exp(-0) = 1.
     """
-    pts = _as_points(points, spec)
-    n = pts.shape[0]
-    if n < 1:
+    K = cross_gram(points, points, spec)
+    if K.shape[0] < 1:
         raise ConfigError("gram needs at least one point")
-    K = cross_gram(pts, pts, spec)
-    if spec.kind == "gaussian":
-        np.fill_diagonal(K, 1.0)
     return K
 
 
-def median_distance_bandwidth(features, subsample: int = 500, seed: int = 0) -> float:
-    """Median pairwise distance on a subsample; standard Gaussian bandwidth heuristic."""
-    X = np.asarray(features, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
+def median_distance_bandwidth(features, seed: int = 0) -> float:
+    """Median pairwise distance on ``BANDWIDTH_SUBSAMPLE`` points; standard Gaussian bandwidth heuristic."""
+    X = _as_points(features, "gaussian")
     n = X.shape[0]
-    if n > subsample:
-        idx = np.random.default_rng(seed).choice(n, size=subsample, replace=False)
+    if n > BANDWIDTH_SUBSAMPLE:
+        idx = np.random.default_rng(seed).choice(n, size=BANDWIDTH_SUBSAMPLE, replace=False)
         X = X[np.sort(idx)]
     d = np.sqrt(_sqdist(X, X))
     off = d[np.triu_indices_from(d, k=1)]

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import csvio
-from .errors import ConfigError, DataError, NumericalError, ParseError
+from .errors import ConfigError, NumericalError, ParseError, finite
 from .kernels import KernelSpec, cross_gram
 
 # Collapse floor, relative to max(diag K): a pivot whose residual diagonal is
@@ -126,7 +126,8 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
     the fixed ``order``. Stop rule: ``pmax`` rows, sum(d) <= ``trace_tol``,
     or (greedy) max(d) <= floor = PINV_RTOL * max(diag); under a fixed order
     a pivot with d[j] <= floor leaves its row zero. A greedy residual below
-    -BREAKDOWN_RTOL * max(diag) raises NumericalError, a non-finite diagonal DataError.
+    -BREAKDOWN_RTOL * max(diag) raises NumericalError; a non-finite entry of
+    the diagonal or of a kernel row raises DataError naming it.
     Returns (rows, pivots, trail), trail[k] = tr(K - L_{k+1}).
 
     Updates are delayed in panels (LAPACK ``dpstrf``'s scheme, restricted to
@@ -146,11 +147,7 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
     that the rows past the rank stay few, and is shrunk in place to the rows
     used, without a copy.
     """
-    d = np.array(diag, dtype=float, copy=True)
-    bad = np.flatnonzero(~np.isfinite(d))
-    if bad.size:
-        j = int(bad[0])
-        raise DataError(f"kernel diagonal entry {j} is {float(d[j])!r}; a Cholesky factor needs it finite")
+    d = np.array(finite(diag, "kernel diagonal"))
     n = d.shape[0]
     m = min(CANDIDATES, n)
     top = float(np.max(d))
@@ -180,7 +177,7 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
                 slot[gone[gone >= 0]] = -1
                 pool_idx[free] = new
                 slot[new] = free
-                fresh = kernel_rows(new)
+                fresh = finite(kernel_rows(new), "kernel matrix", rows=new)
                 fresh -= rows[:k, new].T @ rows[:k]
                 pool[free] = fresh
             k0 = k
@@ -190,7 +187,7 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
             row = rows[k]
             i = slot[j]
             if i < 0:
-                row[:] = kernel_rows(np.array([j]))[0]
+                row[:] = finite(kernel_rows(np.array([j])), "kernel matrix", rows=[j])[0]
                 row -= rows[:k, j] @ rows[:k]
             else:
                 row[:] = pool[i]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvio
-from .errors import ConfigError, DataError, NumericalError, ParseError
+from .errors import ConfigError, DataError, NumericalError, ParseError, finite
 from .kernels import KernelSpec, cross_gram
 from .lowrank import LowRankFactor
 from .stats import _check_lambda
@@ -63,13 +63,10 @@ def krr_exact(K, y, lam: float):
     and a non-finite K or target, raise DataError.
     """
     _check_lambda(lam)
-    A = np.asarray(K, dtype=float)
-    y = np.asarray(y, dtype=float)
+    A, y = finite(K, "kernel matrix"), finite(y, "targets")
     n = A.shape[0]
     if y.shape != (n,):
         raise DataError(f"exact ridge needs {n} targets, one per row of K; got {y.size}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
-        raise DataError("exact ridge needs a finite kernel matrix and targets")
     s, V, b = ridge_basis(A, y)
     alpha = V @ (b / (s + n * lam))
     return RidgeFit(lam=lam, coef=alpha), A @ alpha
@@ -85,13 +82,10 @@ def krr_lowrank(factor: LowRankFactor, y, lam: float):
     targets, raise DataError.
     """
     _check_lambda(lam)
-    phi = factor.phi
-    y = np.asarray(y, dtype=float)
+    phi, y = finite(factor.phi, "factor"), finite(y, "targets")
     n = phi.shape[0]
     if y.shape != (n,):
         raise DataError(f"low-rank ridge needs {n} targets, one per row of Phi; got {y.size}")
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
-        raise DataError("low-rank ridge needs finite features and targets")
     s, V, b = ridge_basis(phi.T @ phi, phi.T @ y)
     w = V @ (b / (s + n * lam))
     fit = RidgeFit(lam=lam, coef=factor.whitener @ w, indices=factor.selection.indices)

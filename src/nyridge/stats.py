@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, VacuousBoundError
+from .errors import ConfigError, DataError, NumericalError, VacuousBoundError, finite
 from .lowrank import nested_factor, sample_columns
 from .synthetic import FixedDesignProblem, check_sigma2
 
@@ -58,17 +58,9 @@ def _check_lambda(lam: float) -> None:
         raise ConfigError(f"lambda must be finite and > 0 (got {lam!r})")
 
 
-def _finite(a, what: str) -> np.ndarray:
-    """``a`` as a float array; DataError unless every entry is finite."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise DataError(f"the {what} has a non-finite entry")
-    return a
-
-
 def _signal(z, n: int) -> np.ndarray:
     """``z`` as a float vector of n finite entries; DataError otherwise."""
-    z = _finite(z, "signal")
+    z = finite(z, "signal")
     if z.shape != (n,):
         raise DataError(f"the signal needs {n} entries (got shape {z.shape})")
     return z
@@ -117,7 +109,7 @@ class Spectrum:
 
         DataError unless K and z are finite and z has an entry per row of K.
         """
-        s, u = np.linalg.eigh(_finite(K, "kernel matrix"))
+        s, u = np.linalg.eigh(finite(K, "kernel matrix"))
         coef2 = None if z is None else np.square(u.T @ _signal(z, s.size))
         return cls(np.clip(s, 0.0, None), s.size, coef2, basis=u)
 
@@ -152,7 +144,7 @@ class Spectrum:
 
         DataError unless Phi and z are finite and z has an entry per row of Phi.
         """
-        phi = _finite(phi, "factor")
+        phi = finite(phi, "factor")
         z = _signal(z, phi.shape[0])
         u, s, _ = np.linalg.svd(phi, full_matrices=False)
         return cls(s * s, phi.shape[0], *_energies(u.T @ z, z @ z, phi.shape[0]), basis=u)
@@ -167,10 +159,10 @@ class Spectrum:
         ||z||^2 - ||W^T (Q^T z)[:p]||^2, with Q^T z and ||z||^2 formed once.
         A prefix spectrum keeps no eigenvectors, so its ``dof`` raises.
         Returns p -> spectrum; p is capped at the number of columns of Phi,
-        as slicing Phi[:, :p] would. DataError unless z is finite and has an
-        entry per row of Phi.
+        as slicing Phi[:, :p] would. DataError unless Phi and z are finite
+        and z has an entry per row of Phi.
         """
-        phi = np.asarray(phi, dtype=float)
+        phi = finite(phi, "factor")
         z = _signal(z, phi.shape[0])
         q, r = np.linalg.qr(phi)
         qz, zz, n = q.T @ z, float(z @ z), q.shape[0]

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -8,7 +11,7 @@ from math import comb, pi
 from scipy.spatial.distance import cdist
 from scipy.special import zeta
 
-from nyridge.errors import ConfigError, NumericalError
+from nyridge.errors import ConfigError, DataError, NumericalError
 from nyridge.kernels import (
     BERNOULLI_POLY_COEFFS,
     SUPPORTED_BETAS,
@@ -234,6 +237,38 @@ class TestGram:
         assert np.array_equal(np.diag(km), np.ones(15))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+class TestNonFinitePoints:
+    """A non-finite coordinate raises DataError naming it. A NaN point gave
+    gram a NaN matrix with a unit diagonal, an inf point a RuntimeWarning
+    there and zeros in cross_gram, and NaN features a bandwidth of 1.0."""
+
+    def test_gram(self, bad):
+        pts = np.random.default_rng(3).normal(size=(5, 2))
+        pts[2, 1] = bad
+        with pytest.raises(DataError, match=re.escape(f"points entry (2, 1) is {bad!r}")):
+            gram(pts, KernelSpec.gaussian(1.0))
+        with pytest.raises(DataError, match=re.escape(f"points entry 2 is {bad!r}")):
+            gram(pts[:, 1], KernelSpec.periodic_poly(2))
+
+    def test_cross_gram(self, bad):
+        pts = np.random.default_rng(4).normal(size=(5, 2))
+        good = pts.copy()
+        pts[2, 1] = bad
+        for spec in (KernelSpec.gaussian(1.0), KernelSpec.periodic_poly(2)):
+            with pytest.raises(DataError, match="points entry"):
+                cross_gram(pts, good, spec)
+            with pytest.raises(DataError, match="points entry"):
+                cross_gram(good, pts, spec)
+
+    def test_median_distance_bandwidth(self, bad):
+        X = np.random.default_rng(5).normal(size=(3, 2))
+        X[2, 1] = bad
+        with pytest.raises(DataError, match=re.escape(f"points entry (2, 1) is {bad!r}")):
+            median_distance_bandwidth(X)
+
+
 class TestKernelSpec:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -273,9 +308,9 @@ def test_cross_gram_shapes():
 def test_median_distance_bandwidth():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(800, 3))
-    bw = median_distance_bandwidth(X, subsample=200, seed=0)
+    bw = median_distance_bandwidth(X, seed=0)
     assert 1.0 < bw < 4.0
-    assert bw == median_distance_bandwidth(X, subsample=200, seed=0)
+    assert bw == median_distance_bandwidth(X, seed=0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 30])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,26 @@ class TestPivotedIchol:
         for call in calls:
             with pytest.raises(DataError, match=f"diagonal entry 2 is {bad!r}"):
                 call()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("candidates", [lowrank.CANDIDATES, 1])
+    def test_non_finite_kernel_row_is_named(self, bad, candidates, monkeypatch):
+        # a NaN at K[3, 17] of a 30-point grid Gram gave pivoted_ichol rank 27
+        # and nystrom a factor with 14 NaNs, with no error. The oracle reads
+        # column 17 as row 17, so the entry is (17, 3) of the rows it returns.
+        # The default pool fetches row 17 in a panel; a one-row pool in a
+        # one-row call.
+        monkeypatch.setattr(lowrank, "CANDIDATES", candidates)
+        K = gram(np.arange(30) / 30, KernelSpec.periodic_poly(4))
+        K[3, 17] = bad
+        message = re.escape(f"kernel matrix entry (17, 3) is {bad!r}")
+        oracle, calls = counting_oracle(K)
+        with pytest.raises(DataError, match=message):
+            pivoted_ichol(oracle, materialized_diag(K), max_rank=30)
+        assert 17 in calls[-1] and (calls[-1].size == 1) == (candidates == 1)
+        with pytest.raises(DataError, match=message):
+            nystrom(K, ColumnSelection(np.arange(30)[::-1], "uniform-random", 30))
 
     def test_breakdown_on_inconsistent_diag(self):
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite

@@ -191,6 +191,20 @@ class TestPredict:
         preds = predict(fit, pts, spec, pts)
         assert np.allclose(preds, zhat, atol=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_raises(self, bad):
+        # a NaN point predicted [nan]
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(20, 2))
+        spec = KernelSpec.gaussian(1.0)
+        fit, _ = krr_exact(gram(X, spec), rng.normal(size=20), 1e-2)
+        bad_landmarks = X.copy()
+        bad_landmarks[3, 1] = bad
+        for points, landmarks in (([[0.5, bad]], X), ([[0.5, 0.5]], bad_landmarks)):
+            with pytest.raises(DataError, match="points entry"):
+                predict(fit, points, spec, landmarks)
+
     def test_lowrank_train_predictions_equal_phi_w(self):
         rng = np.random.default_rng(30)
         pts = rng.random(25)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ class TestNonFiniteInputs:
         with pytest.raises(DataError, match="signal"):
             bias_variance(K, z_bad, 0.5, 0.1)
 
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_factor_spectra(self, bad):
         rng = np.random.default_rng(3)
         phi, z = rng.normal(size=(8, 3)), rng.normal(size=8)
@@ -218,6 +219,11 @@ class TestNonFiniteInputs:
             Spectrum.prefixes(phi, z_bad)
         with pytest.raises(DataError, match="signal"):
             lowrank_bias_variance(phi, z_bad, 0.5, 0.1)
+        # a NaN factor gave prefix error nan and lowrank_bias_variance (nan, nan)
+        with pytest.raises(DataError, match=re.escape(f"factor entry (2, 1) is {bad!r}")):
+            Spectrum.prefixes(phi_bad, z)
+        with pytest.raises(DataError, match="factor"):
+            lowrank_bias_variance(phi_bad, z, 0.5, 0.1)
 
 
 class TestSignalLength:
@@ -309,6 +315,33 @@ class TestVerifyTheorem:
             L = direct_nystrom(K, sample_columns(36, 10, _rng_for(2, t)).indices)
             want = sum(bias_variance(L, prob.z, prob.sigma2, 5e-3)) / err_full
             assert abs(ratio - want) <= 1e-10
+
+
+class TestBoundFormulas:
+    """verify_theorem's and lemma_tail's bounds against their formulas written
+    out, on problems where min(1, .) does not clip them."""
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_high_prob_bound(self, n):
+        prob = grid_problem(n, SpectrumSpec(1, 3.0), 0.5)
+        lam, delta = 30.0, 0.5
+        check = verify_theorem(prob, lam=lam, delta=delta, p=n, trials=2, seed=0)
+        d_max = problem_spectrum(prob).dof(lam)[0]
+        want = n * math.exp(-n / (32.0 * d_max / delta + 2.0))
+        assert want < 1.0
+        assert check.high_prob_bound == pytest.approx(want, rel=1e-12)
+
+    def test_lemma_tail_bound(self):
+        psi = np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, 2))
+        n, r = psi.shape
+        lam_max = np.linalg.eigvalsh(psi.T @ psi / n)[-1]
+        r2 = np.max(np.sum(psi * psi, axis=1))
+        p, t_grid = 40, [0.25, 0.5, 1.0]
+        rows = lemma_tail(psi, p, t_grid, lemma_deviations([psi], p, 50, 1)[0])
+        for (t, _, bound), tval in zip(rows, t_grid):
+            want = r * math.exp(-p * tval ** 2 / (2.0 * lam_max * (r2 + tval / 3.0)))
+            assert t == tval and want < 1.0
+            assert bound == pytest.approx(want, rel=1e-12)
 
 
 class TestVerifyLemma:
