@@ -25,8 +25,9 @@ from .errors import (
     NumericalError,
     ParseError,
     finite,
+    generator,
 )
-from .kernels import KernelSpec, cross_gram
+from .kernels import KernelSpec, _kernel_block
 from .lowrank import feature_matrix, pivoted_ichol
 from .regression import ridge_basis
 
@@ -130,7 +131,7 @@ def load_dataset(
 
 
 def _fold_slices(n: int, folds: int, seed) -> list[np.ndarray]:
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = generator(seed).permutation(n)
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
@@ -157,7 +158,7 @@ def _fold_errors(X, y, val_idx, spec: KernelSpec, grid, trace_rtol: float):
     ntr = Xtr.shape[0]
     diag = np.ones(ntr)  # gaussian: k(x, x) = 1
     factor = pivoted_ichol(
-        lambda idx: cross_gram(Xtr[idx], Xtr, spec),
+        lambda idx: _kernel_block(Xtr[idx], Xtr, spec),  # cross_validate_lambda checked X
         diag,
         max_rank=ntr,
         trace_tol=trace_rtol * float(np.sum(diag)),
@@ -196,19 +197,18 @@ def cross_validate_lambda(
         raise ConfigError(f"cross-validation needs a Gaussian kernel (got {spec.kind!r})")
     if folds < 2:
         raise ConfigError("folds must be >= 2")
-    grid = finite(lambda_grid, "lambda grid")
-    if grid.size == 0:
-        raise ConfigError("lambda grid must be nonempty")
+    grid = finite(lambda_grid, "lambda grid", shape=(None,))
     if not np.all(grid > 0):
         raise ConfigError("lambda grid values must be > 0")
     if not 0.0 <= trace_rtol < math.inf:
         raise ConfigError(f"trace_rtol must be finite and >= 0, got {trace_rtol!r}")
-    n = data.n
+    X = finite(data.features, f"{data.name}: features", shape=(None, None))
+    y = finite(data.targets, f"{data.name}: targets", shape=(X.shape[0],))
+    n = X.shape[0]
     if n // folds < 2:
         raise ConfigError(f"fold size {n // folds} too small (need >= 2)")
     if not n * float(np.max(grid)) < math.inf:  # bounds n_train lambda in every fold
         raise NumericalError(f"n lambda at lambda={float(np.max(grid))!r} is not finite")
-    X, y = finite(data.features, f"{data.name}: features"), finite(data.targets, f"{data.name}: targets")
     fold_errs = np.zeros((folds, grid.size))
     ranks = []
     for f, val_idx in enumerate(_fold_slices(n, folds, seed)):

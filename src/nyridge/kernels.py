@@ -10,8 +10,8 @@ by :func:`cross_gram`:
   in closed form through Bernoulli polynomials.
 * gaussian: exp(-||x - y||^2 / (2 bandwidth^2)).
 
-Points must be finite: every function here raises DataError for a NaN or
-infinite coordinate. All functions are pure; concurrent calls are safe.
+Every function here raises DataError for no points, a non-finite coordinate
+or Gaussian points of two dimensions. All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import comb, factorial, inf, pi
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite
+from .errors import ConfigError, NumericalError, finite, generator
 
 # Output entries per block of rows in ``_sqdist`` (512 KB of doubles).
 SQDIST_BLOCK = 1 << 16
@@ -101,8 +101,8 @@ class KernelSpec:
                     f"beta must be an integer in {SUPPORTED_BETAS} (got {self.param!r})"
                 )
         elif self.kind == "gaussian":
-            if not self.param > 0:
-                raise ConfigError(f"bandwidth must be > 0 (got {self.param!r})")
+            if not 0 < self.param < inf:
+                raise ConfigError(f"bandwidth must be > 0 and finite (got {self.param!r})")
         else:
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
 
@@ -115,12 +115,12 @@ class KernelSpec:
         return cls("gaussian", bandwidth)
 
 
-def _as_points(points, kind: str) -> np.ndarray:
-    """Finite points as floats: a vector for the periodic kernel, one row per point for the Gaussian."""
-    pts = finite(points, "points")
+def _as_points(points, kind: str, dim=None) -> np.ndarray:
+    """Finite points: a vector (periodic kernel) or a row of ``dim`` coordinates per point (Gaussian)."""
+    pts = np.asarray(points, dtype=float)
     if kind == "periodic-polynomial":
-        return pts.reshape(-1)
-    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
+        return finite(pts.reshape(-1), "points", shape=(None,))
+    return finite(pts.reshape(-1, 1) if pts.ndim == 1 else pts, "points", shape=(None, dim))
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,11 +148,14 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def cross_gram(points_a, points_b, spec: KernelSpec) -> np.ndarray:
     """Rectangular kernel matrix k(a_i, b_j)."""
-    pa, pb = _as_points(points_a, spec.kind), _as_points(points_b, spec.kind)
+    pa = _as_points(points_a, spec.kind)
+    return _kernel_block(pa, _as_points(points_b, spec.kind, pa.shape[-1]), spec)
+
+
+def _kernel_block(pa: np.ndarray, pb: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """:func:`cross_gram` of points that ``_as_points`` has already shaped and checked."""
     if spec.kind == "periodic-polynomial":
         return _periodic_poly_values(pa[:, None] - pb[None, :], int(spec.param))
-    if pa.shape[1] != pb.shape[1]:
-        raise ConfigError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]} features")
     # 2 bw^2 overflows for any bw > 1e154; a float ** that overflows raises
     scale = inf if spec.param > 1e154 else 2.0 * spec.param ** 2
     if not 0.0 < scale < inf:
@@ -173,10 +176,8 @@ def gram(points, spec: KernelSpec) -> np.ndarray:
     same difference), and the Gaussian through symmetric squared distances,
     which are exactly 0 on the diagonal, so that k(x, x) = exp(-0) = 1.
     """
-    K = cross_gram(points, points, spec)
-    if K.shape[0] < 1:
-        raise ConfigError("gram needs at least one point")
-    return K
+    pts = _as_points(points, spec.kind)
+    return _kernel_block(pts, pts, spec)
 
 
 def median_distance_bandwidth(features, seed: int = 0) -> float:
@@ -184,7 +185,7 @@ def median_distance_bandwidth(features, seed: int = 0) -> float:
     X = _as_points(features, "gaussian")
     n = X.shape[0]
     if n > BANDWIDTH_SUBSAMPLE:
-        idx = np.random.default_rng(seed).choice(n, size=BANDWIDTH_SUBSAMPLE, replace=False)
+        idx = generator(seed).choice(n, size=BANDWIDTH_SUBSAMPLE, replace=False)
         X = X[np.sort(idx)]
     d = np.sqrt(_sqdist(X, X))
     off = d[np.triu_indices_from(d, k=1)]

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import csvio
-from .errors import ConfigError, NumericalError, ParseError, finite
+from .errors import ConfigError, NumericalError, ParseError, finite, generator, shaped
 from .kernels import KernelSpec, cross_gram
 
 # Collapse floor, relative to max(diag K): a pivot whose residual diagonal is
@@ -68,10 +68,8 @@ class ColumnSelection:
     n: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
+        idx = np.asarray(finite(self.indices, "selection", shape=(None,)), dtype=int)
         object.__setattr__(self, "indices", idx)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ConfigError("selection must contain at least one index")
         ordered = np.sort(idx)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ConfigError("selection indices must be distinct")
@@ -113,7 +111,7 @@ def sample_columns(n: int, p: int, seed) -> ColumnSelection:
     """
     if p < 1 or p > n:
         raise ConfigError(f"need 1 <= p <= n, got p={p}, n={n}")
-    idx = np.random.default_rng(seed).choice(n, size=p, replace=False)
+    idx = generator(seed).choice(n, size=p, replace=False)
     return ColumnSelection(indices=idx, method="uniform-random", n=n)
 
 
@@ -126,8 +124,8 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
     the fixed ``order``. Stop rule: ``pmax`` rows, sum(d) <= ``trace_tol``,
     or (greedy) max(d) <= floor = PINV_RTOL * max(diag); under a fixed order
     a pivot with d[j] <= floor leaves its row zero. A greedy residual below
-    -BREAKDOWN_RTOL * max(diag) raises NumericalError; a non-finite entry of
-    the diagonal or of a kernel row raises DataError naming it.
+    -BREAKDOWN_RTOL * max(diag) raises NumericalError; a diagonal or kernel
+    row that is not finite or of length n = len(diag) raises DataError.
     Returns (rows, pivots, trail), trail[k] = tr(K - L_{k+1}).
 
     Updates are delayed in panels (LAPACK ``dpstrf``'s scheme, restricted to
@@ -147,9 +145,9 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
     that the rows past the rank stay few, and is shrunk in place to the rows
     used, without a copy.
     """
-    d = np.array(finite(diag, "kernel diagonal"))
+    d = np.array(finite(diag, "kernel diagonal", shape=(None,)))
     n = d.shape[0]
-    m = min(CANDIDATES, n)
+    pmax, m = min(pmax, n), min(CANDIDATES, n)
     top = float(np.max(d))
     floor, breakdown = PINV_RTOL * top, -BREAKDOWN_RTOL * top
     rows = np.zeros((min(RESERVE, pmax), n))
@@ -177,7 +175,7 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
                 slot[gone[gone >= 0]] = -1
                 pool_idx[free] = new
                 slot[new] = free
-                fresh = finite(kernel_rows(new), "kernel matrix", rows=new)
+                fresh = finite(kernel_rows(new), "kernel matrix", rows=new, shape=(new.size, n))
                 fresh -= rows[:k, new].T @ rows[:k]
                 pool[free] = fresh
             k0 = k
@@ -187,7 +185,7 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
             row = rows[k]
             i = slot[j]
             if i < 0:
-                row[:] = finite(kernel_rows(np.array([j])), "kernel matrix", rows=[j])[0]
+                row[:] = finite(kernel_rows(np.array([j])), "kernel matrix", rows=[j], shape=(1, n))[0]
                 row -= rows[:k, j] @ rows[:k]
             else:
                 row[:] = pool[i]
@@ -270,10 +268,9 @@ def pivoted_ichol(
     largest residual diagonal collapses to the floor of ``_cholesky_rows``,
     where rounding would dominate further pivots (K has numerical rank k then).
     """
-    n = len(diag)
     if max_rank is None and trace_tol is None:
         raise ConfigError("give max_rank, trace_tol, or both")
-    pmax = n if max_rank is None else min(int(max_rank), n)
+    pmax = math.inf if max_rank is None else int(max_rank)
     if pmax < 1:
         raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
     rows, pivots, trail = _cholesky_rows(kernel_rows, diag, pmax, trace_tol=trace_tol)
@@ -281,7 +278,7 @@ def pivoted_ichol(
         raise NumericalError("pivoted Cholesky made no progress (zero diagonal)")
     return LowRankFactor(
         phi=rows.T,
-        selection=ColumnSelection(np.array(pivots), "greedy-pivoted", n),
+        selection=ColumnSelection(np.array(pivots), "greedy-pivoted", rows.shape[1]),
         whitener=_whitener(rows.T, pivots),
         trace_residual_trail=trail,
     )
@@ -297,9 +294,9 @@ def nested_factor(K, order: Sequence[int] | None) -> np.ndarray:
     pseudo-inverse drops them too, so every prefix is the column
     approximation of its index set). With ``order`` None the pivots are
     greedy, as in ``pivoted_ichol``, and the factor ends where the largest
-    residual collapses, so it can have fewer than n columns.
+    residual collapses, so it can have fewer than n columns. DataError unless K is square.
     """
-    A = np.asarray(K, dtype=float)
+    A = np.asarray(shaped(K, "kernel matrix", "square"), dtype=float)  # entries are checked as read
     diag = np.diag(A)
     pmax = A.shape[0] if order is None else len(order)
     return _cholesky_rows(make_column_oracle(A), diag, pmax, order=order)[0].T
@@ -310,27 +307,27 @@ def nystrom(K, selection: ColumnSelection) -> LowRankFactor:
 
     The fixed-order :func:`nested_factor` on ``selection.indices`` and its
     whitener; a pivot collapsed to the floor of ``_cholesky_rows`` gives a zero
-    column. Cost O(p^2 n) given the p columns.
+    column. Cost O(p^2 n) given the p columns. DataError unless K is n x n.
     """
-    phi = nested_factor(K, selection.indices)
+    phi = nested_factor(shaped(K, "kernel matrix", (selection.n, selection.n)), selection.indices)
     return LowRankFactor(phi=phi, selection=selection, whitener=_whitener(phi, selection.indices))
 
 
 def feature_matrix(spec: KernelSpec, landmarks, whitener: np.ndarray, points) -> np.ndarray:
-    """Feature vectors for many points, one row per point.
+    """Feature vectors for many points, one row per point; DataError unless W is finite, a row per landmark.
 
     Row x equals W^T (k(x_i, x))_{i in I} for the factor's whitener W; on
     the training points the rows are the rows of Phi, and inner products of
     rows reproduce the low-rank Gram matrix L and extend it to unseen points.
     """
     kvals = cross_gram(points, landmarks, spec)
-    return kvals @ whitener
+    return kvals @ finite(whitener, "whitener", shape=(kvals.shape[1], None))
 
 
 def approx_error(K, factor) -> float:
     """Operator-norm error ||K - Phi Phi^T||_2 from a dense eigendecomposition of the residual."""
-    A = np.asarray(K, dtype=float)
-    phi = factor.phi if isinstance(factor, LowRankFactor) else np.asarray(factor)
+    A = finite(K, "kernel matrix", shape="square")
+    phi = finite(getattr(factor, "phi", factor), "factor", shape=(len(A), None))
     ev = np.linalg.eigvalsh(A - phi @ phi.T)
     return float(max(ev[-1], -ev[0], 0.0))
 
@@ -388,14 +385,15 @@ def prefix_errors(K, phi, ranks) -> tuple[np.ndarray, np.ndarray]:
     reruns are identical. Only where the trace error is at most
     ``LANCZOS_RTOL * tr K`` (it bounds the operator error, so the residual
     is rounding) is the dense :func:`approx_error` used instead. Ranks above
-    the number of columns are capped, as slicing phi[:, :p] would.
+    the number of columns are capped, as slicing phi[:, :p] would. DataError
+    unless K is finite and square and Phi finite with a row per row of K.
     """
-    A = np.asarray(K, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    A = finite(K, "kernel matrix", shape="square")
+    phi = finite(phi, "factor", shape=(len(A), None))
     n, m = phi.shape
     tr = float(np.trace(A))
     trace_left = tr - np.concatenate(([0.0], np.cumsum(np.sum(phi * phi, axis=0))))
-    caps = [min(int(p), m) for p in ranks]
+    caps = [min(int(p), m) for p in finite(ranks, "ranks", shape=(None,))]
     op_errs = np.empty(len(caps))
     g = np.random.default_rng(0).standard_normal(n)
     g /= np.linalg.norm(g)

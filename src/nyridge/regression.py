@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvio
-from .errors import ConfigError, DataError, NumericalError, ParseError, finite
+from .errors import NumericalError, ParseError, finite
 from .kernels import KernelSpec, cross_gram
 from .lowrank import LowRankFactor
 from .stats import _check_lambda
@@ -59,14 +59,13 @@ def ridge_basis(G: np.ndarray, rhs: np.ndarray):
 def krr_exact(K, y, lam: float):
     """Exact ridge smoother: alpha = (K + n lambda I)^(-1) y, zhat = K alpha.
 
-    Returns (fit, zhat); O(n^3). A target count other than K's row count,
-    and a non-finite K or target, raise DataError.
+    Returns (fit, zhat); O(n^3). A non-square K, a target count other than
+    K's, and a non-finite K or target raise DataError.
     """
     _check_lambda(lam)
-    A, y = finite(K, "kernel matrix"), finite(y, "targets")
+    A = finite(K, "kernel matrix", shape="square")
     n = A.shape[0]
-    if y.shape != (n,):
-        raise DataError(f"exact ridge needs {n} targets, one per row of K; got {y.size}")
+    y = finite(y, "target vector", shape=(n,))
     s, V, b = ridge_basis(A, y)
     alpha = V @ (b / (s + n * lam))
     return RidgeFit(lam=lam, coef=alpha), A @ alpha
@@ -78,17 +77,17 @@ def krr_lowrank(factor: LowRankFactor, y, lam: float):
     By the push-through identity zhat equals L (L + n lambda I)^(-1) y for
     L = Phi Phi^T; cost O(p^2 n + p^3). The fit's coefficients are
     ``factor.whitener @ w``, which expand f over the selected columns. A
-    target count other than Phi's row count, and non-finite features or
-    targets, raise DataError.
+    target count other than Phi's row count, a whitener that is not p x p,
+    and a non-finite Phi, whitener or target raise DataError.
     """
     _check_lambda(lam)
-    phi, y = finite(factor.phi, "factor"), finite(y, "targets")
-    n = phi.shape[0]
-    if y.shape != (n,):
-        raise DataError(f"low-rank ridge needs {n} targets, one per row of Phi; got {y.size}")
+    phi = finite(factor.phi, "factor", shape=(None, None))
+    n, p = phi.shape
+    y = finite(y, "target vector", shape=(n,))
+    whitener = finite(factor.whitener, "whitener", shape=(p, p))
     s, V, b = ridge_basis(phi.T @ phi, phi.T @ y)
     w = V @ (b / (s + n * lam))
-    fit = RidgeFit(lam=lam, coef=factor.whitener @ w, indices=factor.selection.indices)
+    fit = RidgeFit(lam=lam, coef=whitener @ w, indices=factor.selection.indices)
     return fit, phi @ w
 
 
@@ -96,12 +95,11 @@ def predict(fit: RidgeFit, points, spec: KernelSpec, landmarks) -> np.ndarray:
     """f(x) = sum_j coef_j k(x, landmarks_j) at each of ``points``.
 
     ``landmarks`` are the training points the fit expands over: the rows
-    ``fit.indices`` of the training set, or all of it for an exact fit. A
-    landmark count other than the coefficient count raises ConfigError.
+    ``fit.indices`` of the training set, or all of it for an exact fit.
+    DataError unless the coefficients are finite, one per landmark.
     """
-    if len(landmarks) != fit.coef.size:
-        raise ConfigError(f"fit has {fit.coef.size} coefficients but {len(landmarks)} landmarks")
-    return cross_gram(points, landmarks, spec) @ fit.coef
+    kvals = cross_gram(points, landmarks, spec)
+    return kvals @ finite(fit.coef, "coefficient vector", shape=(kvals.shape[1],))
 
 
 FIT_FORMAT_VERSION = 3

@@ -41,29 +41,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, VacuousBoundError, finite
+from .errors import ConfigError, NumericalError, VacuousBoundError, finite, generator as _rng_for
 from .lowrank import nested_factor, sample_columns
 from .synthetic import FixedDesignProblem, check_sigma2
-
-
-def _rng_for(seed, *key) -> np.random.Generator:
-    """Deterministic per-work-item generator: (master seed, row key)."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
-    )
 
 
 def _check_lambda(lam: float) -> None:
     if not 0 < lam < math.inf:
         raise ConfigError(f"lambda must be finite and > 0 (got {lam!r})")
-
-
-def _signal(z, n: int) -> np.ndarray:
-    """``z`` as a float vector of n finite entries; DataError otherwise."""
-    z = finite(z, "signal")
-    if z.shape != (n,):
-        raise DataError(f"the signal needs {n} entries (got shape {z.shape})")
-    return z
 
 
 def _energies(uz: np.ndarray, zz: float, n: int) -> tuple[np.ndarray, float]:
@@ -107,10 +92,10 @@ class Spectrum:
     def dense(cls, K, z=None) -> "Spectrum":
         """Symmetric eigendecomposition of a general PSD K.
 
-        DataError unless K and z are finite and z has an entry per row of K.
+        DataError unless K is finite and square and z finite with an entry per row.
         """
-        s, u = np.linalg.eigh(finite(K, "kernel matrix"))
-        coef2 = None if z is None else np.square(u.T @ _signal(z, s.size))
+        s, u = np.linalg.eigh(finite(K, "kernel matrix", shape="square"))
+        coef2 = None if z is None else np.square(u.T @ finite(z, "signal", shape=(s.size,)))
         return cls(np.clip(s, 0.0, None), s.size, coef2, basis=u)
 
     @classmethod
@@ -121,16 +106,16 @@ class Spectrum:
         even n, the Nyquist term r = n/2. ``zhat[r]`` = sum_j z_j
         exp(-2 pi i r j / n) for r = 0..n/2, as ``np.fft.rfft(z)`` gives
         them; the energy on eigenvalue r is weight_r |zhat_r|^2 / n, so that
-        the energies sum to ||z||^2. DataError unless ``zhat`` has n // 2 + 1
-        entries.
+        the energies sum to ||z||^2. DataError unless ``row0`` is a finite
+        vector and ``zhat`` has n // 2 + 1 finite entries.
         """
-        row0 = np.asarray(row0, dtype=float)
+        row0 = finite(row0, "first row", shape=(None,))
         n = row0.size
         eigs = np.clip(np.fft.rfft(row0).real, 0.0, None)  # the complex transform is freed here
-        if zhat is not None and np.shape(zhat) != eigs.shape:
-            raise DataError(
-                f"zhat needs n // 2 + 1 = {eigs.size} Fourier coefficients (got shape {np.shape(zhat)})"
-            )
+        if zhat is not None:  # checked through views of its real and imaginary parts, not a copy
+            zhat = np.asarray(zhat)
+            for part in (zhat.real, zhat.imag) if np.iscomplexobj(zhat) else (zhat,):
+                finite(part, "zhat", shape=eigs.shape)
         weight = np.full(eigs.size, 2.0)
         weight[0] = 1.0
         if n % 2 == 0:
@@ -144,8 +129,8 @@ class Spectrum:
 
         DataError unless Phi and z are finite and z has an entry per row of Phi.
         """
-        phi = finite(phi, "factor")
-        z = _signal(z, phi.shape[0])
+        phi = finite(phi, "factor", shape=(None, None))
+        z = finite(z, "signal", shape=(phi.shape[0],))
         u, s, _ = np.linalg.svd(phi, full_matrices=False)
         return cls(s * s, phi.shape[0], *_energies(u.T @ z, z @ z, phi.shape[0]), basis=u)
 
@@ -162,8 +147,8 @@ class Spectrum:
         as slicing Phi[:, :p] would. DataError unless Phi and z are finite
         and z has an entry per row of Phi.
         """
-        phi = finite(phi, "factor")
-        z = _signal(z, phi.shape[0])
+        phi = finite(phi, "factor", shape=(None, None))
+        z = finite(z, "signal", shape=(phi.shape[0],))
         q, r = np.linalg.qr(phi)
         qz, zz, n = q.T @ z, float(z @ z), q.shape[0]
 
@@ -246,7 +231,8 @@ def problem_spectrum(problem: FixedDesignProblem) -> Spectrum:
 
     One real FFT of the first row and one of z; K is never assembled.
     """
-    return Spectrum.circulant(problem.row0, np.fft.rfft(problem.z))
+    z = finite(problem.z, "signal", shape=np.shape(problem.row0))
+    return Spectrum.circulant(problem.row0, np.fft.rfft(z))
 
 
 def _check_err_full(err_full: float, lam: float) -> float:
@@ -292,7 +278,7 @@ def theorem_rank_bound(d_max: float, delta: float, n: int, r2: float, lam: float
             f"rank bound vacuous: n R^2 / (delta lambda) = {arg:.3e} <= 1"
         )
     bound = (32.0 * d_max / delta + 2.0) * math.log(arg)
-    if not bound < math.inf:
+    if not math.isfinite(bound):
         raise NumericalError(f"rank bound at lambda={lam!r} is not finite")
     return int(math.ceil(bound))
 
@@ -329,17 +315,16 @@ def verify_theorem(
     """
     if not (0.0 < delta < 1.0):
         raise ConfigError("delta must be in (0, 1)")
-    n = problem.n
+    spec = problem_spectrum(problem)
+    n = spec.n
     if not (1 <= p <= n):
         raise ConfigError(f"need 1 <= p <= n, got p={p}")
     if trials < 1:
         raise ConfigError(f"need trials >= 1, got {trials}")
-    spec = problem_spectrum(problem)
     err_full = _check_err_full(spec.error(problem.sigma2, lam), lam)
-    A = problem.K
     ratios = np.empty(trials)
     for t in range(trials):
-        phi = nested_factor(A, sample_columns(n, p, _rng_for(seed, t)).indices)
+        phi = nested_factor(problem.K, sample_columns(n, p, _rng_for(seed, t)).indices)
         bl, vl = lowrank_bias_variance(phi, problem.z, problem.sigma2, lam)
         ratios[t] = (bl + vl) / err_full
     d_max, _, _ = spec.dof(lam)
@@ -362,12 +347,10 @@ def lemma_deviations(psis, p: int, trials: int, seed) -> np.ndarray:
 
     Trial t draws its p row indices I from ``_rng_for(seed, t)``. The draw
     depends only on (seed, t, n, p), so one draw serves every matrix in
-    ``psis`` (all with n rows). Returns a (len(psis), trials) array.
+    ``psis`` (finite, all with n rows, else DataError). Returns a (len(psis), trials) array.
     """
-    psis = [np.asarray(psi, dtype=float) for psi in psis]
-    n = psis[0].shape[0]
-    if any(psi.shape[0] != n for psi in psis):
-        raise ConfigError("every matrix needs the same number of rows")
+    n = finite(psis[0], "matrix 0", shape=(None, None)).shape[0]
+    psis = [finite(psi, f"matrix {f}", shape=(n, None)) for f, psi in enumerate(psis)]
     if not (1 <= p <= n):
         raise ConfigError(f"need 1 <= p <= n, got p={p}")
     if trials < 1:
@@ -387,9 +370,9 @@ def lemma_tail(psi, p: int, t_grid, devs) -> list[tuple[float, float, float]]:
 
     empirical_prob is the fraction of ``devs`` above t; the bound is
     r exp(-p t^2 / 2 / (lambda_max(Psi^T Psi / n) (R^2 + t/3))) clipped to 1,
-    with R^2 the computed maximum squared row norm.
+    with R^2 the computed maximum squared row norm. DataError unless psi is a finite matrix.
     """
-    psi = np.asarray(psi, dtype=float)
+    psi = finite(psi, "matrix", shape=(None, None))
     n, r = psi.shape
     lam_max = float(np.linalg.eigvalsh(psi.T @ psi / n)[-1])
     r2 = float(np.max(np.sum(psi * psi, axis=1)))
@@ -522,9 +505,9 @@ def optimal_lambda(spec: Spectrum, sigma2: float, grid) -> LambdaChoice:
     sigma2 is finite and >= 0 (:func:`~nyridge.synthetic.check_sigma2`).
     """
     sigma2 = check_sigma2(sigma2)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(np.diff(grid) <= 0):
-        raise ConfigError("lambda grid must be nonempty and increasing")
+    grid = finite(grid, "lambda grid", shape=(None,))
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError("lambda grid must be increasing")
     errs = spec.errors(sigma2, grid)
     i = int(np.argmin(errs))
     lo = grid[max(i - 1, 0)]
@@ -551,15 +534,14 @@ class RateFit:
 
 def fit_rate(pairs) -> RateFit:
     """Least-squares slope of log(value) against log(n); ConfigError unless n takes 2 distinct values."""
-    pts = [(float(a), float(b)) for a, b in pairs]
+    pts = finite(pairs, "rate fit pairs", shape=(None, 2))
     if len(pts) < 4:
         raise ConfigError(f"rate fit needs >= 4 pairs, got {len(pts)}")
-    if not all(0 < a < math.inf and 0 < v < math.inf for a, v in pts):
-        raise ConfigError("rate fit needs finite positive sizes and values")
-    if len({a for a, _ in pts}) < 2:
-        raise ConfigError(f"rate fit needs at least 2 distinct sizes, got only n = {pts[0][0]!r}")
-    x = np.log([a for a, _ in pts])
-    y = np.log([v for _, v in pts])
+    if not np.all(pts > 0):
+        raise ConfigError("rate fit needs positive sizes and values")
+    if np.all(pts[:, 0] == pts[0, 0]):
+        raise ConfigError(f"rate fit needs at least 2 distinct sizes, got only n = {float(pts[0, 0])!r}")
+    x, y = np.log(pts).T
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef

@@ -21,7 +21,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, generator
 from .kernels import KernelSpec, cross_gram
 
 
@@ -257,11 +257,11 @@ def grid_problem(n: int, spectrum: SpectrumSpec, sigma2: float) -> FixedDesignPr
 
 
 def draw_noise(n: int, sigma2: float, trials: int, seed) -> np.ndarray:
-    """trials x n matrix of i.i.d. centered Gaussian noise, seeded."""
+    """trials x n matrix of i.i.d. centered Gaussian noise, seeded; ConfigError unless n, trials >= 0."""
     sigma2 = check_sigma2(sigma2)
-    if sigma2 == 0.0:
-        return np.zeros((trials, n))
-    return np.sqrt(sigma2) * np.random.default_rng(seed).standard_normal((trials, n))
+    if min(n, trials) < 0:
+        raise ConfigError(f"need n, trials >= 0, got n={n}, trials={trials}")
+    return np.sqrt(sigma2) * generator(seed).standard_normal((trials, n))
 
 
 def sigma2_for_snr(power: float, snr: float) -> float:

@@ -83,7 +83,7 @@ class TestKrrExact:
             krr_exact(np.eye(5), y, 0.01)
 
     def test_target_count_mismatch(self):
-        with pytest.raises(DataError, match="needs 5 targets"):
+        with pytest.raises(DataError, match="target vector needs 5 entries"):
             krr_exact(np.eye(5), np.ones(4), 0.01)
 
     def test_nan_kernel_raises_data_error(self):
@@ -175,7 +175,7 @@ class TestKrrLowrank:
     def test_target_count_mismatch(self):
         F = nystrom(random_psd(10, 41), sample_columns(10, 4, 42))
         for y in (np.ones(9), np.ones(11), np.ones((10, 1))):
-            with pytest.raises(DataError, match="10 targets"):
+            with pytest.raises(DataError, match="target vector needs 10 entries"):
                 krr_lowrank(F, y, 1e-3)
 
 
@@ -259,7 +259,9 @@ class TestPredict:
         fit, _ = krr_exact(np.eye(4), np.ones(4), 0.1)
         spec = KernelSpec.periodic_poly(1)
         for landmarks in ([0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4, 0.5]):
-            with pytest.raises(ConfigError, match="4 coefficients"):
+            with pytest.raises(
+                ConfigError, match=rf"coefficient vector needs {len(landmarks)} entries \(got shape \(4,\)\)"
+            ):
                 predict(fit, [0.1], spec, landmarks)
 
 

@@ -244,7 +244,7 @@ class TestSignalLength:
 
     def test_circulant(self):
         row0 = np.array([2.0, 0.5, 0.1, 0.5])
-        with pytest.raises(DataError, match="zhat needs n // 2 \\+ 1 = 3"):
+        with pytest.raises(DataError, match="zhat needs 3 entries"):
             Spectrum.circulant(row0, np.ones(2) + 0j)
 
 
@@ -280,6 +280,13 @@ class TestTheoremRankBound:
             theorem_rank_bound(1.0, 1.5, 10, 1.0, 0.1)
         with pytest.raises(ConfigError):
             theorem_rank_bound(1.0, 0.5, 10, 1.0, 0.0)
+        # delta's interval is open at both ends, in the bound and in its check
+        prob = grid_problem(20, SpectrumSpec(1, 3.0), 0.5)
+        for delta in (0.0, 1.0):
+            with pytest.raises(ConfigError):
+                theorem_rank_bound(1.0, delta, 10, 1.0, 0.1)
+            with pytest.raises(ConfigError):
+                verify_theorem(prob, lam=1e-2, delta=delta, p=5, trials=1, seed=0)
 
 
 class TestVerifyTheorem:
@@ -545,6 +552,10 @@ class TestFitRate:
             fit_rate([(10, 1.0), (20, 2.0), (40, 3.0)])
         with pytest.raises(ConfigError):
             fit_rate([(10, 1.0), (20, -2.0), (40, 3.0), (80, 4.0)])
+        # a size or a value of exactly 0 has no logarithm
+        for zero in ((0, 1.0), (10, 0.0)):
+            with pytest.raises(ConfigError):
+                fit_rate([zero, (20, 2.0), (40, 3.0), (80, 4.0)])
 
     def test_needs_two_distinct_sizes(self):
         # four points at one n once gave a slope out of rounding alone
@@ -758,11 +769,26 @@ class TestTrialsValidation:
         prob = grid_problem(20, SpectrumSpec(1, 3.0), 0.5)
         with pytest.raises(ConfigError):
             verify_theorem(prob, lam=1e-2, delta=0.25, p=5, trials=0, seed=0)
+        # the exact boundaries: one trial and p = 1 or n are accepted, p = 0 and n + 1 refused
+        for p in (1, 20):
+            assert verify_theorem(prob, lam=1e-2, delta=0.25, p=p, trials=1, seed=0).ratios.shape == (1,)
+        for p in (0, 21):
+            with pytest.raises(ConfigError):
+                verify_theorem(prob, lam=1e-2, delta=0.25, p=p, trials=1, seed=0)
+        # the same trials bound in the rank sweeper over the same problem
+        assert len(RankSweeper(prob, problem_spectrum(prob), trials=1).factors("random")) == 1
+        with pytest.raises(ConfigError):
+            RankSweeper(prob, problem_spectrum(prob), trials=0)
 
     def test_verify_lemma_rejects_zero_trials(self):
         psi = np.random.default_rng(0).normal(size=(20, 3))
         with pytest.raises(ConfigError):
             lemma_deviations([psi], 5, 0, 0)
+        for p in (1, 20):
+            assert lemma_deviations([psi], p, 1, 0).shape == (1, 1)
+        for p in (0, 21):
+            with pytest.raises(ConfigError):
+                lemma_deviations([psi], p, 1, 0)
 
 
 class TestLambdaValidation:
