@@ -22,14 +22,15 @@ from .errors import (
     ConfigError,
     MissingValueError,
     NonNumericError,
-    NumericalError,
     ParseError,
     finite,
     generator,
+    scalar,
 )
 from .kernels import KernelSpec, _kernel_block
 from .lowrank import feature_matrix, pivoted_ichol
 from .regression import ridge_basis
+from .stats import n_lambdas
 
 logger = logging.getLogger(__name__)
 
@@ -195,20 +196,15 @@ def cross_validate_lambda(
     """
     if spec.kind != "gaussian":
         raise ConfigError(f"cross-validation needs a Gaussian kernel (got {spec.kind!r})")
-    if folds < 2:
-        raise ConfigError("folds must be >= 2")
-    grid = finite(lambda_grid, "lambda grid", shape=(None,))
-    if not np.all(grid > 0):
-        raise ConfigError("lambda grid values must be > 0")
-    if not 0.0 <= trace_rtol < math.inf:
-        raise ConfigError(f"trace_rtol must be finite and >= 0, got {trace_rtol!r}")
+    folds = scalar(folds, "folds", int, ">= 2")
+    grid = finite(lambda_grid, "lambda grid", shape=(None,), bound="> 0")
+    trace_rtol = scalar(trace_rtol, "trace_rtol", float, ">= 0")
     X = finite(data.features, f"{data.name}: features", shape=(None, None))
     y = finite(data.targets, f"{data.name}: targets", shape=(X.shape[0],))
     n = X.shape[0]
     if n // folds < 2:
         raise ConfigError(f"fold size {n // folds} too small (need >= 2)")
-    if not n * float(np.max(grid)) < math.inf:  # bounds n_train lambda in every fold
-        raise NumericalError(f"n lambda at lambda={float(np.max(grid))!r} is not finite")
+    n_lambdas(grid, n)  # bounds n_train lambda in every fold
     fold_errs = np.zeros((folds, grid.size))
     ranks = []
     for f, val_idx in enumerate(_fold_slices(n, folds, seed)):

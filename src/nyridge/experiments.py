@@ -13,7 +13,6 @@ import hashlib
 import json
 import logging
 import math
-import sys
 from collections import Counter
 from typing import NamedTuple
 
@@ -21,14 +20,13 @@ import numpy as np
 
 from . import csvio
 from .datasets import cross_validate_lambda, load_dataset
-from .errors import ConfigError, NumericalError, VacuousBoundError
+from .errors import ConfigError, NumericalError, VacuousBoundError, generator, scalar
 from .kernels import SUPPORTED_BETAS, KernelSpec, median_distance_bandwidth
 from .lowrank import prefix_errors
 from .stats import (
     RankSweeper,
     Spectrum,
     _check_err_full,
-    _rng_for,
     default_lambda_grid,
     fit_rate,
     lemma_deviations,
@@ -40,7 +38,6 @@ from .stats import (
 )
 from .synthetic import (
     SpectrumSpec,
-    check_sigma2,
     grid_problem,
     grid_row,
     residue_tails,
@@ -52,7 +49,7 @@ logger = logging.getLogger(__name__)
 
 
 class Key(NamedTuple):
-    """One config key: its default, type, bound (a ``BOUNDS`` name) and help line."""
+    """One config key: its default, type, bound (an ``errors.BOUNDS`` name) and help line."""
 
     default: object
     kind: type  # int, float, str, list[int] or list[str]
@@ -64,16 +61,6 @@ class Key(NamedTuple):
         """The element type of a list key, None for a scalar key."""
         return getattr(self.kind, "__args__", (None,))[0]
 
-
-# bound name -> test; each is written so that NaN fails it
-BOUNDS = {
-    "": lambda x: True,
-    ">= 0": lambda x: x >= 0,
-    ">= 1": lambda x: x >= 1,
-    ">= 2": lambda x: x >= 2,
-    "> 0": lambda x: x > 0,
-    "in (0, 1)": lambda x: 0 < x < 1,
-}
 
 # keys that several experiments take: name -> (type, bound, help); each
 # experiment gives its own default
@@ -140,35 +127,21 @@ CONFIG: dict[str, dict[str, Key]] = {
     ),
 }
 
-_NOUNS = {int: "an integer", float: "a finite number", str: "a string"}
-
 
 def _checked(name: str, key: Key, value):
     """``value`` as ``key``'s type if it is one and meets its bound, else ConfigError.
 
-    A bool is never a number, an int is stored as a float for a float key,
-    a float stands for an int only without a fractional part, floats must
-    be finite, and a list must be non-empty with every entry of its type.
+    A number goes through :func:`~nyridge.errors.scalar`; a list must be
+    non-empty with every entry of its type.
     """
     if key.item is not None:
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{name} must be a non-empty list (got {value!r})")
         return [_checked(f"every {name} entry", key._replace(kind=key.item), v) for v in value]
-    kind = key.kind
-    if kind is str:
-        ok = isinstance(value, str)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        ok = False
-    elif kind is float:
-        value = math.inf if abs(value) > sys.float_info.max else float(value)
-        ok = math.isfinite(value)
-    else:
-        ok = isinstance(value, int) or value.is_integer()
-        value = int(value) if ok else value
-    if not ok:
-        raise ConfigError(f"{name} must be {_NOUNS[kind]} (got {value!r})")
-    if not BOUNDS[key.bound](value):
-        raise ConfigError(f"{name} must be {key.bound} (got {value!r})")
+    if key.kind is not str:
+        return scalar(value, name, key.kind, key.bound)
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string (got {value!r})")
     return value
 
 
@@ -223,7 +196,7 @@ def _sigma2(cfg: dict, power: float) -> float:
     sigma2 = cfg.get("sigma2")
     if sigma2 is None:
         sigma2 = sigma2_for_snr(power, cfg["snr"])
-    return check_sigma2(sigma2)
+    return scalar(sigma2, "sigma2", float, ">= 0")
 
 
 def _synthetic_problem(cfg: dict):
@@ -462,9 +435,8 @@ def lemma_family(name: str, n: int, r: int, seed) -> np.ndarray:
     """
     if name not in LEMMA_FAMILIES:
         raise ConfigError(f"unknown lemma family {name!r}")
-    if n < 1 or r < 1:
-        raise ConfigError(f"lemma matrices need n >= 1 and r >= 1, got n={n}, r={r}")
-    rng = _rng_for(seed, 1000 + LEMMA_FAMILIES[name])
+    n, r = scalar(n, "n", int, ">= 1"), scalar(r, "r", int, ">= 1")
+    rng = generator(seed, 1000 + LEMMA_FAMILIES[name])
     psi = rng.standard_normal((n, r))
     if name == "decaying":
         psi = psi * (np.arange(1, r + 1) ** -1.0)[None, :]
@@ -515,7 +487,7 @@ def run_cv(cfg: dict):
     if not cfg.get("input"):
         raise ConfigError("cv needs input=<csv path>")
     data = load_dataset(cfg["input"], target_column=cfg["target_column"])
-    rng = _rng_for(cfg["seed"], 0)
+    rng = generator(cfg["seed"], 0)
     if data.n > cfg["n_cap"]:
         keep = np.sort(rng.choice(data.n, size=cfg["n_cap"], replace=False))
         data.features = data.features[keep]
@@ -533,7 +505,7 @@ def run_cv(cfg: dict):
         spec,
         grid,
         folds=cfg["folds"],
-        seed=_rng_for(cfg["seed"], 1),
+        seed=generator(cfg["seed"], 1),
         trace_rtol=cfg["trace_rtol"],
     )
     if result.lambda_star == result.lambda_grid[0]:

@@ -22,7 +22,7 @@ from math import comb, factorial, inf, pi
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite, generator
+from .errors import ConfigError, NumericalError, finite, generator, scalar
 
 # Output entries per block of rows in ``_sqdist`` (512 KB of doubles).
 SQDIST_BLOCK = 1 << 16
@@ -85,8 +85,8 @@ def _periodic_poly_values(delta, beta: int):
 class KernelSpec:
     """A kernel family plus its single parameter.
 
-    ``kind`` is ``"periodic-polynomial"`` (param = beta > 1/2, integer,
-    tabulated) or ``"gaussian"`` (param = bandwidth > 0).
+    ``kind`` is ``"periodic-polynomial"`` (param = beta, one of
+    ``SUPPORTED_BETAS``) or ``"gaussian"`` (param = bandwidth, finite and > 0).
     """
 
     kind: str
@@ -94,15 +94,10 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind == "periodic-polynomial":
-            if not self.param > 0.5:
-                raise ConfigError(f"beta must be > 1/2 for a summable series (got {self.param!r})")
             if not float(self.param).is_integer() or int(self.param) not in SUPPORTED_BETAS:
-                raise ConfigError(
-                    f"beta must be an integer in {SUPPORTED_BETAS} (got {self.param!r})"
-                )
+                raise ConfigError(f"beta must be an integer in {SUPPORTED_BETAS} (got {self.param!r})")
         elif self.kind == "gaussian":
-            if not 0 < self.param < inf:
-                raise ConfigError(f"bandwidth must be > 0 and finite (got {self.param!r})")
+            scalar(self.param, "bandwidth", float, "> 0")
         else:
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
 

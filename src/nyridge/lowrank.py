@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import csvio
-from .errors import ConfigError, NumericalError, ParseError, finite, generator, shaped
+from .errors import ConfigError, NumericalError, ParseError, finite, generator, scalar, shaped
 from .kernels import KernelSpec, cross_gram
 
 # Collapse floor, relative to max(diag K): a pivot whose residual diagonal is
@@ -70,6 +70,7 @@ class ColumnSelection:
     def __post_init__(self):
         idx = np.asarray(finite(self.indices, "selection", shape=(None,)), dtype=int)
         object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "n", scalar(self.n, "n", int, ">= 1"))
         ordered = np.sort(idx)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ConfigError("selection indices must be distinct")
@@ -109,8 +110,9 @@ def sample_columns(n: int, p: int, seed) -> ColumnSelection:
 
     Deterministic given ``seed`` (an int or a numpy Generator).
     """
-    if p < 1 or p > n:
-        raise ConfigError(f"need 1 <= p <= n, got p={p}, n={n}")
+    n, p = scalar(n, "n", int, ">= 1"), scalar(p, "p", int, ">= 1")
+    if p > n:
+        raise ConfigError(f"p must be <= n = {n} (got {p})")
     idx = generator(seed).choice(n, size=p, replace=False)
     return ColumnSelection(indices=idx, method="uniform-random", n=n)
 
@@ -270,9 +272,9 @@ def pivoted_ichol(
     """
     if max_rank is None and trace_tol is None:
         raise ConfigError("give max_rank, trace_tol, or both")
-    pmax = math.inf if max_rank is None else int(max_rank)
-    if pmax < 1:
-        raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
+    pmax = math.inf if max_rank is None else scalar(max_rank, "max_rank", int, ">= 1")
+    if trace_tol is not None:
+        trace_tol = scalar(trace_tol, "trace_tol", float, ">= 0")
     rows, pivots, trail = _cholesky_rows(kernel_rows, diag, pmax, trace_tol=trace_tol)
     if not pivots:
         raise NumericalError("pivoted Cholesky made no progress (zero diagonal)")
@@ -384,16 +386,18 @@ def prefix_errors(K, phi, ranks) -> tuple[np.ndarray, np.ndarray]:
     Lanczos then settles on a lower one. g comes from a fixed seed, so
     reruns are identical. Only where the trace error is at most
     ``LANCZOS_RTOL * tr K`` (it bounds the operator error, so the residual
-    is rounding) is the dense :func:`approx_error` used instead. Ranks above
-    the number of columns are capped, as slicing phi[:, :p] would. DataError
-    unless K is finite and square and Phi finite with a row per row of K.
+    is rounding) is the dense :func:`approx_error` used instead. Ranks are
+    integers >= 0, capped at the columns of Phi as slicing phi[:, :p] would.
+    DataError unless K is finite and square and Phi finite with a row per
+    row of K.
     """
     A = finite(K, "kernel matrix", shape="square")
     phi = finite(phi, "factor", shape=(len(A), None))
     n, m = phi.shape
     tr = float(np.trace(A))
     trace_left = tr - np.concatenate(([0.0], np.cumsum(np.sum(phi * phi, axis=0))))
-    caps = [min(int(p), m) for p in finite(ranks, "ranks", shape=(None,))]
+    ranks = finite(ranks, "ranks", shape=(None,)).tolist()
+    caps = [min(scalar(p, "rank", int, ">= 0"), m) for p in ranks]
     op_errs = np.empty(len(caps))
     g = np.random.default_rng(0).standard_normal(n)
     g /= np.linalg.norm(g)

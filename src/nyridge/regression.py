@@ -24,7 +24,7 @@ from . import csvio
 from .errors import NumericalError, ParseError, finite
 from .kernels import KernelSpec, cross_gram
 from .lowrank import LowRankFactor
-from .stats import _check_lambda
+from .stats import n_lambdas
 
 
 @dataclass
@@ -62,12 +62,12 @@ def krr_exact(K, y, lam: float):
     Returns (fit, zhat); O(n^3). A non-square K, a target count other than
     K's, and a non-finite K or target raise DataError.
     """
-    _check_lambda(lam)
     A = finite(K, "kernel matrix", shape="square")
     n = A.shape[0]
     y = finite(y, "target vector", shape=(n,))
+    nl = n_lambdas(lam, n)
     s, V, b = ridge_basis(A, y)
-    alpha = V @ (b / (s + n * lam))
+    alpha = V @ (b / (s + nl))
     return RidgeFit(lam=lam, coef=alpha), A @ alpha
 
 
@@ -80,13 +80,13 @@ def krr_lowrank(factor: LowRankFactor, y, lam: float):
     target count other than Phi's row count, a whitener that is not p x p,
     and a non-finite Phi, whitener or target raise DataError.
     """
-    _check_lambda(lam)
     phi = finite(factor.phi, "factor", shape=(None, None))
     n, p = phi.shape
     y = finite(y, "target vector", shape=(n,))
     whitener = finite(factor.whitener, "whitener", shape=(p, p))
+    nl = n_lambdas(lam, n)
     s, V, b = ridge_basis(phi.T @ phi, phi.T @ y)
-    w = V @ (b / (s + n * lam))
+    w = V @ (b / (s + nl))
     fit = RidgeFit(lam=lam, coef=whitener @ w, indices=factor.selection.indices)
     return fit, phi @ w
 

@@ -41,14 +41,21 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, VacuousBoundError, finite, generator as _rng_for
+from .errors import ConfigError, NumericalError, VacuousBoundError, finite, generator, scalar, shaped
 from .lowrank import nested_factor, sample_columns
-from .synthetic import FixedDesignProblem, check_sigma2
+from .synthetic import FixedDesignProblem
 
 
-def _check_lambda(lam: float) -> None:
-    if not 0 < lam < math.inf:
-        raise ConfigError(f"lambda must be finite and > 0 (got {lam!r})")
+def n_lambdas(lams, n: int) -> np.ndarray:
+    """n lambda for every lambda of ``lams``, flattened: the one lambda rule.
+
+    DataError naming the first lambda not finite and > 0; NumericalError unless n max(lambda) is finite.
+    """
+    lams = np.asarray(lams, dtype=float).reshape(-1)
+    if not (lams.size and lams.min() > 0 and n * float(lams.max()) < math.inf):
+        finite(lams, "lambda", shape=(None,), bound="> 0")
+        raise NumericalError(f"n lambda at lambda={float(lams.max())!r} is not finite")
+    return n * lams
 
 
 def _energies(uz: np.ndarray, zz: float, n: int) -> tuple[np.ndarray, float]:
@@ -143,9 +150,9 @@ class Spectrum:
         the coefficients W^T (Q^T z)[:p] and the residual energy
         ||z||^2 - ||W^T (Q^T z)[:p]||^2, with Q^T z and ||z||^2 formed once.
         A prefix spectrum keeps no eigenvectors, so its ``dof`` raises.
-        Returns p -> spectrum; p is capped at the number of columns of Phi,
-        as slicing Phi[:, :p] would. DataError unless Phi and z are finite
-        and z has an entry per row of Phi.
+        Returns p -> spectrum, p an integer >= 0 capped at the columns of
+        Phi as slicing Phi[:, :p] would. DataError unless Phi and z are
+        finite and z has an entry per row of Phi.
         """
         phi = finite(phi, "factor", shape=(None, None))
         z = finite(z, "signal", shape=(phi.shape[0],))
@@ -153,19 +160,12 @@ class Spectrum:
         qz, zz, n = q.T @ z, float(z @ z), q.shape[0]
 
         def prefix(p: int) -> Spectrum:
+            p = scalar(p, "rank", int, ">= 0")
             rp = r[:p, :p]
             s, w = np.linalg.eigh(rp @ rp.T)
             return cls(np.clip(s, 0.0, None), n, *_energies(w.T @ qz[:p], zz, n))
 
         return prefix
-
-    def _n_lambda(self, lam: float) -> float:
-        """n lambda; ConfigError unless lambda is finite and > 0, NumericalError unless n lambda is finite."""
-        _check_lambda(lam)
-        nl = self.n * lam
-        if not math.isfinite(nl):
-            raise NumericalError(f"n lambda at lambda={lam!r} is not finite")
-        return nl
 
     def terms(self, lams) -> np.ndarray:
         """Rows (bias, d_trace, d_ave) at every lambda of ``lams``: a (3, len(lams)) array.
@@ -178,10 +178,9 @@ class Spectrum:
         share d_i between the three sums. The eigenvalue blocks are the same
         for every lambda, so each lambda's sums run in the same order however
         the lambdas are grouped: scoring an array equals scoring one lambda at
-        a time bit for bit. ConfigError unless every lambda is finite and
-        > 0, NumericalError when n lambda is not finite.
+        a time bit for bit. The lambdas are checked by :func:`n_lambdas`.
         """
-        nls = np.array([self._n_lambda(lam) for lam in np.asarray(lams, dtype=float).reshape(-1).tolist()])
+        nls = n_lambdas(lams, self.n)
         eigs, weight, coef2 = self.eigs, self.weight, self.coef2
         cols = max(1, min(eigs.size, SCORE_BLOCK))
         step = max(1, SCORE_BLOCK // cols)
@@ -249,7 +248,7 @@ def dof(K, lam: float) -> tuple[float, float, float]:
 
 def bias_variance(K, z, sigma2: float, lam: float) -> tuple[float, float]:
     """Closed-form expected in-sample error terms for the exact smoother."""
-    sigma2 = check_sigma2(sigma2)
+    sigma2 = scalar(sigma2, "sigma2", float, ">= 0")
     return Spectrum.dense(K, z).bias_variance(sigma2, lam)
 
 
@@ -260,6 +259,8 @@ def lowrank_bias_variance(phi, z, sigma2: float, lam: float) -> tuple[float, flo
     orthogonal to the column space carry eigenvalue zero, so their bias
     contribution is ||z_perp||^2 / n.
     """
+    phi = finite(phi, "factor", shape=(None, None))
+    sigma2 = scalar(sigma2, "sigma2", float, ">= 0")
     return Spectrum.prefixes(phi, z)(phi.shape[1]).bias_variance(sigma2, lam)
 
 
@@ -269,9 +270,7 @@ def theorem_rank_bound(d_max: float, delta: float, n: int, r2: float, lam: float
     Raises :class:`VacuousBoundError` when n R^2 <= delta lambda, where the
     logarithm is non-positive and the bound carries no information.
     """
-    if not (0.0 < delta < 1.0):
-        raise ConfigError("delta must be in (0, 1)")
-    _check_lambda(lam)
+    delta, lam = scalar(delta, "delta", float, "in (0, 1)"), scalar(lam, "lambda", float, "> 0")
     arg = n * r2 / (delta * lam)
     if arg <= 1.0:
         raise VacuousBoundError(
@@ -313,18 +312,16 @@ def verify_theorem(
     fraction of draws whose ratio exceeds the high-probability threshold
     (1 - delta/2)^(-2), next to its bound n exp(-p / (32 d / delta + 2)).
     """
-    if not (0.0 < delta < 1.0):
-        raise ConfigError("delta must be in (0, 1)")
+    delta = scalar(delta, "delta", float, "in (0, 1)")
     spec = problem_spectrum(problem)
     n = spec.n
-    if not (1 <= p <= n):
-        raise ConfigError(f"need 1 <= p <= n, got p={p}")
-    if trials < 1:
-        raise ConfigError(f"need trials >= 1, got {trials}")
+    p, trials = scalar(p, "p", int, ">= 1"), scalar(trials, "trials", int, ">= 1")
+    if p > n:
+        raise ConfigError(f"p must be <= n = {n} (got {p})")
     err_full = _check_err_full(spec.error(problem.sigma2, lam), lam)
     ratios = np.empty(trials)
     for t in range(trials):
-        phi = nested_factor(problem.K, sample_columns(n, p, _rng_for(seed, t)).indices)
+        phi = nested_factor(problem.K, sample_columns(n, p, generator(seed, t)).indices)
         bl, vl = lowrank_bias_variance(phi, problem.z, problem.sigma2, lam)
         ratios[t] = (bl + vl) / err_full
     d_max, _, _ = spec.dof(lam)
@@ -345,20 +342,19 @@ def verify_theorem(
 def lemma_deviations(psis, p: int, trials: int, seed) -> np.ndarray:
     """lambda_max[Psi^T Psi / n - Psi_I^T Psi_I / p] per matrix and trial.
 
-    Trial t draws its p row indices I from ``_rng_for(seed, t)``. The draw
+    Trial t draws its p row indices I from ``generator(seed, t)``. The draw
     depends only on (seed, t, n, p), so one draw serves every matrix in
     ``psis`` (finite, all with n rows, else DataError). Returns a (len(psis), trials) array.
     """
     n = finite(psis[0], "matrix 0", shape=(None, None)).shape[0]
     psis = [finite(psi, f"matrix {f}", shape=(n, None)) for f, psi in enumerate(psis)]
-    if not (1 <= p <= n):
-        raise ConfigError(f"need 1 <= p <= n, got p={p}")
-    if trials < 1:
-        raise ConfigError(f"need trials >= 1, got {trials}")
+    p, trials = scalar(p, "p", int, ">= 1"), scalar(trials, "trials", int, ">= 1")
+    if p > n:
+        raise ConfigError(f"p must be <= n = {n} (got {p})")
     grams = [psi.T @ psi / n for psi in psis]
     devs = np.empty((len(psis), trials))
     for t in range(trials):
-        idx = _rng_for(seed, t).choice(n, size=p, replace=False)
+        idx = generator(seed, t).choice(n, size=p, replace=False)
         for f, (psi, A) in enumerate(zip(psis, grams)):
             sub = psi[idx]
             devs[f, t] = np.linalg.eigvalsh(A - sub.T @ sub / p)[-1]
@@ -400,8 +396,8 @@ class RankSweeper:
     """
 
     def __init__(self, problem: FixedDesignProblem, spectrum: Spectrum, trials: int = 10, seed=0):
-        if trials < 1:
-            raise ConfigError(f"need trials >= 1, got {trials}")
+        trials = scalar(trials, "trials", int, ">= 1")
+        shaped(problem.row0, "first row", (None,))
         if spectrum.n != problem.n:
             raise ConfigError(f"spectrum of size {spectrum.n} for a problem of size {problem.n}")
         self.problem = problem
@@ -417,7 +413,7 @@ class RankSweeper:
             raise ConfigError(f"unknown method {method!r}")
         if method not in self._factors:
             if method == "random":
-                orders = (_rng_for(self.seed, t).permutation(self.problem.n) for t in range(self.trials))
+                orders = (generator(self.seed, t).permutation(self.problem.n) for t in range(self.trials))
             else:
                 orders = [None]
             self._factors[method] = [nested_factor(self.problem.K, order) for order in orders]
@@ -452,8 +448,7 @@ class RankSweeper:
         finite (an overflow at a huge lambda) raises NumericalError, because
         no rank could be compared with it.
         """
-        if not tol > 0:
-            raise ConfigError(f"tol must be > 0, got {tol!r}")
+        tol = scalar(tol, "tol", float, "> 0")
         n = self.problem.n
 
         def ok(p: int) -> bool:
@@ -485,9 +480,9 @@ class LambdaChoice:
     saturated: bool
 
 
-def default_lambda_grid(trace_over_n: float, num: int = 40) -> np.ndarray:
+def default_lambda_grid(trace_over_n: float) -> np.ndarray:
     """40 log-spaced points spanning [1e-16, 1] times tr(K)/n."""
-    return trace_over_n * np.logspace(-16.0, 0.0, num)
+    return trace_over_n * np.logspace(-16.0, 0.0, 40)
 
 
 def optimal_lambda(spec: Spectrum, sigma2: float, grid) -> LambdaChoice:
@@ -502,9 +497,9 @@ def optimal_lambda(spec: Spectrum, sigma2: float, grid) -> LambdaChoice:
     flagged through ``saturated`` (argmin at the smallest grid point or
     lambda* < 1e-15). The grid and the 12-point refinement are each scored
     as one lambda array (:meth:`Spectrum.errors`). ConfigError unless
-    sigma2 is finite and >= 0 (:func:`~nyridge.synthetic.check_sigma2`).
+    sigma2 is finite and >= 0.
     """
-    sigma2 = check_sigma2(sigma2)
+    sigma2 = scalar(sigma2, "sigma2", float, ">= 0")
     grid = finite(grid, "lambda grid", shape=(None,))
     if np.any(np.diff(grid) <= 0):
         raise ConfigError("lambda grid must be increasing")
@@ -534,11 +529,9 @@ class RateFit:
 
 def fit_rate(pairs) -> RateFit:
     """Least-squares slope of log(value) against log(n); ConfigError unless n takes 2 distinct values."""
-    pts = finite(pairs, "rate fit pairs", shape=(None, 2))
+    pts = finite(pairs, "rate fit pairs", shape=(None, 2), bound="> 0")
     if len(pts) < 4:
         raise ConfigError(f"rate fit needs >= 4 pairs, got {len(pts)}")
-    if not np.all(pts > 0):
-        raise ConfigError("rate fit needs positive sizes and values")
     if np.all(pts[:, 0] == pts[0, 0]):
         raise ConfigError(f"rate fit needs at least 2 distinct sizes, got only n = {float(pts[0, 0])!r}")
     x, y = np.log(pts).T

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf, isfinite
+from math import inf
 
 import numpy as np
 
-from .errors import ConfigError, generator
+from .errors import ConfigError, generator, scalar
 from .kernels import KernelSpec, cross_gram
 
 
@@ -39,8 +39,7 @@ class SpectrumSpec:
 
     def __post_init__(self):
         KernelSpec.periodic_poly(self.beta)
-        if not 1.0 < self.delta < inf:
-            raise ConfigError(f"delta must be finite and > 1 (got {self.delta!r})")
+        scalar(self.delta, "delta", float, "> 1")
 
 
 @dataclass
@@ -69,14 +68,6 @@ class FixedDesignProblem:
     def mean_diag(self) -> float:
         """tr(K) / n, read off the first row."""
         return float(self.row0[0])
-
-
-def check_sigma2(sigma2) -> float:
-    """The noise variance as a float; ConfigError unless finite and >= 0."""
-    value = float(sigma2)
-    if not (isfinite(value) and value >= 0.0):
-        raise ConfigError(f"sigma2 must be finite and >= 0 (got {sigma2!r})")
-    return value
 
 
 # Cephes' Euler-Maclaurin constants (2k)! / B_2k, k = 1..12, its stop
@@ -199,8 +190,7 @@ def eig_circulant(beta: float, n: int) -> np.ndarray:
     eig_r = n (a_r + a_{(n-r) mod n}) for the residue fold a of mu: the mirror
     of ``signal_fourier(2 beta, n)``. Wrap-around tails are zeta closed forms.
     """
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = scalar(n, "n", int, ">= 1")
     return _mirror(signal_fourier(2.0 * beta, n), n)
 
 
@@ -250,23 +240,19 @@ def grid_problem(n: int, spectrum: SpectrumSpec, sigma2: float) -> FixedDesignPr
     K itself is assembled from its first row on first access to ``.K``; its
     exact eigenvalues are ``eig_circulant(spectrum.beta, n)``.
     """
-    if n < 2:
-        raise ConfigError("n must be >= 2")
-    sigma2 = check_sigma2(sigma2)
+    n, sigma2 = scalar(n, "n", int, ">= 2"), scalar(sigma2, "sigma2", float, ">= 0")
     return FixedDesignProblem(grid_row(spectrum.beta, n), signal_on_grid(spectrum.delta, n), sigma2)
 
 
 def draw_noise(n: int, sigma2: float, trials: int, seed) -> np.ndarray:
     """trials x n matrix of i.i.d. centered Gaussian noise, seeded; ConfigError unless n, trials >= 0."""
-    sigma2 = check_sigma2(sigma2)
-    if min(n, trials) < 0:
-        raise ConfigError(f"need n, trials >= 0, got n={n}, trials={trials}")
+    sigma2 = scalar(sigma2, "sigma2", float, ">= 0")
+    n, trials = scalar(n, "n", int, ">= 0"), scalar(trials, "trials", int, ">= 0")
     return np.sqrt(sigma2) * generator(seed).standard_normal((trials, n))
 
 
 def sigma2_for_snr(power: float, snr: float) -> float:
     """Noise variance giving a signal of mean square ``power`` signal power / noise power = snr^2."""
-    if not snr > 0:
-        raise ConfigError(f"snr must be > 0 (got {snr!r})")
+    snr = scalar(snr, "snr", float, "> 0")
     snr2 = snr * snr  # an underflow to 0 means a sigma2 too large to represent
     return power / snr2 if snr2 > 0 else inf

@@ -2,14 +2,15 @@
 
 Every callable in ``nyridge.__all__`` that takes input (the functions and
 the validating classes ``ColumnSelection``, ``KernelSpec`` and
-``SpectrumSpec``), plus ``prefix_errors`` and the four ``Spectrum``
-constructors, is called with valid arguments in which one parameter at a
-time is replaced by a malformed value:
+``SpectrumSpec``), plus ``prefix_errors``, the four ``Spectrum``
+constructors, ``lowrank_bias_variance`` and ``RankSweeper``, is called
+with valid arguments in which one parameter at a time is replaced by a
+malformed value:
 
 - an array gets a NaN, +inf or -inf entry at a drawn position, an empty
   array of its number of axes, one axis more or one fewer, and one row
   (and, for a matrix, one column) fewer;
-- a float gets NaN, +inf and -inf, an int -1 and 0;
+- a float gets NaN, +inf and -inf, an int -1, 0, 2.5 and NaN;
 - a factor, fit, problem or selection gets each malformed value of one of
   its arrays, or a size that does not match; a row oracle returns
   malformed rows.
@@ -58,7 +59,7 @@ from nyridge import (
     verify_theorem,
 )
 from nyridge.lowrank import make_column_oracle, prefix_errors
-from nyridge.stats import Spectrum, problem_spectrum
+from nyridge.stats import RankSweeper, Spectrum, lowrank_bias_variance, problem_spectrum
 
 N = 6
 RNG = np.random.default_rng(26)
@@ -94,7 +95,9 @@ def array_variants(v, draw):
 
 
 def scalar_variants(v, draw):
-    return {repr(b): b for b in BAD} if isinstance(v, float) else {"-1": -1, "0": 0}
+    if isinstance(v, float):
+        return {repr(b): b for b in BAD}
+    return {"-1": -1, "0": 0, "2.5": 2.5, "nan": math.nan}
 
 
 def oracle_variants(_, draw):
@@ -206,6 +209,16 @@ ENTRY_POINTS = {
     "Spectrum.lowrank": (Spectrum.lowrank, [("phi", FACTOR.phi, arr), ("z", Z, arr)]),
     "Spectrum.prefixes": (
         lambda phi, z: Spectrum.prefixes(phi, z)(2), [("phi", FACTOR.phi, arr), ("z", Z, arr)]
+    ),
+    "lowrank_bias_variance": (
+        lowrank_bias_variance,
+        [("phi", FACTOR.phi.tolist(), arr), ("z", Z, arr), ("sigma2", 0.5, num), ("lam", 1e-2, num)],
+    ),
+    "RankSweeper": (
+        lambda problem, trials, seed: (
+            RankSweeper(problem, SPECTRUM, trials, seed).sufficient_rank(1e-3, "random")
+        ),
+        [("problem", PROBLEM, field_variants("row0", "z")), ("trials", 2, num), ("seed", 3, num)],
     ),
 }
 

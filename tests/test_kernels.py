@@ -287,7 +287,7 @@ class TestKernelSpec:
             ("periodic-polynomial", "beta"),
             ("gaussian", "bandwidth"),
         ]:
-            with pytest.raises(ConfigError, match=f"{name} must be >"):
+            with pytest.raises(ConfigError, match=f"{name} must be "):
                 KernelSpec(kind, float("nan"))
 
     def test_cross_gram_dispatch(self):

@@ -176,6 +176,9 @@ class TestPivotedIchol:
         F = pivoted_ichol(make_column_oracle(K), materialized_diag(K), trace_tol=tol)
         assert F.trace_residual_trail[-1] <= tol
         assert F.rank < 40
+        for bad in (math.nan, -1.0):  # neither may run on to max_rank in silence
+            with pytest.raises(ConfigError, match="trace_tol must be"):
+                pivoted_ichol(make_column_oracle(K), materialized_diag(K), max_rank=5, trace_tol=bad)
 
     def test_row_budget(self):
         # the oracle gets 1-D arrays of distinct indices, every pivot's row is
@@ -577,6 +580,10 @@ class TestPrefixSweeps:
         capped = prefix_errors(K, greedy, [12])
         assert first[0][-1] == first[0][3] == capped[0][0]
         assert first[1][-1] == first[1][3] == capped[1][0]
+        # -1 would pair the full factor's trace error with a rank-11 operator error
+        for bad in ([-1], [2.5]):
+            with pytest.raises(ConfigError, match="rank must be"):
+                prefix_errors(K, greedy, bad)
 
     def test_prefix_spectrum_has_no_dof(self):
         # a prefix spectrum keeps no eigenvectors, so it knows no leverage:

@@ -71,6 +71,11 @@ class TestKrrExact:
                 krr_exact(np.eye(3), np.ones(3), lam)
             with pytest.raises(ConfigError):
                 krr_lowrank(F, np.ones(3), lam)
+        # n lambda = 3e308 overflows: the solve would return all-zero coefficients
+        with pytest.raises(NumericalError, match="is not finite"):
+            krr_exact(np.eye(3), np.ones(3), 1e308)
+        with pytest.raises(NumericalError, match="is not finite"):
+            krr_lowrank(F, np.ones(3), 1e308)
 
     def test_non_psd_beyond_tolerance_fails(self):
         with pytest.raises(NumericalError):

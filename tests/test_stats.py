@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from scipy.linalg import circulant
 
 from nyridge import experiments, stats
-from nyridge.errors import ConfigError, DataError, NumericalError, VacuousBoundError
+from nyridge.errors import ConfigError, DataError, NumericalError, VacuousBoundError, generator
 from nyridge.experiments import resolve_config, run_rate_check
 from nyridge.lowrank import nystrom, sample_columns
 from nyridge.stats import (
     RankSweeper,
-    _rng_for,
     Spectrum,
     bias_variance,
     default_lambda_grid,
@@ -319,7 +318,7 @@ class TestVerifyTheorem:
         K = prob.K
         err_full = sum(bias_variance(K, prob.z, prob.sigma2, 5e-3))
         for t, ratio in enumerate(check.ratios):
-            L = direct_nystrom(K, sample_columns(36, 10, _rng_for(2, t)).indices)
+            L = direct_nystrom(K, sample_columns(36, 10, generator(2, t)).indices)
             want = sum(bias_variance(L, prob.z, prob.sigma2, 5e-3)) / err_full
             assert abs(ratio - want) <= 1e-10
 
@@ -410,7 +409,7 @@ class TestSufficientRank:
         p = 7
         direct = []
         for t in range(4):
-            order = _rng_for(5, t).permutation(30)
+            order = generator(5, t).permutation(30)
             L = direct_nystrom(prob.K, order[:p])
             b, v = bias_variance(L, prob.z, prob.sigma2, lam)
             direct.append(b + v)
@@ -508,7 +507,7 @@ class TestOptimalLambda:
         # point's two neighbours, so the refinement must beat the grid
         prob = grid_problem(n, SpectrumSpec(beta, delta), sigma2)
         spec = problem_spectrum(prob)
-        grid = default_lambda_grid(prob.mean_diag, num)
+        grid = prob.mean_diag * np.logspace(-16.0, 0.0, num)
         errs = [spec.error(sigma2, lam) for lam in grid]
         i = int(np.argmin(errs))
         assert 0 < i < num - 1
@@ -676,7 +675,7 @@ class TestBlockedScoring:
     @pytest.mark.parametrize("kind", sorted(SPECTRA))
     def test_blocks_equal_one_lambda_at_a_time(self, kind, monkeypatch):
         spec = self.SPECTRA[kind]()
-        lams = default_lambda_grid(1.0, 52)
+        lams = np.logspace(-16.0, 0.0, 52)
         # tiles of one element, tiles that cut the spectrum, one tile for all
         for block in (1, 40, lams.size * spec.eigs.size):
             monkeypatch.setattr(stats, "SCORE_BLOCK", block)
