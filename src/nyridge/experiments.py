@@ -24,15 +24,14 @@ from .errors import ConfigError, NumericalError, VacuousBoundError, generator, s
 from .kernels import SUPPORTED_BETAS, KernelSpec, median_distance_bandwidth
 from .lowrank import prefix_errors
 from .stats import (
+    FixedDesignProblem,
     RankSweeper,
     Spectrum,
-    _check_err_full,
     default_lambda_grid,
     fit_rate,
     lemma_deviations,
     lemma_tail,
     optimal_lambda,
-    problem_spectrum,
     theorem_rank_bound,
     verify_theorem,
 )
@@ -199,17 +198,17 @@ def _sigma2(cfg: dict, power: float) -> float:
     return scalar(sigma2, "sigma2", float, ">= 0")
 
 
-def _synthetic_problem(cfg: dict):
-    """The configured grid problem and its spectrum (:func:`problem_spectrum`), built once."""
+def _synthetic_problem(cfg: dict) -> FixedDesignProblem:
+    """The configured grid problem, with sigma2 from the config or its snr."""
     spectrum = SpectrumSpec(cfg["beta"], cfg["delta"])
     prob = grid_problem(cfg["n"], spectrum, sigma2=0.0)
     prob.sigma2 = _sigma2(cfg, float(np.mean(np.square(prob.z))))
-    return prob, problem_spectrum(prob)
+    return prob
 
 
-def _optimal_lambda(prob, spec: Spectrum) -> float:
+def _optimal_lambda(prob: FixedDesignProblem) -> float:
     """lambda* of the problem on the default grid."""
-    return optimal_lambda(spec, prob.sigma2, default_lambda_grid(prob.mean_diag)).lambda_star
+    return optimal_lambda(prob.spectrum, prob.sigma2, default_lambda_grid(prob.mean_diag)).lambda_star
 
 
 def _default_p_grid(n: int) -> list[int]:
@@ -233,16 +232,16 @@ def run_fig1(cfg: dict):
     formed only at ranks whose trace error is rounding, at most
     ``LANCZOS_RTOL`` tr K, which on a full random-order factor is p = n.
     """
-    prob, spec = _synthetic_problem(cfg)
+    prob = _synthetic_problem(cfg)
     lam = cfg.get("lam")
     if lam is None:
-        lam = _optimal_lambda(prob, spec)
-    err_full = _check_err_full(spec.error(prob.sigma2, lam), lam)
+        lam = _optimal_lambda(prob)
+    err_full = prob.full_error(lam)
     tr_full = float(np.trace(prob.K))
-    op_full = float(np.max(spec.eigs))
+    op_full = float(np.max(prob.spectrum.eigs))
     ranks = _default_p_grid(prob.n)
 
-    sweeper = RankSweeper(prob, spec, trials=cfg["trials"], seed=cfg["seed"])
+    sweeper = RankSweeper(prob, trials=cfg["trials"], seed=cfg["seed"])
     curves = {}  # method -> (rel trace, rel operator, rel excess), each trials x ranks
     for method in ("random", "pivoted"):
         tr_errs, op_errs, excess = [], [], []
@@ -372,16 +371,16 @@ def run_rate_check(cfg: dict):
 
 def run_rank_ratio(cfg: dict):
     """Sufficient rank over degrees of freedom across a lambda grid."""
-    prob, spec = _synthetic_problem(cfg)
+    prob = _synthetic_problem(cfg)
     scale = np.geomspace(cfg["lambda_lo"], cfg["lambda_hi"], cfg["lambda_points"])
     top = float(np.max(scale))
     if not prob.mean_diag * top < math.inf:
         raise ConfigError(f"lambda={top!r} times tr(K)/n={prob.mean_diag!r} is not finite")
     lams = prob.mean_diag * scale
-    sweeper = RankSweeper(prob, spec, trials=cfg["trials"], seed=cfg["seed"])
+    sweeper = RankSweeper(prob, trials=cfg["trials"], seed=cfg["seed"])
     rows = []
     for lam in lams:
-        d_max, d_trace, d_ave = spec.dof(float(lam))
+        d_max, d_trace, d_ave = prob.spectrum.dof(float(lam))
         if not d_ave > 0:  # d_max >= d_ave
             raise ConfigError(f"lambda={float(lam)!r} leaves no degrees of freedom; lower lambda_hi")
         p_rand = sweeper.sufficient_rank(float(lam), "random", cfg["tol"])
@@ -396,11 +395,11 @@ def run_rank_ratio(cfg: dict):
 
 def run_verify_theorem(cfg: dict):
     """Error-ratio check of the rank bound at one (lambda, delta, p)."""
-    prob, spec = _synthetic_problem(cfg)
+    prob = _synthetic_problem(cfg)
     lam = cfg.get("lam")
     if lam is None:
-        lam = _optimal_lambda(prob, spec)
-    d_max, _, _ = spec.dof(lam)
+        lam = _optimal_lambda(prob)
+    d_max, _, _ = prob.spectrum.dof(lam)
     p = cfg.get("p")
     bound_p = None
     if p is None:

@@ -94,7 +94,7 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind == "periodic-polynomial":
-            if not float(self.param).is_integer() or int(self.param) not in SUPPORTED_BETAS:
+            if scalar(self.param, "beta", int) not in SUPPORTED_BETAS:
                 raise ConfigError(f"beta must be an integer in {SUPPORTED_BETAS} (got {self.param!r})")
         elif self.kind == "gaussian":
             scalar(self.param, "bandwidth", float, "> 0")

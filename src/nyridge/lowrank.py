@@ -105,15 +105,21 @@ class LowRankFactor:
         return self.phi @ self.phi.T
 
 
+def subset_size(n: int, p: int) -> int:
+    """p as the size of a subset of n items: the one subset-size rule; ConfigError unless 1 <= p <= n."""
+    p = scalar(p, "p", int, ">= 1")
+    if p > n:
+        raise ConfigError(f"p must be <= n = {n} (got {p})")
+    return p
+
+
 def sample_columns(n: int, p: int, seed) -> ColumnSelection:
     """Uniform random p-subset of {0, ..., n-1}, without replacement.
 
     Deterministic given ``seed`` (an int or a numpy Generator).
     """
-    n, p = scalar(n, "n", int, ">= 1"), scalar(p, "p", int, ">= 1")
-    if p > n:
-        raise ConfigError(f"p must be <= n = {n} (got {p})")
-    idx = generator(seed).choice(n, size=p, replace=False)
+    n = scalar(n, "n", int, ">= 1")
+    idx = generator(seed).choice(n, size=subset_size(n, p), replace=False)
     return ColumnSelection(indices=idx, method="uniform-random", n=n)
 
 

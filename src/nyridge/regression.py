@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvio
-from .errors import NumericalError, ParseError, finite
+from .errors import NumericalError, ParseError, finite, scalar
 from .kernels import KernelSpec, cross_gram
 from .lowrank import LowRankFactor
 from .stats import n_lambdas
@@ -65,7 +65,7 @@ def krr_exact(K, y, lam: float):
     A = finite(K, "kernel matrix", shape="square")
     n = A.shape[0]
     y = finite(y, "target vector", shape=(n,))
-    nl = n_lambdas(lam, n)
+    nl = n_lambdas(scalar(lam, "lambda"), n)
     s, V, b = ridge_basis(A, y)
     alpha = V @ (b / (s + nl))
     return RidgeFit(lam=lam, coef=alpha), A @ alpha
@@ -84,7 +84,7 @@ def krr_lowrank(factor: LowRankFactor, y, lam: float):
     n, p = phi.shape
     y = finite(y, "target vector", shape=(n,))
     whitener = finite(factor.whitener, "whitener", shape=(p, p))
-    nl = n_lambdas(lam, n)
+    nl = n_lambdas(scalar(lam, "lambda"), n)
     s, V, b = ridge_basis(phi.T @ phi, phi.T @ y)
     w = V @ (b / (s + nl))
     fit = RidgeFit(lam=lam, coef=whitener @ w, indices=factor.selection.indices)

@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, VacuousBoundError, finite, generator, scalar, shaped
-from .lowrank import nested_factor, sample_columns
-from .synthetic import FixedDesignProblem
+from .errors import ConfigError, NumericalError, VacuousBoundError, finite, generator, scalar
+from .lowrank import nested_factor, sample_columns, subset_size
 
 
 def n_lambdas(lams, n: int) -> np.ndarray:
@@ -207,7 +207,7 @@ class Spectrum:
 
     def bias_variance(self, sigma2: float, lam: float) -> tuple[float, float]:
         """(bias, variance) at one lambda: (sum_i coef2_i s_i^2 + resid2) / n and sigma2 d_ave / n."""
-        bias, _, d_ave = self.terms([lam])[:, 0].tolist()
+        bias, _, d_ave = self.terms([scalar(lam, "lambda")])[:, 0].tolist()
         return bias, sigma2 / self.n * d_ave
 
     def error(self, sigma2: float, lam: float) -> float:
@@ -216,7 +216,7 @@ class Spectrum:
 
     def dof(self, lam: float) -> tuple[float, float, float]:
         """(d_max, d_trace, d_ave); d_max = d_trace for a circulant K, ConfigError without eigenvectors."""
-        _, d_trace, d_ave = self.terms([lam])[:, 0].tolist()
+        _, d_trace, d_ave = self.terms([scalar(lam, "lambda")])[:, 0].tolist()
         if self.weight is not None:
             return d_trace, d_trace, d_ave
         if self.basis is None:
@@ -225,20 +225,54 @@ class Spectrum:
         return float(self.n * np.max(np.einsum("ji,i,ji->j", self.basis, r, self.basis))), d_trace, d_ave
 
 
-def problem_spectrum(problem: FixedDesignProblem) -> Spectrum:
-    """Half spectrum of the problem's K with the coefficients of its current z.
+@dataclass
+class FixedDesignProblem:
+    """The first row of a circulant kernel matrix, the noiseless target and the noise level.
 
-    One real FFT of the first row and one of z; K is never assembled.
+    The n x n ``K`` and the spectrum (one real FFT of ``row0`` and one of ``z``, without K) are
+    built on first access and cached; reassigning ``row0`` drops both, reassigning ``z`` the spectrum.
     """
-    z = finite(problem.z, "signal", shape=np.shape(problem.row0))
-    return Spectrum.circulant(problem.row0, np.fft.rfft(z))
+
+    row0: np.ndarray
+    z: np.ndarray
+    sigma2: float
+
+    def __setattr__(self, name, value):
+        for cached in {"row0": ("K", "spectrum"), "z": ("spectrum",)}.get(name, ()):
+            self.__dict__.pop(cached, None)
+        super().__setattr__(name, value)
+
+    @property
+    def n(self) -> int:
+        return self.row0.shape[0]
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        r = np.arange(self.n)
+        return self.row0[(r[None, :] - r[:, None]) % self.n]
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Half spectrum of K with the coefficients of z, one real FFT of each; DataError unless finite."""
+        z = finite(self.z, "signal", shape=np.shape(self.row0))
+        return Spectrum.circulant(self.row0, np.fft.rfft(z))
+
+    @property
+    def mean_diag(self) -> float:
+        """tr(K) / n, read off the first row."""
+        return float(self.row0[0])
+
+    def full_error(self, lam: float) -> float:
+        """The exact smoother's expected error, that ratios divide by; NumericalError unless finite, > 0."""
+        err = self.spectrum.error(self.sigma2, lam)
+        if not 0.0 < err < math.inf:
+            raise NumericalError(f"full-matrix error at lambda={lam!r} is {err!r}; no ratio to it")
+        return err
 
 
-def _check_err_full(err_full: float, lam: float) -> float:
-    """The full-matrix error that ratios divide by; NumericalError unless finite and > 0."""
-    if not 0.0 < err_full < math.inf:
-        raise NumericalError(f"full-matrix error at lambda={lam!r} is {err_full!r}; no ratio to it")
-    return err_full
+def problem_spectrum(problem: FixedDesignProblem) -> Spectrum:
+    """The problem's cached spectrum, :attr:`FixedDesignProblem.spectrum`."""
+    return problem.spectrum
 
 
 def dof(K, lam: float) -> tuple[float, float, float]:
@@ -270,7 +304,9 @@ def theorem_rank_bound(d_max: float, delta: float, n: int, r2: float, lam: float
     Raises :class:`VacuousBoundError` when n R^2 <= delta lambda, where the
     logarithm is non-positive and the bound carries no information.
     """
-    delta, lam = scalar(delta, "delta", float, "in (0, 1)"), scalar(lam, "lambda", float, "> 0")
+    d_max, delta = scalar(d_max, "d_max", float, ">= 0"), scalar(delta, "delta", float, "in (0, 1)")
+    n, r2 = scalar(n, "n", int, ">= 1"), scalar(r2, "r2", float, ">= 0")
+    lam = scalar(lam, "lambda", float, "> 0")
     arg = n * r2 / (delta * lam)
     if arg <= 1.0:
         raise VacuousBoundError(
@@ -313,18 +349,15 @@ def verify_theorem(
     (1 - delta/2)^(-2), next to its bound n exp(-p / (32 d / delta + 2)).
     """
     delta = scalar(delta, "delta", float, "in (0, 1)")
-    spec = problem_spectrum(problem)
-    n = spec.n
-    p, trials = scalar(p, "p", int, ">= 1"), scalar(trials, "trials", int, ">= 1")
-    if p > n:
-        raise ConfigError(f"p must be <= n = {n} (got {p})")
-    err_full = _check_err_full(spec.error(problem.sigma2, lam), lam)
+    n = problem.spectrum.n  # checks row0 and z first
+    p, trials = subset_size(n, p), scalar(trials, "trials", int, ">= 1")
+    err_full = problem.full_error(lam)
     ratios = np.empty(trials)
     for t in range(trials):
         phi = nested_factor(problem.K, sample_columns(n, p, generator(seed, t)).indices)
         bl, vl = lowrank_bias_variance(phi, problem.z, problem.sigma2, lam)
         ratios[t] = (bl + vl) / err_full
-    d_max, _, _ = spec.dof(lam)
+    d_max, _, _ = problem.spectrum.dof(lam)
     thresh = (1.0 - delta / 2.0) ** -2
     return TheoremCheck(
         ratio_mean=float(np.mean(ratios)),
@@ -348,9 +381,7 @@ def lemma_deviations(psis, p: int, trials: int, seed) -> np.ndarray:
     """
     n = finite(psis[0], "matrix 0", shape=(None, None)).shape[0]
     psis = [finite(psi, f"matrix {f}", shape=(n, None)) for f, psi in enumerate(psis)]
-    p, trials = scalar(p, "p", int, ">= 1"), scalar(trials, "trials", int, ">= 1")
-    if p > n:
-        raise ConfigError(f"p must be <= n = {n} (got {p})")
+    p, trials = subset_size(n, p), scalar(trials, "trials", int, ">= 1")
     grams = [psi.T @ psi / n for psi in psis]
     devs = np.empty((len(psis), trials))
     for t in range(trials):
@@ -364,16 +395,19 @@ def lemma_deviations(psis, p: int, trials: int, seed) -> np.ndarray:
 def lemma_tail(psi, p: int, t_grid, devs) -> list[tuple[float, float, float]]:
     """Rows (t, empirical_prob, bound) of the deviations ``devs`` of psi's subsets.
 
-    empirical_prob is the fraction of ``devs`` above t; the bound is
-    r exp(-p t^2 / 2 / (lambda_max(Psi^T Psi / n) (R^2 + t/3))) clipped to 1,
-    with R^2 the computed maximum squared row norm. DataError unless psi is a finite matrix.
+    empirical_prob is the fraction of ``devs`` above t; the bound is r exp(-p t^2 / 2 /
+    (lambda_max(Psi^T Psi / n) (R^2 + t/3))) clipped to 1, R^2 the largest squared row norm.
+    DataError unless psi, t_grid and devs are finite (a matrix, two vectors); ConfigError unless 1 <= p <= n.
     """
     psi = finite(psi, "matrix", shape=(None, None))
     n, r = psi.shape
+    p = subset_size(n, p)
+    t_grid = finite(t_grid, "t grid", shape=(None,))
+    devs = finite(devs, "deviations", shape=(None,))
     lam_max = float(np.linalg.eigvalsh(psi.T @ psi / n)[-1])
     r2 = float(np.max(np.sum(psi * psi, axis=1)))
     rows = []
-    for tval in np.asarray(t_grid, dtype=float):
+    for tval in t_grid:
         emp = float(np.mean(devs > tval))
         bound = min(1.0, r * math.exp(-p * tval * tval / 2.0 / (lam_max * (r2 + tval / 3.0))))
         rows.append((float(tval), emp, bound))
@@ -391,17 +425,14 @@ class RankSweeper:
     past the next power of two; a rank-p spectrum then costs one p x p
     ``eigh``, and per-(trial, p) spectra are cached, making repeated
     sufficient-rank queries across a lambda grid cheap; a prefix spectrum
-    holds O(p) numbers. The full error every rank is compared with comes
-    from ``spectrum``, the problem's own (:func:`problem_spectrum`).
+    holds O(p) numbers. Every rank is compared with the problem's own full
+    error (:meth:`FixedDesignProblem.full_error`).
     """
 
-    def __init__(self, problem: FixedDesignProblem, spectrum: Spectrum, trials: int = 10, seed=0):
+    def __init__(self, problem: FixedDesignProblem, trials: int = 10, seed=0):
         trials = scalar(trials, "trials", int, ">= 1")
-        shaped(problem.row0, "first row", (None,))
-        if spectrum.n != problem.n:
-            raise ConfigError(f"spectrum of size {spectrum.n} for a problem of size {problem.n}")
+        problem.spectrum  # noqa: B018  checks row0 and z before K is built
         self.problem = problem
-        self.spectrum = spectrum
         self.trials = trials
         self.seed = seed
         self._factors: dict[str, list[np.ndarray]] = {}
@@ -444,19 +475,16 @@ class RankSweeper:
     def sufficient_rank(self, lam: float, method: str, tol: float = 0.01) -> int:
         """Smallest p with mean error <= (1 + tol) * full error; doubling + bisection.
 
-        Returns n when no smaller rank suffices. A full error that is not
-        finite (an overflow at a huge lambda) raises NumericalError, because
-        no rank could be compared with it.
+        Returns n when no smaller rank suffices. NumericalError unless the full error
+        (:meth:`FixedDesignProblem.full_error`) is finite and > 0: no rank compares with it.
         """
         tol = scalar(tol, "tol", float, "> 0")
         n = self.problem.n
+        target = (1.0 + tol) * self.problem.full_error(lam)
 
         def ok(p: int) -> bool:
             return self.error(method, p, lam) <= target
 
-        target = (1.0 + tol) * self.spectrum.error(self.problem.sigma2, lam)
-        if not math.isfinite(target):
-            raise NumericalError(f"full-matrix error at lambda={lam!r} is not finite")
         p = 1
         while p < n and not ok(p):
             p *= 2

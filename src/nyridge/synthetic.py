@@ -16,13 +16,13 @@ cos(2 i pi x) with nu_i = i^(-2 delta) are built the same way on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import inf
 
 import numpy as np
 
 from .errors import ConfigError, generator, scalar
 from .kernels import KernelSpec, cross_gram
+from .stats import FixedDesignProblem
 
 
 @dataclass(frozen=True)
@@ -40,34 +40,6 @@ class SpectrumSpec:
     def __post_init__(self):
         KernelSpec.periodic_poly(self.beta)
         scalar(self.delta, "delta", float, "> 1")
-
-
-@dataclass
-class FixedDesignProblem:
-    """The first row of a circulant kernel matrix, the noiseless target and the noise level.
-
-    The problem keeps the mirrored first row ``row0`` of its kernel matrix
-    and assembles the n x n ``K`` only on first access (then cached), so
-    that spectral computations (FFT of ``row0``) never allocate it.
-    """
-
-    row0: np.ndarray
-    z: np.ndarray
-    sigma2: float
-
-    @property
-    def n(self) -> int:
-        return self.row0.shape[0]
-
-    @cached_property
-    def K(self) -> np.ndarray:
-        r = np.arange(self.n)
-        return self.row0[(r[None, :] - r[:, None]) % self.n]
-
-    @property
-    def mean_diag(self) -> float:
-        """tr(K) / n, read off the first row."""
-        return float(self.row0[0])
 
 
 # Cephes' Euler-Maclaurin constants (2k)! / B_2k, k = 1..12, its stop
@@ -213,8 +185,10 @@ def signal_fourier(delta: float, n: int, tails: np.ndarray | None = None) -> np.
     ``residue_tails(delta, N)`` of a multiple N of n (:func:`_residue_fold`).
     """
     a = _residue_fold(delta, n, tails)
-    r = np.arange(n // 2 + 1)
-    return n * (a[r] + a[-r % n])
+    out = a[: n // 2 + 1].copy()  # r pairs with n - r: 0 with itself, 1..n/2 through a reversed slice
+    out[0] += a[0]
+    out[1:] += a[: (n - 1) // 2 : -1]
+    return np.multiply(out, n, out=out)
 
 
 def grid_row(beta: int, n: int) -> np.ndarray:

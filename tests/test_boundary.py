@@ -3,7 +3,7 @@
 Every callable in ``nyridge.__all__`` that takes input (the functions and
 the validating classes ``ColumnSelection``, ``KernelSpec`` and
 ``SpectrumSpec``), plus ``prefix_errors``, the four ``Spectrum``
-constructors, ``lowrank_bias_variance`` and ``RankSweeper``, is called
+constructors, ``lowrank_bias_variance``, ``lemma_tail`` and ``RankSweeper``, is called
 with valid arguments in which one parameter at a time is replaced by a
 malformed value:
 
@@ -59,7 +59,7 @@ from nyridge import (
     verify_theorem,
 )
 from nyridge.lowrank import make_column_oracle, prefix_errors
-from nyridge.stats import RankSweeper, Spectrum, lowrank_bias_variance, problem_spectrum
+from nyridge.stats import RankSweeper, Spectrum, lemma_deviations, lemma_tail, lowrank_bias_variance
 
 N = 6
 RNG = np.random.default_rng(26)
@@ -71,7 +71,7 @@ SEL = sample_columns(N, 3, 0)
 FACTOR = nystrom(K, SEL)
 FIT, _ = krr_lowrank(FACTOR, Z, 1e-2)
 PROBLEM = grid_problem(8, SpectrumSpec(1, 3.0), 0.5)
-SPECTRUM = problem_spectrum(PROBLEM)
+PSI = RNG.standard_normal((N, 2))
 PAIRS = np.array([(n, 2.0 / n) for n in (8, 16, 32, 64, 128, 256)])
 BAD = (math.nan, math.inf, -math.inf)
 
@@ -172,7 +172,7 @@ ENTRY_POINTS = {
     "nystrom": (nystrom, [("K", K, arr), ("selection", SEL, selection_variants)]),
     "optimal_lambda": (
         optimal_lambda,
-        [("spec", SPECTRUM, fixed), ("sigma2", 0.5, num), ("grid", np.geomspace(1e-6, 1, 8), arr)],
+        [("spec", PROBLEM.spectrum, fixed), ("sigma2", 0.5, num), ("grid", np.geomspace(1e-6, 1, 8), arr)],
     ),
     "pivoted_ichol": (
         pivoted_ichol,
@@ -214,10 +214,13 @@ ENTRY_POINTS = {
         lowrank_bias_variance,
         [("phi", FACTOR.phi.tolist(), arr), ("z", Z, arr), ("sigma2", 0.5, num), ("lam", 1e-2, num)],
     ),
+    "lemma_tail": (
+        lemma_tail,
+        [("psi", PSI, arr), ("p", 3, num), ("t_grid", np.array([0.1, 0.5]), arr),
+         ("devs", lemma_deviations([PSI], 3, 4, 0)[0], arr)],
+    ),
     "RankSweeper": (
-        lambda problem, trials, seed: (
-            RankSweeper(problem, SPECTRUM, trials, seed).sufficient_rank(1e-3, "random")
-        ),
+        lambda problem, trials, seed: RankSweeper(problem, trials, seed).sufficient_rank(1e-3, "random"),
         [("problem", PROBLEM, field_variants("row0", "z")), ("trials", 2, num), ("seed", 3, num)],
     ),
 }

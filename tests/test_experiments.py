@@ -97,10 +97,12 @@ BAD_CONFIGS = [
 # Runs whose config is valid but whose numbers are not: each must exit 2 or
 # 3 with the given message and write no CSV. The first two once wrote NaN
 # CSVs with exit 0; the third ended in an OverflowError traceback and the
-# two after it in ZeroDivisionError tracebacks. The next three have a full
+# two after it in ZeroDivisionError tracebacks. The next four have a full
 # error of 0, or one so small that the relative excess overflows: the
 # verify-theorem run ended in a ZeroDivisionError traceback, the fig1 runs
-# printed numpy warnings before the writer refused their CSV. The whole-
+# printed numpy warnings before the writer refused their CSV, and the
+# rank-ratio run wrote p* = n, a target (1 + tol) 0 that no rank can meet,
+# with exit 0. The whole-
 # experiment fuzz found the last three: an overflow warning from n lambda in
 # cv and from lambda_hi tr(K)/n in rank-ratio, and an OverflowError
 # traceback from an infinite rank bound.
@@ -114,6 +116,9 @@ BAD_RUNS = [
       "--p", "4"], 3, "full-matrix error at lambda=1e-300 is 0.0"),
     (["fig1", "--n", "16", "--trials", "1", "--sigma2", "0", "--lam", "1e-300"],
      3, "full-matrix error at lambda=1e-300 is 0.0"),
+    (["rank-ratio", "--n", "16", "--trials", "1", "--sigma2", "0", "--lambda-lo", "1e-300",
+      "--lambda-hi", "1e-300", "--lambda-points", "1"],
+     3, "full-matrix error at lambda=3.2898681336964525e-300 is 0.0; no ratio to it"),
     (["fig1", "--n", "17", "--trials", "1", "--beta", "2", "--delta", "4.016285629714771",
       "--sigma2", "0", "--lam", "3.58e-162"], 3, "relative excess over err_full="),
     (["cv", "--input", "toy.csv", "--lambda-min", "1e307", "--lambda-max", "1e307",
@@ -366,6 +371,23 @@ class TestWholeExperiments:
         run()
 
 
+@pytest.mark.parametrize("experiment, overrides", [
+    ("fig1", {"n": 32, "trials": 2}),
+    ("rank-ratio", {"n": 32, "trials": 2, "lambda_points": 2}),
+    ("verify-theorem", {"n": 40, "trials": 3, "p": 10}),  # built two
+])
+def test_one_problem_spectrum_per_run(experiment, overrides, monkeypatch):
+    circulant, calls = Spectrum.circulant, []
+
+    def counted(row0, zhat=None):
+        calls.append(np.size(row0))
+        return circulant(row0, zhat)
+
+    monkeypatch.setattr(Spectrum, "circulant", staticmethod(counted))
+    run_experiment(resolve_config(experiment, None, overrides))
+    assert calls == [overrides["n"]]
+
+
 class TestCsv:
     def test_render_deterministic(self):
         meta = [("experiment", "x"), ("seed", "0")]
@@ -409,9 +431,9 @@ class TestFig1:
         b, v = bias_variance(prob.K, prob.z, sigma2, lam)
         err_full = b + v
         assert err_full == pytest.approx(float(md["err_full"]), rel=1e-10)
-        from nyridge.stats import RankSweeper, problem_spectrum
+        from nyridge.stats import RankSweeper
 
-        sweeper = RankSweeper(prob, problem_spectrum(prob), trials=2, seed=3)
+        sweeper = RankSweeper(prob, trials=2, seed=3)
         piv = sweeper.factors("pivoted")[0]
         for row in rows_by(header, rows, method="pivoted"):
             p = int(row["p"])

@@ -273,8 +273,12 @@ class TestKernelSpec:
     def test_validation(self):
         with pytest.raises(ConfigError):
             KernelSpec.periodic_poly(0)
-        with pytest.raises(ConfigError):
-            KernelSpec("periodic-polynomial", 2.5)  # non-tabulated beta
+        # beta goes through the scalar rule: 10**400 ended in an OverflowError, "2" was kept
+        for beta, message in ((2.5, "beta must be an integer"), (10**400, "beta must be an integer in"),
+                              ("2", "beta must be an integer")):
+            with pytest.raises(ConfigError, match=message):
+                KernelSpec("periodic-polynomial", beta)
+        assert KernelSpec("periodic-polynomial", 2.0) == KernelSpec.periodic_poly(2)
         with pytest.raises(ConfigError, match="unknown kernel kind"):
             KernelSpec("periodic-exponential", 1.0)
         with pytest.raises(ConfigError):

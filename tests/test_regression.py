@@ -76,6 +76,12 @@ class TestKrrExact:
             krr_exact(np.eye(3), np.ones(3), 1e308)
         with pytest.raises(NumericalError, match="is not finite"):
             krr_lowrank(F, np.ones(3), 1e308)
+        # one lambda, and a number: a list ended in a broadcast ValueError, 10**400 in an OverflowError
+        for lam in ([0.1, 0.2], 10**400):
+            with pytest.raises(ConfigError, match="lambda must be a finite number"):
+                krr_exact(np.eye(3), np.ones(3), lam)
+            with pytest.raises(ConfigError, match="lambda must be a finite number"):
+                krr_lowrank(F, np.ones(3), lam)
 
     def test_non_psd_beyond_tolerance_fails(self):
         with pytest.raises(NumericalError):

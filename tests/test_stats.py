@@ -287,6 +287,17 @@ class TestTheoremRankBound:
             with pytest.raises(ConfigError):
                 verify_theorem(prob, lam=1e-2, delta=delta, p=5, trials=1, seed=0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((3.0, 0.5, 2.5, 1.0, 1e-2), "n must be an integer"),  # returned 1206
+        ((3.0, 0.5, 0, 1.0, 1e-2), "n must be >= 1"),
+        ((math.nan, 0.5, 10, 1.0, 1e-2), "d_max must be a finite number"),
+        ((-1.0, 0.5, 10, 1.0, 1e-2), "d_max must be >= 0"),
+        ((3.0, 0.5, 10, math.inf, 1e-2), "r2 must be a finite number"),
+    ])
+    def test_every_scalar_goes_through_the_scalar_rule(self, args, name):
+        with pytest.raises(ConfigError, match=name):
+            theorem_rank_bound(*args)
+
 
 class TestVerifyTheorem:
     def test_full_rank_ratio_is_one(self):
@@ -358,6 +369,25 @@ class TestVerifyLemma:
         rows = lemma_tail(psi, 10, [1.01 * lam_max], lemma_deviations([psi], 10, 200, 4)[0])
         assert rows[0][1] == 0.0
 
+    @pytest.mark.parametrize("p, message", [
+        (math.nan, "p must be an integer"), (2.5, "p must be an integer"), (0, "p must be >= 1"),
+        (41, "p must be <= n = 40"),
+    ])
+    def test_lemma_tail_takes_a_subset_size(self, p, message):
+        psi = np.random.default_rng(5).normal(size=(40, 6))
+        with pytest.raises(ConfigError, match=message):  # nan and 2.5 returned rows
+            lemma_tail(psi, p, [0.1], np.zeros(3))
+
+    @pytest.mark.parametrize("t_grid, devs, what", [
+        ([0.1, math.nan], np.zeros(3), "t grid entry 1"),
+        ([0.1], [0.0, math.inf], "deviations entry 1"),
+        ([0.1], [], "deviations needs"),
+    ])
+    def test_lemma_tail_checks_its_arrays(self, t_grid, devs, what):
+        psi = np.random.default_rng(5).normal(size=(40, 6))
+        with pytest.raises(DataError, match=what):
+            lemma_tail(psi, 10, t_grid, devs)
+
     def test_full_subset_no_deviation(self):
         rng = np.random.default_rng(5)
         psi = rng.normal(size=(40, 6))
@@ -382,28 +412,39 @@ class TestVerifyLemma:
 class TestSufficientRank:
     def test_huge_lambda_needs_rank_one(self):
         prob = grid_problem(36, SpectrumSpec(1, 3.0), 0.5)
-        sweeper = RankSweeper(prob, problem_spectrum(prob), trials=3, seed=0)
+        sweeper = RankSweeper(prob, trials=3, seed=0)
         p = sweeper.sufficient_rank(1e4, "random", tol=0.01)
         assert p == 1
 
     def test_huge_tolerance_needs_rank_one(self):
         prob = grid_problem(36, SpectrumSpec(1, 3.0), 0.5)
-        sweeper = RankSweeper(prob, problem_spectrum(prob), trials=3, seed=1)
+        sweeper = RankSweeper(prob, trials=3, seed=1)
         p = sweeper.sufficient_rank(1e-3, "random", tol=1e9)
         assert p == 1
+
+    def test_overflowing_target_needs_rank_one(self):
+        # a finite full error whose (1 + tol) multiple overflows: every rank meets the infinite target
+        prob = grid_problem(36, SpectrumSpec(1, 3.0), 1e3)
+        assert 1.0 < prob.full_error(1e-3) < math.inf
+        assert RankSweeper(prob, trials=3, seed=1).sufficient_rank(1e-3, "random", tol=1.7e308) == 1
+
+    def test_zero_full_error_is_refused(self):
+        # (1 + tol) 0 could never be met: the sweep returned n
+        prob = grid_problem(16, SpectrumSpec(1, 3.0), 0.0)
+        with pytest.raises(NumericalError, match="full-matrix error at lambda=1e-300 is 0.0; no ratio to it"):
+            RankSweeper(prob, trials=1).sufficient_rank(1e-300, "random")
 
     def test_pivoted_deterministic_and_reasonable(self):
         prob = grid_problem(48, SpectrumSpec(1, 3.0), 0.5)
         lams = optimal_on_default_grid(prob)
-        spec = problem_spectrum(prob)
-        p1 = RankSweeper(prob, spec, seed=0).sufficient_rank(lams.lambda_star, "pivoted")
-        p2 = RankSweeper(prob, spec, seed=99).sufficient_rank(lams.lambda_star, "pivoted")
+        p1 = RankSweeper(prob, seed=0).sufficient_rank(lams.lambda_star, "pivoted")
+        p2 = RankSweeper(prob, seed=99).sufficient_rank(lams.lambda_star, "pivoted")
         assert p1 == p2
         assert 1 <= p1 <= 48
 
     def test_sweeper_error_matches_direct_nystrom(self):
         prob = grid_problem(30, SpectrumSpec(1, 3.0), 0.4)
-        sw = RankSweeper(prob, problem_spectrum(prob), trials=4, seed=5)
+        sw = RankSweeper(prob, trials=4, seed=5)
         lam = 1e-2
         # recompute the mean closed-form error from the direct formula for L
         p = 7
@@ -415,15 +456,9 @@ class TestSufficientRank:
             direct.append(b + v)
         assert sw.error("random", p, lam) == pytest.approx(np.mean(direct), rel=1e-8)
 
-    def test_rejects_another_problems_spectrum(self):
-        prob = grid_problem(30, SpectrumSpec(1, 3.0), 0.4)
-        other = problem_spectrum(grid_problem(31, SpectrumSpec(1, 3.0), 0.4))
-        with pytest.raises(ConfigError, match="size 31"):
-            RankSweeper(prob, other)
-
     def test_unknown_method_rejected_before_k_is_built(self):
         prob = grid_problem(30, SpectrumSpec(1, 3.0), 0.4)
-        sweeper = RankSweeper(prob, problem_spectrum(prob))
+        sweeper = RankSweeper(prob)
         with pytest.raises(ConfigError, match="unknown method 'greedy'"):
             sweeper.sufficient_rank(1e-2, "greedy")
         assert "K" not in vars(prob)  # the n x n matrix was never assembled
@@ -434,7 +469,7 @@ class TestSufficientRank:
         # n = 40 is no power of two, so the doubling is capped at n
         n, tol = 40, 0.01
         prob = grid_problem(n, SpectrumSpec(1, 2.5), 1e-6)
-        sweeper = RankSweeper(prob, problem_spectrum(prob), trials=3, seed=2)
+        sweeper = RankSweeper(prob, trials=3, seed=2)
         probes, seen = [], {}
         error = sweeper.error
 
@@ -446,7 +481,7 @@ class TestSufficientRank:
         sweeper.error = recorded
         got = sweeper.sufficient_rank(lam, method, tol)
 
-        target = (1.0 + tol) * problem_spectrum(prob).error(prob.sigma2, lam)
+        target = (1.0 + tol) * prob.full_error(lam)
         expected = []
 
         def ok(p):
@@ -638,6 +673,27 @@ class TestCirculantSpectrum:
         assert problem_spectrum(prob).bias_variance(0.0, 1e-3)[0] == pytest.approx(4.0 * before, rel=1e-12)
         assert "K" not in vars(prob)  # the FFT path never assembled K
 
+    def test_problem_caches_one_spectrum(self):
+        prob = grid_problem(40, SpectrumSpec(1, 3.0), 0.2)
+        assert prob.spectrum is prob.spectrum is problem_spectrum(prob)
+        err = prob.full_error(1e-3)
+        assert err == prob.spectrum.error(0.2, 1e-3)
+        prob.sigma2 = 0.4  # sigma2 is read at each call, the spectrum kept
+        assert prob.full_error(1e-3) == prob.spectrum.error(0.4, 1e-3) > err
+        K = prob.K
+        prob.row0 = 2.0 * prob.row0
+        assert "spectrum" not in vars(prob) and "K" not in vars(prob)
+        assert np.array_equal(prob.K, 2.0 * K)
+
+    def test_problem_checks_its_arrays_on_first_spectrum(self):
+        prob = grid_problem(40, SpectrumSpec(1, 3.0), 0.2)
+        prob.z = np.append(prob.z[:-1], math.nan)
+        with pytest.raises(DataError, match="signal entry 39 is nan"):
+            prob.full_error(1e-3)
+        prob.z = prob.z[:-1]
+        with pytest.raises(DataError, match="signal needs 40 entries"):
+            RankSweeper(prob)
+
     @pytest.mark.parametrize("beta,delta", [(1, 2.0), (4, 8.0)])
     def test_rate_check_rows_match_dense_path(self, beta, delta, monkeypatch):
         sizes = [16, 24, 33, 48, 64, 97, 128]
@@ -775,9 +831,9 @@ class TestTrialsValidation:
             with pytest.raises(ConfigError):
                 verify_theorem(prob, lam=1e-2, delta=0.25, p=p, trials=1, seed=0)
         # the same trials bound in the rank sweeper over the same problem
-        assert len(RankSweeper(prob, problem_spectrum(prob), trials=1).factors("random")) == 1
+        assert len(RankSweeper(prob, trials=1).factors("random")) == 1
         with pytest.raises(ConfigError):
-            RankSweeper(prob, problem_spectrum(prob), trials=0)
+            RankSweeper(prob, trials=0)
 
     def test_verify_lemma_rejects_zero_trials(self):
         psi = np.random.default_rng(0).normal(size=(20, 3))
@@ -791,6 +847,14 @@ class TestTrialsValidation:
 
 
 class TestLambdaValidation:
+    @pytest.mark.parametrize("lam", [10**400, [0.1, 0.2], "0.1"])
+    def test_one_lambda_entry_points_take_one_number(self, lam):
+        # 10**400 ended in an OverflowError
+        spec = problem_spectrum(grid_problem(20, SpectrumSpec(1, 3.0), 0.5))
+        for call in (spec.dof, lambda l: spec.error(0.5, l)):
+            with pytest.raises(ConfigError, match="lambda must be a finite number"):
+                call(lam)
+
     @pytest.mark.parametrize("lam", [0.0, -1e-3, float("nan"), float("inf")])
     def test_spectrum_rejects_nonpositive_lambda(self, lam):
         spec = problem_spectrum(grid_problem(20, SpectrumSpec(1, 3.0), 0.5))

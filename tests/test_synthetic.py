@@ -36,9 +36,11 @@ class TestSpectrumSpec:
 
     def test_beta_must_be_a_tabulated_integer(self):
         assert SpectrumSpec(3, 2.0) == SpectrumSpec(beta=3, delta=2.0)
-        for beta in (2.5, 5, float("inf")):  # int(inf) once raised an OverflowError
-            with pytest.raises(ConfigError, match=r"beta must be an integer in \(1, 2, 3, 4, 8\)"):
+        for beta in (2.5, float("inf")):  # int(inf) once raised an OverflowError
+            with pytest.raises(ConfigError, match=rf"beta must be an integer \(got {beta!r}\)"):
                 SpectrumSpec(beta, 2.0)
+        with pytest.raises(ConfigError, match=r"beta must be an integer in \(1, 2, 3, 4, 8\) \(got 5\)"):
+            SpectrumSpec(5, 2.0)
 
 
 class TestEigCirculant:
