@@ -55,13 +55,15 @@ def write(path, meta, header, rows, version: tuple[str, int] | None = None) -> N
 
 
 def _value(text: str, kind):
-    """``text`` as ``kind``: str, a finite int or float, or list[int]/list[float] split at ``;``."""
+    """``text`` as ``kind``: str, an int64 or a finite float, or list[int]/list[float] split at ``;``."""
     if kind is str:
         return text
     if kind not in (int, float):
         return np.array([_value(t, kind.__args__[0]) for t in text.split(";")])
     value = kind(text)
-    if not math.isfinite(value):
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text!r} is past the int64 range")
+    if kind is float and not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
     return value
 

@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: configuration/input problems exit
 with 2, numerical failures with 3. :func:`scalar` is the one rule for a
 scalar argument (its type and a ``BOUNDS`` bound), :func:`finite` for an
 input array (:func:`shaped` for its shape alone), :func:`generator` for a seed.
+:func:`scalar` and :func:`finite` read a Python int past the float range as
++-inf (:func:`floats`), so that it fails their finiteness test instead of
+raising OverflowError.
 """
 
 import math
@@ -58,6 +61,22 @@ BOUNDS = {
 _NOUNS = {int: "an integer", float: "a finite number"}
 
 
+def _float(value) -> float:
+    """``float(value)``, where an int past the float range reads as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def floats(a) -> np.ndarray:
+    """``np.asarray(a, dtype=float)``, where a Python int past the float range reads as +-inf."""
+    try:
+        return np.asarray(a, dtype=float)
+    except OverflowError:  # only a number past the float range gets here, so a valid array pays nothing
+        return np.vectorize(_float, otypes=[float])(np.asarray(a, dtype=object))
+
+
 def scalar(value, what: str, kind: type = float, bound: str = ""):
     """``value`` as ``kind`` (int or float); ConfigError unless it is one and meets ``bound``.
 
@@ -68,10 +87,7 @@ def scalar(value, what: str, kind: type = float, bound: str = ""):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         ok = False
     elif kind is float:
-        try:
-            value = float(value)
-        except OverflowError:  # an int past the float range
-            value = math.inf
+        value = _float(value)
         ok = math.isfinite(value)
     else:
         ok = isinstance(value, numbers.Integral) or float(value).is_integer()
@@ -101,7 +117,7 @@ def finite(a, what: str, rows=None, shape=None, bound: str = "") -> np.ndarray:
     ``rows[i]`` stands for row i of ``a`` in that index, so that a block of
     kernel rows K[rows, :] is named by its entry of K.
     """
-    a = np.asarray(a, dtype=float)
+    a = floats(a)
     if shape is not None:
         shaped(a, what, shape)
     ok = np.isfinite(a)

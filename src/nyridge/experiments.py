@@ -231,6 +231,10 @@ def run_fig1(cfg: dict):
     Lanczos operator norm, at most n matvecs a rank); an n x n residual is
     formed only at ranks whose trace error is rounding, at most
     ``LANCZOS_RTOL`` tr K, which on a full random-order factor is p = n.
+    Lanczos stops when the operator norm has converged by the gap theorem,
+    not its eigenvector, so ``rel_op_err`` is at full precision except where
+    the residual's top two eigenvalues nearly tie, where it is off by at
+    most their gap.
     """
     prob = _synthetic_problem(cfg)
     lam = cfg.get("lam")

@@ -47,7 +47,10 @@ BREAKDOWN_RTOL = 1e-10
 # comes from a dense eigendecomposition instead of Lanczos, and the weight of
 # the fixed vector in a warm start. ``_top_eig``: Lanczos steps between
 # convergence checks; its Krylov space grows until the check passes, with no
-# restart and no cap below n.
+# restart and no cap below n. The check accepts the top Ritz value once it is
+# at full precision by the gap theorem, residual^2 <= eps theta * Ritz gap,
+# before its vector is; near an eigenvalue tie the value may be the lower of
+# the pair, off by at most their gap (see ``_top_eig``).
 LANCZOS_RTOL = 1e-10
 LANCZOS_MIX = 1e-2
 LANCZOS_CHECK = 6
@@ -341,17 +344,30 @@ def approx_error(K, factor) -> float:
 
 
 def _top_eig(matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray):
-    """Largest eigenvalue and a unit eigenvector of a symmetric operator.
+    """Largest eigenvalue and a unit Ritz vector of a symmetric operator.
 
     Lanczos from ``v0`` with full reorthogonalization (two Gram-Schmidt
     passes per step) on a Krylov space that grows until it converges, at
     most n vectors. Every ``LANCZOS_CHECK`` steps the top Ritz pair
-    (theta, V s) of the tridiagonal T is accepted once its residual
-    |beta s_k| is at most eps max(theta, eps^(2/3)), ARPACK's test at full
-    precision; a space that stops growing (beta = 0) or fills all n
-    dimensions is exact, so every call returns (theta, V s), after at most
-    n matvecs. The basis is reserved as n x n, and only its used rows are
-    touched.
+    (theta, V s) of the tridiagonal T, with residual r = |beta s_k| and
+    s = max(theta, eps^(2/3)), is accepted once r <= eps s (ARPACK's test
+    at full precision) or, when T has a second Ritz value theta_2, once
+    r^2 <= eps s (theta - theta_2). By the gap theorem (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 11) theta then lies within
+    r^2 / gap <= eps s of an eigenvalue, so theta is at full precision while
+    the vector may still have a residual near sqrt(eps s gap): it is a warm
+    start, not an eigenvector. A space that stops growing (beta = 0) or
+    fills all n dimensions is exact, so every call returns (theta, V s),
+    after at most n matvecs. The basis is reserved as n x n, and only its
+    used rows are touched.
+
+    The one weakness is a near tie. While the Krylov space cannot tell two
+    eigenvalues lambda_1 > lambda_2 apart (say it starts on lambda_2's
+    eigenvector, or weights both), the Ritz gap is taken to the next Ritz
+    value below, which overstates the true gap, and theta may lie anywhere
+    in [lambda_2, lambda_1]: it is off by at most their gap. At n = 200, a
+    warm start on the lower eigenvector of a pair 1e-7 apart gives theta
+    1e-7 low, relative, where the vector test alone gives 8e-16.
     """
     n = v0.shape[0]
     eps = np.finfo(float).eps
@@ -373,7 +389,9 @@ def _top_eig(matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray):
             T.flat[:: m + 1] = alpha[:m]
             T.flat[m :: m + 1] = beta[: m - 1]
             theta, S = np.linalg.eigh(T)
-            if m == n or abs(beta[j] * S[-1, -1]) <= eps * max(theta[-1], eps ** (2 / 3)):
+            r, s = abs(beta[j] * S[-1, -1]), max(theta[-1], eps ** (2 / 3))
+            gap = theta[-1] - theta[-2] if m > 1 else 0.0
+            if m == n or r <= eps * s or r * r <= eps * s * gap:
                 return float(theta[-1]), S[:, -1] @ V
         np.divide(w, beta[j], out=basis[m])
 
@@ -384,16 +402,19 @@ def prefix_errors(K, phi, ranks) -> tuple[np.ndarray, np.ndarray]:
     One pass serves every prefix of a nested factor. The trace error is
     tr K minus the running sum of squared column norms. The operator error
     is the top eigenvalue of the PSD residual, found by Lanczos
-    (:func:`_top_eig`, full precision, at most n matvecs) on
-    x -> K x - Phi_p (Phi_p^T x). The first rank starts from a fixed unit
-    vector g, each later rank from the previous rank's top eigenvector plus
-    ``LANCZOS_MIX * g``, which keeps a component along every eigenvector: a
-    pure warm start can be nearly orthogonal to the new top eigenvector, and
-    Lanczos then settles on a lower one. g comes from a fixed seed, so
-    reruns are identical. Only where the trace error is at most
-    ``LANCZOS_RTOL * tr K`` (it bounds the operator error, so the residual
-    is rounding) is the dense :func:`approx_error` used instead. Ranks are
-    integers >= 0, capped at the columns of Phi as slicing phi[:, :p] would.
+    (:func:`_top_eig`, at most n matvecs) on x -> K x - Phi_p (Phi_p^T x).
+    Lanczos stops once that value is at full precision by the gap theorem,
+    except within the gap of a near-tied pair of top eigenvalues (see
+    :func:`_top_eig`); its Ritz vector serves only as the next warm start.
+    The first rank starts from a fixed unit vector g, each later rank from
+    the previous rank's Ritz vector plus ``LANCZOS_MIX * g``, which keeps a
+    component along every eigenvector: a pure warm start can be nearly
+    orthogonal to the new top eigenvector, and Lanczos then settles on a
+    lower one. g comes from a fixed seed, so reruns are identical. Only
+    where the trace error is at most ``LANCZOS_RTOL * tr K`` (it bounds the
+    operator error, so the residual is rounding) is the dense
+    :func:`approx_error` used instead. Ranks are integers >= 0, capped at
+    the columns of Phi as slicing phi[:, :p] would.
     DataError unless K is finite and square and Phi finite with a row per
     row of K.
     """

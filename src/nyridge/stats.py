@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, VacuousBoundError, finite, generator, scalar
+from .errors import ConfigError, NumericalError, VacuousBoundError, finite, floats, generator, scalar
 from .lowrank import nested_factor, sample_columns, subset_size
 
 
@@ -51,7 +51,7 @@ def n_lambdas(lams, n: int) -> np.ndarray:
 
     DataError naming the first lambda not finite and > 0; NumericalError unless n max(lambda) is finite.
     """
-    lams = np.asarray(lams, dtype=float).reshape(-1)
+    lams = floats(lams).reshape(-1)
     if not (lams.size and lams.min() > 0 and n * float(lams.max()) < math.inf):
         finite(lams, "lambda", shape=(None,), bound="> 0")
         raise NumericalError(f"n lambda at lambda={float(lams.max())!r} is not finite")

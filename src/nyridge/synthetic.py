@@ -146,8 +146,9 @@ def _residue_fold(s: float, n: int, tails: np.ndarray | None = None) -> np.ndarr
     if tails is None:
         tails = residue_tails(s, n)
     r = np.arange(n, dtype=float)
+    r[1:] **= -s  # in place: the same scalar-power path as r[1:] ** (-s), without its temporary
     out = n ** (-s) * tails[:: tails.size // n]
-    out[1:] += r[1:] ** (-s)
+    out[1:] += r[1:]
     return out
 
 

@@ -27,6 +27,14 @@ def test_finite_names_the_first_bad_entry(bad):
         finite(a, "kernel matrix", rows=np.array([7, 9, 4]))
 
 
+def test_finite_reads_an_int_past_the_float_range_as_infinite():
+    # np.asarray(..., dtype=float) raised a bare OverflowError on these
+    with pytest.raises(DataError, match=re.escape("x entry 1 is inf; it must be finite")):
+        finite([1.0, 10**400], "x")
+    with pytest.raises(DataError, match=re.escape("x entry (0, 1) is -inf; it must be finite")):
+        finite([[1.0, -(10**400)]], "x")
+
+
 @pytest.mark.parametrize(
     "a, shape, message",
     [

@@ -645,25 +645,86 @@ class TestTopEig:
         assert abs(theta - want) <= 1e-12 * want
         assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
 
-    def test_space_grows_past_120_vectors_within_n_matvecs(self):
-        # evenly spaced eigenvalues leave the top one a relative gap of
-        # 1 / (n - 1): full precision needs more Krylov vectors than the
-        # 120 of a restarted space, and never more than n
-        n = 300
-        rng = np.random.default_rng(11)
+    @staticmethod
+    def evenly_spaced(n, seed, top_pair_gap=None):
+        """R with eigenvalues linspace(0, 1, n), the second moved to 1 - top_pair_gap if given, and q."""
+        rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        R = (q * np.linspace(0.0, 1.0, n)) @ q.T
+        lam = np.linspace(0.0, 1.0, n)
+        if top_pair_gap is not None:
+            lam[-2] = 1.0 - top_pair_gap
+        return (q * lam) @ q.T, q, rng
+
+    @staticmethod
+    def counted(R):
         calls = []
 
         def matvec(x):
             calls.append(1)
             return R @ x
 
+        return matvec, calls
+
+    def test_space_grows_past_120_vectors_within_n_matvecs(self):
+        # evenly spaced eigenvalues leave the top one a relative gap of
+        # 1 / (n - 1): full precision needs more Krylov vectors than the
+        # 120 of a restarted space, and never more than n
+        n = 500
+        R, _, rng = self.evenly_spaced(n, 11)
+        matvec, calls = self.counted(R)
         theta, vec = _top_eig(matvec, rng.normal(size=n))
-        want = np.linalg.eigvalsh(R)[-1]
+        lam = np.linalg.eigvalsh(R)
         assert 120 < len(calls) <= n
+        assert abs(theta - lam[-1]) <= 1e-12 * lam[-1]
+        # the gap rule's promise for the vector: r^2 <= eps theta (theta - theta_2)
+        # on the Ritz gap, which interlacing (theta_2 <= lambda_2) can make wider
+        # than the true one; c = 2 lets theta_2 lag lambda_2 by a whole gap
+        eps = np.finfo(float).eps
+        residual = np.linalg.norm(R @ vec - theta * vec)
+        assert residual**2 <= 2 * eps * theta * (lam[-1] - lam[-2])
+
+    def test_the_gap_clause_stops_before_the_vector_converges(self):
+        # the vector test alone takes 144 matvecs on this operator
+        n = 300
+        R, _, rng = self.evenly_spaced(n, 11)
+        matvec, calls = self.counted(R)
+        theta, _ = _top_eig(matvec, rng.normal(size=n))
+        want = np.linalg.eigvalsh(R)[-1]
+        assert len(calls) <= 120
         assert abs(theta - want) <= 1e-12 * want
-        assert np.linalg.norm(R @ vec - theta * vec) <= 1e-12 * want
+
+    def test_a_near_tie_costs_at_most_its_gap(self):
+        # a top pair 1e-9 apart that the Krylov space cannot yet tell apart:
+        # the Ritz gap to the next value overstates the true gap, so theta may
+        # be either of the pair or between them, but not outside, up to the
+        # rule's eps theta and the rounding of R and its products (10 eps
+        # over seeds 0-9), far below the 1e-9 gap
+        n = 300
+        gap = 1e-9
+        R, q, rng = self.evenly_spaced(n, 11, top_pair_gap=gap)
+        g = np.random.default_rng(0).standard_normal(n)
+        g /= np.linalg.norm(g)
+        tol = 1e-13
+        warm = q[:, -2] + lowrank.LANCZOS_MIX * g  # a warm start on the lower one, as prefix_errors makes
+        for v0 in (warm, rng.normal(size=n)):
+            theta, _ = _top_eig(lambda x: R @ x, v0)
+            assert 1.0 - gap - tol <= theta <= 1.0 + tol
+
+    def test_one_ritz_value_has_no_gap(self, monkeypatch):
+        # checked after every step, the first step has a single Ritz value:
+        # only the residual test applies there, which a start on the second
+        # eigenvector plus 1e-9 of the first fails (r = 5e-10); a gap taken
+        # to 0 would accept theta = 0.5 at once
+        monkeypatch.setattr(lowrank, "LANCZOS_CHECK", 1)
+        n = 40
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = np.concatenate((rng.uniform(0.0, 0.4, n - 2), [0.5, 1.0]))
+        R = (q * lam) @ q.T
+        matvec, calls = self.counted(R)
+        theta, _ = _top_eig(matvec, q[:, -2] + 1e-9 * q[:, -1])
+        assert len(calls) > 1
+        assert abs(theta - 1.0) <= 1e-12
 
     def test_dense_path_only_where_the_trace_is_rounding(self, monkeypatch):
         # every rank whose trace error is above LANCZOS_RTOL * tr K gets
@@ -859,6 +920,13 @@ class TestLoadFactorErrors:
         self.assert_parse_error(self.rewrite(path, bad_p), "expected 9 matrix rows")
         bad_n = [l if not l.startswith("# n=") else "# n=7" for l in lines]
         self.assert_parse_error(self.rewrite(path, bad_n), "expected 9 matrix rows")
+
+    def test_ints_past_the_int64_range(self, tmp_path):
+        # 400 nines ended in a bare OverflowError, 2**64 in a RuntimeWarning
+        path, lines = self.saved(tmp_path)
+        for key, big in (("n", "9" * 400), ("p", "9" * 400), ("indices", f"0;{2**64}")):
+            bad = [l if not l.startswith(f"# {key}=") else f"# {key}={big}" for l in lines]
+            self.assert_parse_error(self.rewrite(path, bad), "past the int64 range")
 
     def test_bad_numbers_and_indices(self, tmp_path):
         path, lines = self.saved(tmp_path)

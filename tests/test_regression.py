@@ -399,6 +399,13 @@ class TestLoadFitErrors:
         back = load_fit(self.rewrite(path, kept))
         assert back.indices is None and np.array_equal(back.coef, [0.5, -1.25])
 
+    def test_indices_past_the_int64_range(self, tmp_path):
+        # 400 nines ended in a bare OverflowError, and 2**63 loaded as a uint64 index
+        path, lines = self.saved(tmp_path)
+        for big in ("9" * 400, str(2**63)):
+            bad_lines = [l if not l.startswith("# indices=") else f"# indices=3;{big}" for l in lines]
+            self.assert_parse_error(self.rewrite(path, bad_lines), "past the int64 range")
+
     def test_indices_distinct_and_non_negative(self, tmp_path):
         path, lines = self.saved(tmp_path)
         for bad in ("-4;-4", "1;1", "-1;2"):

@@ -855,6 +855,14 @@ class TestLambdaValidation:
             with pytest.raises(ConfigError, match="lambda must be a finite number"):
                 call(lam)
 
+    def test_lambda_arrays_read_an_int_past_the_float_range_as_infinite(self):
+        # both ended in a bare OverflowError from np.asarray(..., dtype=float)
+        spec = problem_spectrum(grid_problem(20, SpectrumSpec(1, 3.0), 0.5))
+        with pytest.raises(DataError, match=re.escape("lambda entry 0 is inf; it must be finite and > 0")):
+            spec.errors(0.5, [10**400])
+        with pytest.raises(DataError, match=re.escape("lambda grid entry 1 is inf; it must be finite")):
+            optimal_lambda(spec, 0.5, [1e-3, 10**400])
+
     @pytest.mark.parametrize("lam", [0.0, -1e-3, float("nan"), float("inf")])
     def test_spectrum_rejects_nonpositive_lambda(self, lam):
         spec = problem_spectrum(grid_problem(20, SpectrumSpec(1, 3.0), 0.5))
