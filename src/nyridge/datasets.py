@@ -56,14 +56,14 @@ def load_dataset(
 ) -> Dataset:
     """Read a numeric CSV with a header row into a Dataset.
 
-    ``#`` comment lines (the metadata of the CSVs nyridge writes) and blank
-    lines are skipped; errors name the line number in the file itself.
-    Features are standardized per column (zero mean, unit variance) and the
-    target centered; zero-variance feature columns are dropped with a
-    warning. Row order is the file order. Parse failures, missing values,
-    and non-numeric cells (non-finite ones such as ``inf`` or ``1e999``
-    included) raise distinct error types; a file that cannot be read, is not
-    UTF-8 or has a cell over the ``csv`` field limit raises ParseError.
+    ``#`` comment lines (the metadata of the CSVs nyridge writes) and blank lines are
+    skipped; errors name the line number in the file itself. Features are standardized
+    per column (zero mean, unit variance) and the target centered; zero-variance feature
+    columns are dropped with a warning. Row order is the file order. Parse failures,
+    missing values, and non-numeric cells (non-finite ones such as ``inf`` or ``1e999``
+    included) raise distinct error types; a file that cannot be read, is not UTF-8 or
+    has a cell over the ``csv`` field limit raises ParseError, and a column whose
+    standardization overflows (a cell past about 1e154) DataError.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -116,7 +116,9 @@ def load_dataset(
         raise ConfigError(f"{path}: need at least {min_rows} rows, found {X.shape[0]}")
     names = list(feature_columns)
     if standardize:
-        std = X.std(axis=0)
+        with np.errstate(all="ignore"):  # an overflow reads inf, which finite refuses
+            std = finite(X.std(axis=0), f"{path}: standard deviation of feature")
+            y = finite(y - y.mean(), f"{path}: centered target")
         keep = std > 0
         if not np.all(keep):
             dropped = [names[i] for i in np.flatnonzero(~keep)]
@@ -127,7 +129,6 @@ def load_dataset(
         if X.shape[1] == 0:
             raise ConfigError(f"{path}: no usable feature columns")
         X = (X - X.mean(axis=0)) / std
-        y = y - y.mean()
     return Dataset(features=X, targets=y, name=str(path), feature_names=tuple(names))
 
 

@@ -113,7 +113,7 @@ def finite(a, what: str, rows=None, shape=None, bound: str = "") -> np.ndarray:
     """``a`` as a float array; DataError unless every entry is finite and, given ``shape``, it has that shape.
 
     Given ``bound`` (a ``BOUNDS`` name), every entry must meet it too. The
-    message names ``what``, the index of the first bad entry and its value.
+    message names ``what``, the index of the first bad entry (none for a 0-d ``a``) and its value.
     ``rows[i]`` stands for row i of ``a`` in that index, so that a block of
     kernel rows K[rows, :] is named by its entry of K.
     """
@@ -128,9 +128,9 @@ def finite(a, what: str, rows=None, shape=None, bound: str = "") -> np.ndarray:
         value = float(a[tuple(where)])
         if rows is not None:
             where[0] = int(rows[where[0]])
-        at = where[0] if len(where) == 1 else tuple(where)
+        at = "" if not where else f" entry {where[0] if len(where) == 1 else tuple(where)}"
         rule = f"finite and {bound}" if bound else "finite"
-        raise DataError(f"{what} entry {at} is {value!r}; it must be {rule}")
+        raise DataError(f"{what}{at} is {value!r}; it must be {rule}")
     return a
 
 

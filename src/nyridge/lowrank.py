@@ -135,8 +135,8 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
     the fixed ``order``. Stop rule: ``pmax`` rows, sum(d) <= ``trace_tol``,
     or (greedy) max(d) <= floor = PINV_RTOL * max(diag); under a fixed order
     a pivot with d[j] <= floor leaves its row zero. A greedy residual below
-    -BREAKDOWN_RTOL * max(diag) raises NumericalError; a diagonal or kernel
-    row that is not finite or of length n = len(diag) raises DataError.
+    -BREAKDOWN_RTOL * max(diag) raises NumericalError. Nothing here checks the input:
+    ``nested_factor`` checks its K, ``pivoted_ichol`` a caller's diagonal and rows.
     Returns (rows, pivots, trail), trail[k] = tr(K - L_{k+1}).
 
     Updates are delayed in panels (LAPACK ``dpstrf``'s scheme, restricted to
@@ -156,7 +156,7 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
     that the rows past the rank stay few, and is shrunk in place to the rows
     used, without a copy.
     """
-    d = np.array(finite(diag, "kernel diagonal", shape=(None,)))
+    d = np.array(diag, dtype=float)
     n = d.shape[0]
     pmax, m = min(pmax, n), min(CANDIDATES, n)
     top = float(np.max(d))
@@ -186,9 +186,7 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
                 slot[gone[gone >= 0]] = -1
                 pool_idx[free] = new
                 slot[new] = free
-                fresh = finite(kernel_rows(new), "kernel matrix", rows=new, shape=(new.size, n))
-                fresh -= rows[:k, new].T @ rows[:k]
-                pool[free] = fresh
+                pool[free] = kernel_rows(new) - rows[:k, new].T @ rows[:k]
             k0 = k
         j = int(np.argmax(d)) if order is None else int(order[k])
         pivot = d[j]
@@ -196,8 +194,7 @@ def _cholesky_rows(kernel_rows, diag, pmax: int, order=None, trace_tol=None):
             row = rows[k]
             i = slot[j]
             if i < 0:
-                row[:] = finite(kernel_rows(np.array([j])), "kernel matrix", rows=[j], shape=(1, n))[0]
-                row -= rows[:k, j] @ rows[:k]
+                row[:] = kernel_rows(np.array([j]))[0] - rows[:k, j] @ rows[:k]
             else:
                 row[:] = pool[i]
                 row -= rows[k0:k, j] @ rows[k0:k]
@@ -259,20 +256,20 @@ def pivoted_ichol(
 ) -> LowRankFactor:
     """Incomplete Cholesky with greedy diagonal pivoting.
 
-    ``kernel_rows(idx)`` returns the kernel rows K[idx, :] as an array of
-    shape (len(idx), n), for a 1-D array of distinct indices. At each step
-    the pivot is the argmax of the residual diagonal (ties go to the
-    smallest index). The residual diagonal is maintained online, so
-    ``trace_residual_trail[k]`` equals tr(K - L_{k+1}) exactly; K itself is
-    never materialized (O(p^2 n) time, O(p n) memory). Updates are delayed
-    in panels of ``PANEL`` pivots over a carried pool of ``CANDIDATES``
-    candidate rows, each evaluated once while it stays in the pool (see
-    ``_cholesky_rows``), so a rank-p factor evaluates at most
-    p + ceil(p / PANEL) * min(CANDIDATES, n) kernel rows. Phi is the
-    transpose of the row-major p x n factor, which holds exactly the p rows
-    used. With L = Phi[P] (lower triangular, positive diagonal) the whitener
-    is L^(-T), so the feature map reproduces Phi on the training points:
-    K(V, P) L^(-T) = Phi.
+    ``kernel_rows(idx)`` returns the kernel rows K[idx, :] as an array of shape
+    (len(idx), n), for a 1-D array of distinct indices. The oracle and ``diag`` come
+    from the caller, so they are checked here: ``diag`` up front and each block of rows
+    as it is read (DataError naming the first entry of K that is not finite, or a block
+    of another shape). At each step the pivot is the argmax of the residual diagonal
+    (ties go to the smallest index). The residual diagonal is maintained online, so
+    ``trace_residual_trail[k]`` equals tr(K - L_{k+1}) exactly; K itself is never
+    materialized (O(p^2 n) time, O(p n) memory). Updates are delayed in panels of
+    ``PANEL`` pivots over a carried pool of ``CANDIDATES`` candidate rows, each
+    evaluated once while it stays in the pool (see ``_cholesky_rows``), so a rank-p
+    factor evaluates at most p + ceil(p / PANEL) * min(CANDIDATES, n) kernel rows. Phi
+    is the transpose of the row-major p x n factor, which holds exactly the p rows used.
+    With L = Phi[P] (lower triangular, positive diagonal) the whitener is L^(-T), so the
+    feature map reproduces Phi on the training points: K(V, P) L^(-T) = Phi.
 
     Stops after ``max_rank`` pivots, once the trace residual drops to
     ``trace_tol`` (at least one of the two must be given), or once the
@@ -284,7 +281,11 @@ def pivoted_ichol(
     pmax = math.inf if max_rank is None else scalar(max_rank, "max_rank", int, ">= 1")
     if trace_tol is not None:
         trace_tol = scalar(trace_tol, "trace_tol", float, ">= 0")
-    rows, pivots, trail = _cholesky_rows(kernel_rows, diag, pmax, trace_tol=trace_tol)
+    diag = finite(diag, "kernel diagonal", shape=(None,))
+    rows, pivots, trail = _cholesky_rows(
+        lambda idx: finite(kernel_rows(idx), "kernel matrix", rows=idx, shape=(idx.size, diag.size)),
+        diag, pmax, trace_tol=trace_tol,
+    )
     if not pivots:
         raise NumericalError("pivoted Cholesky made no progress (zero diagonal)")
     return LowRankFactor(
@@ -298,19 +299,18 @@ def pivoted_ichol(
 def nested_factor(K, order: Sequence[int] | None) -> np.ndarray:
     """Cholesky factor whose every prefix is a factor of its own pivots.
 
-    Column k of the result depends only on the first k+1 pivots, so every
-    prefix phi[:, :p] is itself a factor of the column approximation built
-    from them. With a fixed ``order``, columns whose residual diagonal has
-    collapsed to the floor of ``_cholesky_rows`` are left at zero (the
-    pseudo-inverse drops them too, so every prefix is the column
-    approximation of its index set). With ``order`` None the pivots are
-    greedy, as in ``pivoted_ichol``, and the factor ends where the largest
-    residual collapses, so it can have fewer than n columns. DataError unless K is square.
+    Column k of the result depends only on the first k+1 pivots, so every prefix
+    phi[:, :p] is itself a factor of the column approximation built from them. With a
+    fixed ``order``, columns whose residual diagonal has collapsed to the floor of
+    ``_cholesky_rows`` are left at zero (the pseudo-inverse drops them too, so every
+    prefix is the column approximation of its index set). With ``order`` None the pivots
+    are greedy, as in ``pivoted_ichol``, and the factor ends where the largest residual
+    collapses, so it can have fewer than n columns. DataError unless K is finite and
+    square: K is checked here, whole and once, and ``_cholesky_rows`` trusts it.
     """
-    A = np.asarray(shaped(K, "kernel matrix", "square"), dtype=float)  # entries are checked as read
-    diag = np.diag(A)
+    A = finite(K, "kernel matrix", shape="square")
     pmax = A.shape[0] if order is None else len(order)
-    return _cholesky_rows(make_column_oracle(A), diag, pmax, order=order)[0].T
+    return _cholesky_rows(make_column_oracle(A), np.diag(A), pmax, order=order)[0].T
 
 
 def nystrom(K, selection: ColumnSelection) -> LowRankFactor:
@@ -318,7 +318,7 @@ def nystrom(K, selection: ColumnSelection) -> LowRankFactor:
 
     The fixed-order :func:`nested_factor` on ``selection.indices`` and its
     whitener; a pivot collapsed to the floor of ``_cholesky_rows`` gives a zero
-    column. Cost O(p^2 n) given the p columns. DataError unless K is n x n.
+    column. Cost O(p^2 n) given the p columns. DataError unless K is finite and n x n.
     """
     phi = nested_factor(shaped(K, "kernel matrix", (selection.n, selection.n)), selection.indices)
     return LowRankFactor(phi=phi, selection=selection, whitener=_whitener(phi, selection.indices))

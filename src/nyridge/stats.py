@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericalError, VacuousBoundError, finite, floats, generator, scalar
-from .lowrank import nested_factor, sample_columns, subset_size
+from .lowrank import nested_factor, subset_size
 
 
 def n_lambdas(lams, n: int) -> np.ndarray:
@@ -293,9 +293,8 @@ def lowrank_bias_variance(phi, z, sigma2: float, lam: float) -> tuple[float, flo
     orthogonal to the column space carry eigenvalue zero, so their bias
     contribution is ||z_perp||^2 / n.
     """
-    phi = finite(phi, "factor", shape=(None, None))
-    sigma2 = scalar(sigma2, "sigma2", float, ">= 0")
-    return Spectrum.prefixes(phi, z)(phi.shape[1]).bias_variance(sigma2, lam)
+    prefix = Spectrum.prefixes(phi, z)  # checks phi and z
+    return prefix(np.shape(phi)[1]).bias_variance(scalar(sigma2, "sigma2", float, ">= 0"), lam)
 
 
 def theorem_rank_bound(d_max: float, delta: float, n: int, r2: float, lam: float) -> int:
@@ -343,10 +342,10 @@ def verify_theorem(
 ) -> TheoremCheck:
     """Empirical mean of [bias(L) + variance(L)] / [bias(K) + variance(K)].
 
-    Both errors are closed forms (no noise sampling needed in fixed design);
-    randomness enters only through the column subsets. Also reports the
-    fraction of draws whose ratio exceeds the high-probability threshold
-    (1 - delta/2)^(-2), next to its bound n exp(-p / (32 d / delta + 2)).
+    Both errors are closed forms (no noise sampling needed in fixed design); randomness enters
+    only through the column subsets, trial t's as ``sample_columns(n, p, generator(seed, t))``
+    draws it. Also reports the fraction of draws whose ratio exceeds the high-probability
+    threshold (1 - delta/2)^(-2), next to its bound n exp(-p / (32 d / delta + 2)).
     """
     delta = scalar(delta, "delta", float, "in (0, 1)")
     n = problem.spectrum.n  # checks row0 and z first
@@ -354,7 +353,7 @@ def verify_theorem(
     err_full = problem.full_error(lam)
     ratios = np.empty(trials)
     for t in range(trials):
-        phi = nested_factor(problem.K, sample_columns(n, p, generator(seed, t)).indices)
+        phi = nested_factor(problem.K, generator(seed, t).choice(n, size=p, replace=False))
         bl, vl = lowrank_bias_variance(phi, problem.z, problem.sigma2, lam)
         ratios[t] = (bl + vl) / err_full
     d_max, _, _ = problem.spectrum.dof(lam)

@@ -105,6 +105,19 @@ class TestLoadDataset:
             with pytest.raises(NonNumericError):
                 load_dataset(path, "target", standardize=False)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_cell_that_overflows_the_standardization_is_refused(self, tmp_path):
+        # 1e199 squared overflows: the column's std read inf, with a
+        # RuntimeWarning, and the column was silently standardized to zeros
+        path = write(tmp_path, "a,b,target\n1,1e199,2\n" + "4,5,6\n3,7,1\n" * 6)
+        with pytest.raises(DataError, match=r"standard deviation of feature entry 1 is inf"):
+            load_dataset(path, "target")
+        path = write(tmp_path, "a,target\n1,1.7e308\n2,1.7e308\n" + "4,5\n3,1\n" * 6)
+        with pytest.raises(DataError, match=r"centered target entry \d+ is -?inf"):
+            load_dataset(path, "target")
+        # not standardized, the cells are only read
+        assert load_dataset(path, "target", standardize=False).targets[0] == 1.7e308
+
     def test_errors_name_the_line_in_the_file(self, tmp_path):
         # '#' lines and blank lines are counted: the bad cell is on line 6
         text = "# a=1\n# b=2\na,target\n1,2\n\nfoo,3\n" + "4,5\n" * 10

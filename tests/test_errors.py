@@ -35,6 +35,15 @@ def test_finite_reads_an_int_past_the_float_range_as_infinite():
         finite([[1.0, -(10**400)]], "x")
 
 
+def test_finite_names_a_0d_value_without_an_index():
+    # a 0-d value has no index; it read "x entry () is inf"
+    for value, shown in [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (10**400, "inf")]:
+        with pytest.raises(DataError, match=re.escape(f"x is {shown}; it must be finite")):
+            finite(value, "x")
+    with pytest.raises(DataError, match=re.escape("x is -1.0; it must be finite and > 0")):
+        finite(np.float64(-1.0), "x", bound="> 0")
+
+
 @pytest.mark.parametrize(
     "a, shape, message",
     [

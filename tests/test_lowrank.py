@@ -199,16 +199,19 @@ class TestPivotedIchol:
     def test_non_finite_diagonal_is_named(self, bad):
         # a NaN floor failed every pivot > floor test: nystrom returned an
         # all-zero factor, nested_factor a 4 x 0 one and pivoted_ichol
-        # reported a zero diagonal
+        # reported a zero diagonal. nystrom and nested_factor check their
+        # whole K up front, so they name K's entry; pivoted_ichol checks the
+        # diagonal it is given
         K = np.eye(4)
         K[2, 2] = bad
+        selection = ColumnSelection(np.array([0, 1]), "uniform-random", 4)
         calls = [
-            lambda: nystrom(K, ColumnSelection(np.array([0, 1]), "uniform-random", 4)),
-            lambda: nested_factor(K, None),
-            lambda: pivoted_ichol(make_column_oracle(K), np.diag(K), max_rank=3),
+            (lambda: nystrom(K, selection), "kernel matrix entry (2, 2)"),
+            (lambda: nested_factor(K, None), "kernel matrix entry (2, 2)"),
+            (lambda: pivoted_ichol(make_column_oracle(K), np.diag(K), max_rank=3), "diagonal entry 2"),
         ]
-        for call in calls:
-            with pytest.raises(DataError, match=f"diagonal entry 2 is {bad!r}"):
+        for call, named in calls:
+            with pytest.raises(DataError, match=re.escape(f"{named} is {bad!r}")):
                 call()
 
     @pytest.mark.filterwarnings("error")
@@ -216,10 +219,11 @@ class TestPivotedIchol:
     @pytest.mark.parametrize("candidates", [lowrank.CANDIDATES, 1])
     def test_non_finite_kernel_row_is_named(self, bad, candidates, monkeypatch):
         # a NaN at K[3, 17] of a 30-point grid Gram gave pivoted_ichol rank 27
-        # and nystrom a factor with 14 NaNs, with no error. The oracle reads
-        # column 17 as row 17, so the entry is (17, 3) of the rows it returns.
-        # The default pool fetches row 17 in a panel; a one-row pool in a
-        # one-row call.
+        # and nystrom a factor with 14 NaNs, with no error. pivoted_ichol
+        # checks each block of rows as read; its oracle reads column 17 as
+        # row 17, so the entry is (17, 3) of the rows it returns. The default
+        # pool fetches row 17 in a panel; a one-row pool in a one-row call.
+        # nystrom checks its whole K up front and names the planted entry.
         monkeypatch.setattr(lowrank, "CANDIDATES", candidates)
         K = gram(np.arange(30) / 30, KernelSpec.periodic_poly(4))
         K[3, 17] = bad
@@ -228,7 +232,7 @@ class TestPivotedIchol:
         with pytest.raises(DataError, match=message):
             pivoted_ichol(oracle, materialized_diag(K), max_rank=30)
         assert 17 in calls[-1] and (calls[-1].size == 1) == (candidates == 1)
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=re.escape(f"kernel matrix entry (3, 17) is {bad!r}")):
             nystrom(K, ColumnSelection(np.arange(30)[::-1], "uniform-random", 30))
 
     def test_breakdown_on_inconsistent_diag(self):

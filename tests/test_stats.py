@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import circulant
 
-from nyridge import experiments, stats
-from nyridge.errors import ConfigError, DataError, NumericalError, VacuousBoundError, generator
+from nyridge import experiments, lowrank, stats
+from nyridge.errors import ConfigError, DataError, NumericalError, VacuousBoundError, finite, generator
 from nyridge.experiments import resolve_config, run_rate_check
 from nyridge.lowrank import nystrom, sample_columns
 from nyridge.stats import (
@@ -318,6 +318,21 @@ class TestVerifyTheorem:
         prob.z = np.zeros(30)
         check = verify_theorem(prob, lam=1e-3, delta=0.25, p=6, trials=20, seed=1)
         assert np.all(check.ratios <= 1.0 + 1e-12)
+
+    def test_checks_k_once_per_factor(self, monkeypatch):
+        # nested_factor checks its K once and the Cholesky loop trusts it.
+        # n = 128 exceeds the 64-row candidate pool, so a pivot outside it is
+        # a one-row read: checking each draw, diagonal, panel and read again
+        # made 47 calls for two trials
+        calls = []
+
+        def counting(a, what, *args, **kwargs):
+            calls.append(what)
+            return finite(a, what, *args, **kwargs)
+
+        monkeypatch.setattr(lowrank, "finite", counting)
+        verify_theorem(grid_problem(128, SpectrumSpec(1, 3.0), 0.5), lam=1e-3, delta=0.25, p=48, trials=2, seed=0)
+        assert calls == ["kernel matrix"] * 2
 
     def test_reports_high_probability_quantile(self):
         prob = grid_problem(36, SpectrumSpec(1, 3.0), 0.3)
