@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     MissingValueError,
     NonNumericError,
+    NumericalError,
     ParseError,
     finite,
     generator,
@@ -172,7 +173,8 @@ def _fold_errors(X, y, val_idx, spec: KernelSpec, grid, trace_rtol: float):
     s, V, b = ridge_basis(gram_p, rhs)
     val_feats = feature_matrix(spec, landmarks, whitener, Xval) @ V
     pred = val_feats @ (b[:, None] / (s[:, None] + ntr * grid[None, :]))
-    return np.mean((pred - yval[:, None]) ** 2, axis=0), rank
+    with np.errstate(over="ignore"):  # a huge target squares to inf, which the caller refuses
+        return np.mean((pred - yval[:, None]) ** 2, axis=0), rank
 
 
 def cross_validate_lambda(
@@ -193,7 +195,9 @@ def cross_validate_lambda(
     O(p^2 n + p^3) per fold plus O(m p) per lambda for m held-out points.
     One fold is alive at a time: each fold's factor, features and
     eigenbasis are freed before the next fold's factor is built, so peak
-    memory is that of the largest fold, not of two.
+    memory is that of the largest fold, not of two. NumericalError naming
+    the first fold whose held-out errors are not finite (a target so large
+    that its squared error overflows), before lambda is chosen.
     """
     if spec.kind != "gaussian":
         raise ConfigError(f"cross-validation needs a Gaussian kernel (got {spec.kind!r})")
@@ -210,6 +214,10 @@ def cross_validate_lambda(
     ranks = []
     for f, val_idx in enumerate(_fold_slices(n, folds, seed)):
         fold_errs[f], rank = _fold_errors(X, y, val_idx, spec, grid, trace_rtol)
+        if not np.all(np.isfinite(fold_errs[f])):
+            i = int(np.argmin(np.isfinite(fold_errs[f])))
+            lam, got = float(grid[i]), float(fold_errs[f, i])
+            raise NumericalError(f"fold {f}: held-out error at lambda={lam!r} is {got!r}; not finite")
         ranks.append(rank)
     errors = fold_errs.mean(axis=0)
     g = int(np.argmin(errors))

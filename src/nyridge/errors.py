@@ -4,9 +4,11 @@ The CLI maps these onto exit codes: configuration/input problems exit
 with 2, numerical failures with 3. :func:`scalar` is the one rule for a
 scalar argument (its type and a ``BOUNDS`` bound), :func:`finite` for an
 input array (:func:`shaped` for its shape alone), :func:`generator` for a seed.
-:func:`scalar` and :func:`finite` read a Python int past the float range as
-+-inf (:func:`floats`), so that it fails their finiteness test instead of
-raising OverflowError.
+An input array is converted by one rule, :func:`floats` (:func:`array` when
+it may stay complex): a ragged nesting, a string entry or an entry that is
+no real number raises DataError, and a Python int past the float range
+reads as +-inf, so that it fails the finiteness test of :func:`scalar` and
+:func:`finite` instead of raising OverflowError.
 """
 
 import math
@@ -62,19 +64,43 @@ _NOUNS = {int: "an integer", float: "a finite number"}
 
 
 def _float(value) -> float:
-    """``float(value)``, where an int past the float range reads as +-inf."""
+    """``float(value)``, where an int past the float range reads as +-inf; TypeError for a complex number."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is complex")  # numpy's complex scalars would drop their imaginary part
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
 
 
-def floats(a) -> np.ndarray:
-    """``np.asarray(a, dtype=float)``, where a Python int past the float range reads as +-inf."""
+def array(a, what: str) -> np.ndarray:
+    """``np.asarray(a)``; DataError naming ``what`` for a ragged nesting or a string entry."""
     try:
-        return np.asarray(a, dtype=float)
-    except OverflowError:  # only a number past the float range gets here, so a valid array pays nothing
-        return np.vectorize(_float, otypes=[float])(np.asarray(a, dtype=object))
+        out = np.asarray(a)
+        if out.dtype.kind in "SU":  # numpy made every entry a string: find the first that was one
+            out = np.asarray(a, dtype=object)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} is not an array of numbers: {exc}") from None
+    if out.dtype.kind == "O":  # only an object array can hold a string now, so a numeric one pays nothing
+        for where, value in np.ndenumerate(out):
+            if isinstance(value, (str, bytes)):  # named as finite names an entry
+                at = "" if not where else f" entry {where[0] if len(where) == 1 else where}"
+                raise DataError(f"{what}{at} is the string {str(value)!r}; it must be a number")
+    return out
+
+
+def floats(a, what: str) -> np.ndarray:
+    """:func:`array` as floats: a float ndarray as it is, a Python int past the float range as +-inf.
+
+    DataError naming ``what`` for a complex entry or an entry that is no number.
+    """
+    a = array(a, what)
+    if a.dtype.kind == "c":
+        raise DataError(f"{what} is complex; it must be real")
+    try:  # an object array (a Python int past the float range, say) converts entry by entry
+        return np.vectorize(_float, otypes=[float])(a) if a.dtype.kind == "O" else a.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} is not an array of real numbers: {exc}") from None
 
 
 def scalar(value, what: str, kind: type = float, bound: str = ""):
@@ -100,8 +126,8 @@ def scalar(value, what: str, kind: type = float, bound: str = ""):
 
 
 def shaped(a, what: str, shape) -> np.ndarray:
-    """``np.asarray(a)``, not empty and of ``shape``: a length per axis (None for any) or "square"."""
-    a = np.asarray(a)
+    """:func:`array` of ``a``, not empty and of ``shape``: a length per axis (None for any) or "square"."""
+    a = array(a, what)
     shape = (a.shape[:1] or (None,)) * 2 if shape == "square" else shape
     if a.size == 0 or a.ndim != len(shape) or any(w not in (None, g) for w, g in zip(shape, a.shape)):
         want = f"{shape[0]} entries" if len(shape) == 1 and shape[0] else f"a non-empty shape {tuple(shape)}"
@@ -117,7 +143,7 @@ def finite(a, what: str, rows=None, shape=None, bound: str = "") -> np.ndarray:
     ``rows[i]`` stands for row i of ``a`` in that index, so that a block of
     kernel rows K[rows, :] is named by its entry of K.
     """
-    a = floats(a)
+    a = floats(a, what)
     if shape is not None:
         shaped(a, what, shape)
     ok = np.isfinite(a)

@@ -22,7 +22,7 @@ from math import comb, factorial, inf, pi
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite, generator, scalar
+from .errors import ConfigError, NumericalError, finite, floats, generator, scalar
 
 # Output entries per block of rows in ``_sqdist`` (512 KB of doubles).
 SQDIST_BLOCK = 1 << 16
@@ -112,7 +112,7 @@ class KernelSpec:
 
 def _as_points(points, kind: str, dim=None) -> np.ndarray:
     """Finite points: a vector (periodic kernel) or a row of ``dim`` coordinates per point (Gaussian)."""
-    pts = np.asarray(points, dtype=float)
+    pts = floats(points, "points")
     if kind == "periodic-polynomial":
         return finite(pts.reshape(-1), "points", shape=(None,))
     return finite(pts.reshape(-1, 1) if pts.ndim == 1 else pts, "points", shape=(None, dim))

@@ -29,7 +29,8 @@ behind :func:`dof` and :func:`bias_variance`), by one thin QR of a factor
 Phi for the low-rank smoothers L = Phi_p Phi_p^T of every prefix
 Phi[:, :p] at once, or by a thin SVD of Phi (the reference the QR path is
 tested against). Each constructor takes the signal (the FFT one its
-Fourier coefficients) and computes its energies on the eigenspaces once.
+Fourier coefficients) and computes its energies on the eigenspaces once;
+a constructor given none scores the zero signal z = 0, whose bias is 0.
 The error and d.o.f. functions here are thin wrappers over it.
 """
 
@@ -42,7 +43,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, VacuousBoundError, finite, floats, generator, scalar
+from .errors import (
+    ConfigError, DataError, NumericalError, VacuousBoundError, array, finite, floats, generator, scalar
+)
 from .lowrank import nested_factor, subset_size
 
 
@@ -51,7 +54,7 @@ def n_lambdas(lams, n: int) -> np.ndarray:
 
     DataError naming the first lambda not finite and > 0; NumericalError unless n max(lambda) is finite.
     """
-    lams = floats(lams).reshape(-1)
+    lams = floats(lams, "lambda").reshape(-1)
     if not (lams.size and lams.min() > 0 and n * float(lams.max()) < math.inf):
         finite(lams, "lambda", shape=(None,), bound="> 0")
         raise NumericalError(f"n lambda at lambda={float(lams.max())!r} is not finite")
@@ -77,32 +80,32 @@ class Spectrum:
     ``eigs`` are clipped to >= 0. ``weight[i]`` is the multiplicity of
     ``eigs[i]`` (None means 1 each): a circulant K keeps only its half
     spectrum r = 0..n/2, whose eigenvalues r and n - r coincide. ``coef2[i]``
-    is the energy of z on the eigenspace of ``eigs[i]`` (None when no signal
-    was given) and ``resid2`` the energy of z outside the eigenbasis: 0 for
-    a full K, ||z_perp||^2 for a low-rank factor. Every constructor takes
-    the signal and computes these energies once. The leverage behind d_max
-    is known in one of two ways: a circulant K (``weight`` set) has the
-    Fourier basis, whose leverage is constant, so that d_max = d_trace; a
-    dense or thin-SVD spectrum keeps its orthonormal eigenvectors as the
-    columns of ``basis``, whose squared rows weight it. A prefix spectrum
-    keeps neither.
+    is the energy of z on the eigenspace of ``eigs[i]`` and ``resid2`` the
+    energy of z outside the eigenbasis: 0 for a full K, ||z_perp||^2 for a
+    low-rank factor. Every constructor takes the signal and computes these
+    energies once; a missing signal is z = 0 (zero ``coef2``, ``resid2`` 0).
+    The leverage behind d_max is known in one of two ways: a circulant K
+    (``weight`` set) has the Fourier basis, whose leverage is constant, so
+    that d_max = d_trace; a dense or thin-SVD spectrum keeps its orthonormal
+    eigenvectors as the columns of ``basis``, whose squared rows weight it.
+    A prefix spectrum keeps neither.
     """
 
     eigs: np.ndarray
     n: int
-    coef2: np.ndarray | None = None
+    coef2: np.ndarray
     resid2: float = 0.0
     basis: np.ndarray | None = None
     weight: np.ndarray | None = None
 
     @classmethod
     def dense(cls, K, z=None) -> "Spectrum":
-        """Symmetric eigendecomposition of a general PSD K.
+        """Symmetric eigendecomposition of a general PSD K, with the signal z (None: z = 0).
 
         DataError unless K is finite and square and z finite with an entry per row.
         """
         s, u = np.linalg.eigh(finite(K, "kernel matrix", shape="square"))
-        coef2 = None if z is None else np.square(u.T @ finite(z, "signal", shape=(s.size,)))
+        coef2 = np.zeros(s.size) if z is None else np.square(u.T @ finite(z, "signal", shape=(s.size,)))
         return cls(np.clip(s, 0.0, None), s.size, coef2, basis=u)
 
     @classmethod
@@ -112,23 +115,23 @@ class Spectrum:
         Eigenvalue r = 0..n/2 has multiplicity 2, except r = 0 and, for an
         even n, the Nyquist term r = n/2. ``zhat[r]`` = sum_j z_j
         exp(-2 pi i r j / n) for r = 0..n/2, as ``np.fft.rfft(z)`` gives
-        them; the energy on eigenvalue r is weight_r |zhat_r|^2 / n, so that
-        the energies sum to ||z||^2. DataError unless ``row0`` is a finite
-        vector and ``zhat`` has n // 2 + 1 finite entries.
+        them (None: z = 0); the energy on eigenvalue r is weight_r |zhat_r|^2 / n,
+        so that the energies sum to ||z||^2. DataError unless ``row0`` is a
+        finite vector and ``zhat`` has n // 2 + 1 finite entries.
         """
         row0 = finite(row0, "first row", shape=(None,))
         n = row0.size
         eigs = np.clip(np.fft.rfft(row0).real, 0.0, None)  # the complex transform is freed here
-        if zhat is not None:  # checked through views of its real and imaginary parts, not a copy
-            zhat = np.asarray(zhat)
-            for part in (zhat.real, zhat.imag) if np.iscomplexobj(zhat) else (zhat,):
-                finite(part, "zhat", shape=eigs.shape)
         weight = np.full(eigs.size, 2.0)
         weight[0] = 1.0
         if n % 2 == 0:
             weight[-1] = 1.0
-        coef2 = None if zhat is None else weight * ((np.real(zhat) ** 2 + np.imag(zhat) ** 2) / n)
-        return cls(eigs, n, coef2, weight=weight)
+        if zhat is None:
+            return cls(eigs, n, np.zeros(eigs.size), weight=weight)
+        zhat = array(zhat, "zhat")  # checked through views of its real and imaginary parts, not a copy
+        for part in (zhat.real, zhat.imag) if np.iscomplexobj(zhat) else (zhat,):
+            finite(part, "zhat", shape=eigs.shape)
+        return cls(eigs, n, weight * ((np.real(zhat) ** 2 + np.imag(zhat) ** 2) / n), weight=weight)
 
     @classmethod
     def lowrank(cls, phi, z) -> "Spectrum":
@@ -150,9 +153,9 @@ class Spectrum:
         the coefficients W^T (Q^T z)[:p] and the residual energy
         ||z||^2 - ||W^T (Q^T z)[:p]||^2, with Q^T z and ||z||^2 formed once.
         A prefix spectrum keeps no eigenvectors, so its ``dof`` raises.
-        Returns p -> spectrum, p an integer >= 0 capped at the columns of
-        Phi as slicing Phi[:, :p] would. DataError unless Phi and z are
-        finite and z has an entry per row of Phi.
+        Returns p -> spectrum for an int p >= 0 that the caller has checked,
+        capped at the columns of Phi as slicing Phi[:, :p] would. DataError
+        unless Phi and z are finite and z has an entry per row of Phi.
         """
         phi = finite(phi, "factor", shape=(None, None))
         z = finite(z, "signal", shape=(phi.shape[0],))
@@ -160,7 +163,6 @@ class Spectrum:
         qz, zz, n = q.T @ z, float(z @ z), q.shape[0]
 
         def prefix(p: int) -> Spectrum:
-            p = scalar(p, "rank", int, ">= 0")
             rp = r[:p, :p]
             s, w = np.linalg.eigh(rp @ rp.T)
             return cls(np.clip(s, 0.0, None), n, *_energies(w.T @ qz[:p], zz, n))
@@ -171,7 +173,7 @@ class Spectrum:
         """Rows (bias, d_trace, d_ave) at every lambda of ``lams``: a (3, len(lams)) array.
 
         With d_i = eig_i + n lambda, s_i = n lambda / d_i and r_i = eig_i / d_i:
-        bias = (sum_i coef2_i s_i^2 + resid2) / n (NaN without a signal),
+        bias = (sum_i coef2_i s_i^2 + resid2) / n (0 for the zero signal),
         d_trace = sum_i w_i r_i and d_ave = sum_i w_i r_i^2 for the
         multiplicities w; the variance is sigma2 d_ave / n. The work runs in
         (lambda x eigenvalue) tiles of at most ``SCORE_BLOCK`` elements that
@@ -190,14 +192,12 @@ class Spectrum:
             for j in range(0, eigs.size, cols):
                 e = eigs[j : j + cols]
                 d = e + nl
-                r = e / d
-                if coef2 is not None:
-                    s = nl / d
-                    out[0, i : i + step] += (coef2[j : j + cols] * (s * s)).sum(axis=1)
+                r, s = e / d, nl / d
+                out[0, i : i + step] += (coef2[j : j + cols] * (s * s)).sum(axis=1)
                 wr = r if weight is None else weight[j : j + cols] * r
                 out[1, i : i + step] += wr.sum(axis=1)
                 out[2, i : i + step] += (wr * r).sum(axis=1)
-        out[0] = np.nan if coef2 is None else (out[0] + self.resid2) / self.n
+        out[0] = (out[0] + self.resid2) / self.n
         return out
 
     def errors(self, sigma2: float, lams) -> np.ndarray:
@@ -376,8 +376,10 @@ def lemma_deviations(psis, p: int, trials: int, seed) -> np.ndarray:
 
     Trial t draws its p row indices I from ``generator(seed, t)``. The draw
     depends only on (seed, t, n, p), so one draw serves every matrix in
-    ``psis`` (finite, all with n rows, else DataError). Returns a (len(psis), trials) array.
+    ``psis`` (at least one, finite, all with n rows, else DataError). Returns a (len(psis), trials) array.
     """
+    if not len(psis):
+        raise DataError("lemma deviations need at least one matrix")
     n = finite(psis[0], "matrix 0", shape=(None, None)).shape[0]
     psis = [finite(psi, f"matrix {f}", shape=(n, None)) for f, psi in enumerate(psis)]
     p, trials = subset_size(n, p), scalar(trials, "trials", int, ">= 1")

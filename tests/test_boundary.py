@@ -7,9 +7,10 @@ constructors, ``lowrank_bias_variance``, ``lemma_tail`` and ``RankSweeper``, is 
 with valid arguments in which one parameter at a time is replaced by a
 malformed value:
 
-- an array gets a NaN, +inf or -inf entry at a drawn position, an empty
-  array of its number of axes, one axis more or one fewer, and one row
-  (and, for a matrix, one column) fewer;
+- an array gets a NaN, +inf or -inf entry at a drawn position, the string
+  "x" at a drawn position (in an object array), an empty array of its
+  number of axes, one axis more or one fewer, and one row (and, for a
+  matrix, one column) fewer;
 - a float gets NaN, +inf and -inf, an int -1, 0, 2.5 and NaN;
 - a factor, fit, problem or selection gets each malformed value of one of
   its arrays, or a size that does not match; a row oracle returns
@@ -20,7 +21,7 @@ The record types (``LowRankFactor``, ``RidgeFit``, ``FixedDesignProblem``,
 their fields, and that is what the tables test.
 
 With warnings as errors, each call must raise a ``NyridgeError`` or return
-a result whose every number is finite.
+a result whose every number is finite; a string entry must raise.
 """
 
 from __future__ import annotations
@@ -82,8 +83,11 @@ def array_variants(v, draw):
     bad = np.array(v, dtype=np.result_type(v, float), order="C")  # complex: the bad entry in either part
     flat = (bad.view(float) if np.iscomplexobj(bad) else bad).reshape(-1)
     flat[draw(st.integers(0, flat.size - 1))] = draw(st.sampled_from(BAD))
+    strung = np.array(v, dtype=object, order="C")
+    strung.reshape(-1)[draw(st.integers(0, v.size - 1))] = "x"
     out = {
         "non-finite entry": bad,
+        "string entry": strung,
         "empty": np.empty((0,) * v.ndim, dtype=v.dtype),
         "extra axis": v[..., None],
         "one axis fewer": v[0],
@@ -104,9 +108,10 @@ def oracle_variants(_, draw):
     """Row oracles over K whose rows are malformed as an array would be."""
     rows = make_column_oracle(K)
     variants = array_variants(K, draw)
-    bad = variants["non-finite entry"]
+    bad, strung = variants["non-finite entry"], variants["string entry"]
     return {
         "non-finite row entry": lambda idx: bad[idx],
+        "string row entry": lambda idx: strung[idx],
         "rows one entry short": lambda idx: rows(idx)[:, :-1],
         "rows with an extra axis": lambda idx: rows(idx)[..., None],
         "empty rows": lambda idx: rows(idx)[:, :0],
@@ -237,8 +242,8 @@ def is_finite(value) -> bool:
     return True
 
 
-def outcome(call, args) -> str | None:
-    """None for a NyridgeError or a finite result; otherwise what went wrong."""
+def outcome(call, args, must_raise: bool = False) -> str | None:
+    """None for a NyridgeError or (unless ``must_raise``) a finite result; otherwise what went wrong."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -247,6 +252,8 @@ def outcome(call, args) -> str | None:
         return None
     except Exception as exc:  # noqa: BLE001 - any other exception is the failure reported
         return f"{type(exc).__name__}: {exc}"
+    if must_raise:
+        return f"no error, but the result {result!r}"[:200]
     return None if is_finite(result) else f"non-finite result {result!r}"[:200]
 
 
@@ -270,7 +277,7 @@ def test_malformed_input_raises_a_typed_error_or_gives_a_finite_result(data):
             for label, bad in variants(valid, data.draw).items():
                 args = [v for _, v, _ in params]
                 args[i] = bad
-                problem = outcome(call, args)
+                problem = outcome(call, args, must_raise="string" in label)
                 if problem is not None:
                     failures.append(f"{name}({param}: {label}): {problem}")
     assert not failures, "\n".join(failures)

@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from nyridge.errors import BOUNDS, ConfigError, DataError, finite, generator, scalar, shaped
+from nyridge import KernelSpec, fit_rate, gram, krr_exact, nystrom, optimal_lambda, sample_columns
+from nyridge.errors import BOUNDS, ConfigError, DataError, finite, floats, generator, scalar, shaped
+from nyridge.stats import Spectrum, lemma_deviations
 
 
 def test_finite_returns_a_float_array():
@@ -33,6 +35,55 @@ def test_finite_reads_an_int_past_the_float_range_as_infinite():
         finite([1.0, 10**400], "x")
     with pytest.raises(DataError, match=re.escape("x entry (0, 1) is -inf; it must be finite")):
         finite([[1.0, -(10**400)]], "x")
+
+
+@pytest.mark.parametrize("a, message", [
+    (["a"], "x entry 0 is the string 'a'; it must be a number"),
+    ([1, "b", 2], "x entry 1 is the string 'b'; it must be a number"),  # numpy made 1 and 2 strings too
+    (["1", "2", "3"], "x entry 0 is the string '1'"),  # a numeric string was read as its number
+    (np.array([[1.0, "x"]], dtype=object), "x entry (0, 1) is the string 'x'"),
+    ("abc", "x is the string 'abc'"),
+    ([(1, 2), (3,)], "x is not an array of numbers: setting an array element with a sequence"),
+    ([1j, 2j], "x is complex; it must be real"),
+    (np.array([1.0, np.complex64(2j)], dtype=object), "np.complex64(2j) is complex"),  # 0.0 and a ComplexWarning
+    ([1.0, None], "x is not an array of real numbers"),
+    ([10**400, None], "x is not an array of real numbers"),
+])
+def test_every_conversion_failure_is_a_data_error_naming_the_array(a, message):
+    # these raised a bare ValueError, TypeError or ComplexWarning, or (numeric strings) passed
+    with pytest.raises(DataError, match=re.escape(message)):
+        finite(a, "x")
+    if "string" in message or "sequence" in message:  # shaped converts by the same rule first
+        with pytest.raises(DataError, match=re.escape(message)):
+            shaped(a, "x", (None,))
+
+
+SPEC = KernelSpec.gaussian(1.0)
+K3 = np.eye(3)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: gram([["a"]], SPEC), "points"),
+    (lambda: gram([1j, 2j], SPEC), "points"),
+    (lambda: optimal_lambda(Spectrum.dense(K3), 0.5, ["a", "b"]), "lambda grid"),
+    (lambda: krr_exact(K3, [1, "b", 2], 0.1), "target vector"),
+    (lambda: krr_exact(K3, ["1", "2", "3"], 0.1), "target vector"),  # returned a fit
+    (lambda: fit_rate([(1, 2), (3,)]), "rate fit pairs"),
+    (lambda: nystrom([[1, 0], [0]], sample_columns(2, 1, 0)), "kernel matrix"),
+    (lambda: lemma_deviations([], 2, 2, 0), "at least one matrix"),  # an IndexError
+])
+def test_the_entry_points_raise_data_error_for_what_does_not_convert(call, name):
+    with pytest.raises(DataError, match=name):
+        call()
+
+
+def test_floats_keeps_a_float_array_and_the_circulant_takes_a_complex_zhat():
+    a = np.linspace(0.0, 1.0, 5)
+    assert floats(a, "a") is a
+    row0 = np.array([2.0, 0.5, 0.1, 0.5])
+    zhat = np.fft.rfft([1.0, -2.0, 0.5, 3.0])
+    assert Spectrum.circulant(row0, zhat).coef2.sum() == pytest.approx(1.0 + 4.0 + 0.25 + 9.0)
+    assert Spectrum.circulant(row0, list(zhat)).coef2.sum() == pytest.approx(14.25)
 
 
 def test_finite_names_a_0d_value_without_an_index():

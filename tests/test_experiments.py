@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -681,6 +683,22 @@ class TestCvGridEdge:
         lam, messages, rows = self.run(toy, "mixed", caplog, lambda_points=6)
         assert rows[0][0] < lam < rows[-1][0]
         assert messages == []
+
+    def test_huge_target_exits_3_before_lambda_is_chosen(self, toy, capsys, caplog):
+        # a target of 1e200 overflowed the squared held-out error: a RuntimeWarning,
+        # then an edge message chosen from all-inf errors, then exit 3 at the CSV writer
+        rng = np.random.default_rng(0)
+        y = rng.standard_normal(12)
+        y[5] = 1e200
+        write_dataset_csv(toy / "huge.csv", rng.normal(size=(12, 2)), y)
+        with warnings.catch_warnings(), caplog.at_level("WARNING", logger="nyridge"):
+            warnings.simplefilter("error")
+            code = cli.main(["cv", "--input", str(toy / "huge.csv"), "--out", str(toy / "cv.csv")])
+        assert code == 3
+        assert re.search(r"numerical failure: fold \d: held-out error at lambda=1e-08 is inf",
+                         capsys.readouterr().err)
+        assert caplog.records == []
+        assert not (toy / "cv.csv").exists()
 
     def test_warning_goes_to_stderr_not_the_csv(self, toy, monkeypatch):
         monkeypatch.chdir(toy)

@@ -88,10 +88,26 @@ class TestDof:
         lam = 1e-2
         dense = dof(prob.K, lam)
         # all n Fourier modes, each of multiplicity 1
-        spectral = Spectrum(eig_circulant(1, 36), 36, weight=np.ones(36)).dof(lam)
+        spectral = Spectrum(eig_circulant(1, 36), 36, np.zeros(36), weight=np.ones(36)).dof(lam)
         assert dense[0] == pytest.approx(spectral[0], rel=1e-6)
         assert dense[1] == pytest.approx(spectral[1], rel=1e-8)
         assert dense[2] == pytest.approx(spectral[2], rel=1e-8)
+
+
+    def test_a_spectrum_without_a_signal_scores_the_zero_signal(self):
+        # the signal-less spectrum behind dof had a NaN bias row, and
+        # optimal_lambda(Spectrum.dense(2 I), ...) returned error_star=nan
+        K, grid = 2.0 * np.eye(4), np.geomspace(1e-3, 1.0, 5)
+        choice = optimal_lambda(Spectrum.dense(K), 0.5, grid)
+        assert math.isfinite(choice.error_star) and choice.error_star > 0
+        assert choice.error_star == Spectrum.dense(K, np.zeros(4)).error(0.5, choice.lambda_star)
+        bias, _, _ = Spectrum.circulant(np.array([2.0, 0.5, 0.5])).terms(grid)
+        assert np.all(bias == 0.0)
+        # the d.o.f. sums never read the signal: dof is the same with any z, bit for bit
+        K = random_psd(12, 4)
+        z = np.random.default_rng(5).normal(size=12)
+        for lam in (1e-6, 1e-3, 0.5):
+            assert dof(K, lam) == Spectrum.dense(K, z).dof(lam)
 
 
 class TestBiasVariance:
